@@ -8,7 +8,7 @@ Modules:
 * :mod:`harmonicdisk.sources` -- declarative integrands and the figure catalog
 * :mod:`harmonicdisk.transforms` -- the integral operators
 * :mod:`harmonicdisk.verify` -- norms, harmonicity checks, invariant suite
-* :mod:`harmonicdisk.heatlab` -- finite-difference solver and comparison harness
+* :mod:`harmonicdisk.heatlab` -- finite-volume heat solver and comparison harness
 * :mod:`harmonicdisk.cli` -- command-line surface
 """
 

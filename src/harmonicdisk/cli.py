@@ -170,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=float, default=0.9)
     _add_quad_flags(p)
     p.add_argument("--skip-heat", action="store_true",
-                   help="skip the slower finite-difference solver checks")
+                   help="skip the heat-solver checks")
     p.add_argument("--out", help="optional report path (prints to stdout otherwise)")
     p.set_defaults(func=cmd_verify)
 

@@ -18,6 +18,45 @@ from harmonicdisk.sources import CharacteristicDisk, SourceSum, figure_case
 PI = math.pi
 UNIT = CharacteristicDisk(1.0)
 DIRICHLET = BoundaryCondition("dirichlet_zero")
+ROBIN = BoundaryCondition("robin", 1.0)
+
+
+def dense_reference(problem):
+    """Ring values from a dense solve of the five-point finite-volume system,
+    assembled row by row: the origin closure ties ring 1 to its own mean,
+    the rim ring is a half cell under Robin and the Dirichlet zero sits one
+    ring beyond the last unknown."""
+    n, m, k = problem.n_r, problem.n_theta, problem.conductivity
+    dr, dt = 1.0 / n, 2.0 * PI / m
+    robin = problem.boundary.tag == "robin"
+    n_rings = n if robin else n - 1
+    matrix = np.zeros((n_rings * m, n_rings * m))
+    rhs = np.zeros(n_rings * m)
+    for i in range(1, n_rings + 1):
+        r_i = i * dr
+        half_cell = robin and i == n
+        width = 0.5 * dr if half_cell else dr
+        a_in = (r_i - 0.5 * dr) / dr * dt
+        a_out = (r_i + 0.5 * dr) / dr * dt
+        b = width / (r_i * dt)
+        for j in range(m):
+            row = (i - 1) * m + j
+            matrix[row, row] += a_in + 2.0 * b
+            matrix[row, (i - 1) * m + (j - 1) % m] -= b
+            matrix[row, (i - 1) * m + (j + 1) % m] -= b
+            if i == 1:
+                matrix[row, 0:m] -= a_in / m
+            else:
+                matrix[row, row - m] -= a_in
+            if half_cell:
+                matrix[row, row] += problem.boundary.h / k * dt
+            else:
+                matrix[row, row] += a_out
+                if i < n_rings:
+                    matrix[row, row + m] -= a_out
+            f = float(problem.source.values(r_i, -PI + j * dt))
+            rhs[row] = f / k * r_i * width * dt
+    return np.linalg.solve(matrix, rhs).reshape(n_rings, m)
 
 
 def max_error_vs(field, exact_fn):
@@ -25,6 +64,24 @@ def max_error_vs(field, exact_fn):
 
 
 class TestSolver:
+    @pytest.mark.parametrize("boundary", [DIRICHLET, ROBIN], ids=["dirichlet", "robin"])
+    @pytest.mark.parametrize("n_theta", [16, 17])
+    def test_matches_dense_reference(self, boundary, n_theta):
+        problem = HeatProblem(figure_case(15).payload.source, 1.5, boundary, 16, n_theta)
+        fld = solve_steady_state(problem)
+        ref = dense_reference(problem)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(fld.values[1:] - ref[:15])) <= 1e-12 * scale
+        assert np.max(np.abs(fld.values[0] - ref[0].mean())) <= 1e-12 * scale
+        if boundary is ROBIN:
+            assert fld.meta["rim_values_mean"] == pytest.approx(ref[-1].mean(), abs=1e-12 * scale)
+
+    def test_robin_residual_at_benchmark_mesh(self):
+        src = figure_case(4).payload.source
+        fld = solve_steady_state(HeatProblem(src, 1.0, ROBIN, 192, 384))
+        assert fld.meta["solver"]["method"] == "fft_tridiagonal"
+        assert fld.meta["solver"]["residual"] <= 1e-10
+
     def test_unit_source_dirichlet(self):
         fld = solve_steady_state(HeatProblem(UNIT, 1.0, DIRICHLET, 128, 256))
         assert max_error_vs(fld, radial_dirichlet_exact) < 1e-3
