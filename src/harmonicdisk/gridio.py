@@ -4,8 +4,11 @@ A grid file is CSV with header ``r,theta,value,converged`` and one row
 per grid point in row-major order (radius outer, angle inner).  Values
 are rendered with 17 significant digits, which round-trips IEEE doubles
 exactly; identical invocations therefore produce bitwise-identical
-files.  Timestamps never appear in data files and appear in the sidecar
-only when explicitly requested.
+files.  The writer streams the file ring by ring; the reader parses it
+with numpy's C parser and refuses rows out of that order, converged
+flags other than 0 or 1, and rows that are not four numbers.  Timestamps
+never appear in data files and appear in the sidecar only when
+explicitly requested.
 """
 
 from __future__ import annotations
@@ -25,10 +28,6 @@ ARTIFACT_VERSION = "0.1.0"
 _HEADER = "r,theta,value,converged"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def write_grid_file(
     field: Field,
     path,
@@ -38,15 +37,14 @@ def write_grid_file(
 ) -> Path:
     """Write a field and its metadata sidecar; returns the data path."""
     path = Path(path)
-    lines = [_HEADER]
-    for i, r in enumerate(field.grid.radii):
-        for j, t in enumerate(field.grid.angles):
-            lines.append(
-                f"{_fmt(r)},{_fmt(t)},{_fmt(field.values[i, j])},"
-                f"{1 if field.converged[i, j] else 0}"
-            )
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    thetas = [f",{t:.17g}," for t in field.grid.angles.tolist()]
+    with path.open("w") as fh:
+        fh.write(_HEADER + "\n")
+        for i, r in enumerate(field.grid.radii.tolist()):
+            rs = format(r, ".17g")
+            rows = zip(thetas, field.values[i].tolist(), field.converged[i].tolist())
+            fh.write("".join([f"{rs}{ts}{v:.17g},{1 if c else 0}\n" for ts, v, c in rows]))
 
     meta = dict(field.meta)
     meta["grid"] = {
@@ -81,25 +79,26 @@ def sidecar_path(path) -> Path:
 def read_grid_file(path) -> Field:
     """Re-read a grid file (and its sidecar when present) into a Field."""
     path = Path(path)
-    lines = path.read_text().strip().splitlines()
-    if not lines or lines[0] != _HEADER:
-        raise DomainError(f"{path}: not a grid file (bad header)")
-    rows = [line.split(",") for line in lines[1:]]
-    if any(len(row) != 4 for row in rows):
-        raise DomainError(f"{path}: malformed data row")
-    r_col = np.array([float(row[0]) for row in rows])
-    t_col = np.array([float(row[1]) for row in rows])
-    v_col = np.array([float(row[2]) for row in rows])
-    c_col = np.array([int(row[3]) for row in rows], dtype=bool)
-
-    radii = np.unique(r_col)
-    angles = np.unique(t_col)
+    with path.open() as fh:
+        if fh.readline().rstrip("\r\n") != _HEADER:
+            raise DomainError(f"{path}: not a grid file (bad header)")
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"{path}: malformed data row: {exc}") from exc
+    if data.shape[1] != 4:
+        raise DomainError(f"{path}: expected rows of 4 columns, got shape {data.shape}")
+    r_col, t_col, v_col, c_col = data.T
+    radii, angles = np.unique(r_col), np.unique(t_col)
     n_r, n_t = radii.size, angles.size
-    if n_r * n_t != len(rows):
-        raise DomainError(f"{path}: row count {len(rows)} is not n_r*n_theta")
+    if not (np.array_equal(r_col, np.repeat(radii, n_t))
+            and np.array_equal(t_col, np.tile(angles, n_r))):
+        raise DomainError(f"{path}: rows are not in row-major (r, theta) order")
+    if not np.all((c_col == 0) | (c_col == 1)):
+        raise DomainError(f"{path}: converged flags must be 0 or 1")
     grid = EvaluationGrid(radii, angles, allow_near_boundary=True)
-    values = v_col.reshape(n_r, n_t)
-    converged = c_col.reshape(n_r, n_t)
+    values = np.ascontiguousarray(v_col).reshape(n_r, n_t)
+    converged = (c_col == 1).reshape(n_r, n_t)
 
     meta = {}
     sc = sidecar_path(path)

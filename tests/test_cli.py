@@ -5,84 +5,9 @@ import numpy as np
 import pytest
 
 from harmonicdisk.cli import main, parse_prefactor
-from harmonicdisk.errors import DomainError
-from harmonicdisk.geometry import EvaluationGrid
-from harmonicdisk.gridio import ratio_field, read_grid_file, sidecar_path, write_grid_file
-from harmonicdisk.transforms import Field
+from harmonicdisk.gridio import read_grid_file, sidecar_path
 
 PI = math.pi
-
-
-def make_field(values=None, n_r=3, n_theta=4):
-    grid = EvaluationGrid.regular(n_r=n_r, n_theta=n_theta, r_max=0.8)
-    if values is None:
-        rng = np.random.default_rng(7)
-        values = rng.standard_normal(grid.shape) * np.pi
-    return Field(
-        grid=grid,
-        values=values,
-        converged=np.ones(grid.shape, dtype=bool),
-        errors=np.zeros(grid.shape),
-        meta={"operator": "test"},
-    )
-
-
-class TestGridIO:
-    def test_roundtrip_exact(self, tmp_path):
-        fld = make_field()
-        path = write_grid_file(fld, tmp_path / "f.csv", reload_check=True)
-        back = read_grid_file(path)
-        assert np.array_equal(back.values, fld.values)
-        assert np.array_equal(back.grid.radii, fld.grid.radii)
-        assert np.array_equal(back.grid.angles, fld.grid.angles)
-        assert back.meta["operator"] == "test"
-
-    def test_seventeen_digits_roundtrip_awkward_values(self, tmp_path):
-        values = np.array([[1.0 / 3.0, math.pi, 1e-300, -1.2345678901234567e17]])
-        grid = EvaluationGrid(np.array([0.5]), np.array([-3.0, -1.0, 0.0, 1.0]))
-        fld = Field(grid=grid, values=values,
-                    converged=np.ones_like(values, bool), errors=np.zeros_like(values))
-        write_grid_file(fld, tmp_path / "a.csv", reload_check=True)
-
-    def test_deterministic_bytes(self, tmp_path):
-        fld = make_field()
-        p1 = write_grid_file(fld, tmp_path / "a.csv")
-        p2 = write_grid_file(fld, tmp_path / "b.csv")
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_no_timestamp_by_default(self, tmp_path):
-        fld = make_field()
-        path = write_grid_file(fld, tmp_path / "a.csv")
-        meta = json.loads(sidecar_path(path).read_text())
-        assert "timestamp" not in meta
-        path = write_grid_file(fld, tmp_path / "b.csv", timestamp=True)
-        meta = json.loads(sidecar_path(path).read_text())
-        assert "timestamp" in meta
-
-    def test_row_count(self, tmp_path):
-        fld = make_field(n_r=5, n_theta=7)
-        path = write_grid_file(fld, tmp_path / "a.csv")
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 1 + 5 * 7
-
-    def test_ratio_field_guards_small_denominators(self):
-        num = make_field(values=np.ones((3, 4)))
-        den = make_field(values=np.ones((3, 4)))
-        den.values[1, 2] = 1e-12
-        ratio = ratio_field(num, den)
-        assert not ratio.converged[1, 2]
-        assert np.isnan(ratio.values[1, 2])
-        assert ratio.values[0, 0] == 1.0
-
-    def test_ratio_requires_matching_grids(self):
-        a = make_field()
-        b = make_field(n_r=4)
-        with pytest.raises(DomainError):
-            ratio_field(a, b)
-
-    def test_nan_roundtrip(self, tmp_path):
-        fld = make_field(values=np.full((3, 4), np.nan))
-        write_grid_file(fld, tmp_path / "n.csv", reload_check=True)
 
 
 class TestPrefactorParsing:
