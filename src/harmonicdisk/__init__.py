@@ -72,7 +72,6 @@ from .heatlab import (
     BoundaryCondition,
     ConjectureReport,
     HeatProblem,
-    conjecture_compare,
     solve_steady_state,
 )
 
@@ -111,7 +110,6 @@ __all__ = [
     "analytic_rep",
     "bergman_norm",
     "bergman_project",
-    "conjecture_compare",
     "evaluate_source",
     "figure_case",
     "hA2_norm",

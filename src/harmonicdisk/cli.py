@@ -38,10 +38,10 @@ from .sources import (
     BoundaryFunction,
     CROSS_PAIRED_FIGURES,
     KernelPlot,
-    PairedCase,
     PoissonCase,
     QCase,
     SourceFunction,
+    catalog_q_sources,
     figure_case,
     parse_source_config,
 )
@@ -132,28 +132,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reload", action="store_true")
     p.set_defaults(func=cmd_figure)
 
-    p = sub.add_parser("transform", help="area-kernel transform of a source file")
-    p.add_argument("--source-file", required=True)
-    p.add_argument("--prefactor", type=parse_prefactor, default=1.0,
-                   help="constant in front of the integral (accepts e.g. 2/pi)")
-    _add_grid_flags(p)
-    _add_quad_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_transform)
-
-    p = sub.add_parser("poisson", help="boundary integral of a boundary-function file")
-    p.add_argument("--source-file", required=True)
-    _add_grid_flags(p)
-    _add_quad_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_poisson)
-
-    p = sub.add_parser("project", help="orthogonal projection of a source file")
-    p.add_argument("--source-file", required=True)
-    _add_grid_flags(p)
-    _add_quad_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_project)
+    for name, help_text in (("transform", "area-kernel transform of a source file"),
+                            ("poisson", "boundary integral of a boundary-function file"),
+                            ("project", "orthogonal projection of a source file")):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--source-file", required=True)
+        if name == "transform":
+            p.add_argument("--prefactor", type=parse_prefactor, default=1.0,
+                           help="constant in front of the integral (accepts e.g. 2/pi)")
+        _add_grid_flags(p)
+        _add_quad_flags(p)
+        _add_output_flags(p)
+        p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("norms", help="norms of a source or boundary function")
     p.add_argument("--source-file", required=True)
@@ -297,25 +287,17 @@ def _require_boundary(obj, path):
     return obj
 
 
-def cmd_transform(args) -> int:
-    source = _require_source(_load_source(args.source_file), args.source_file)
-    fld = q_transform(source, _grid_from_args(args), args.prefactor, _spec_from_args(args))
-    write_grid_file(fld, args.out, timestamp=args.timestamp, reload_check=args.reload)
-    print(f"wrote {args.out}")
-    return EXIT_OK
-
-
-def cmd_poisson(args) -> int:
-    boundary = _require_boundary(_load_source(args.source_file), args.source_file)
-    fld = poisson_integral(boundary, _grid_from_args(args), _spec_from_args(args))
-    write_grid_file(fld, args.out, timestamp=args.timestamp, reload_check=args.reload)
-    print(f"wrote {args.out}")
-    return EXIT_OK
-
-
-def cmd_project(args) -> int:
-    source = _require_source(_load_source(args.source_file), args.source_file)
-    fld = bergman_project(source, _grid_from_args(args), _spec_from_args(args))
+def cmd_field(args) -> int:
+    """transform, poisson and project: one grid operator on a source file."""
+    require = _require_boundary if args.command == "poisson" else _require_source
+    obj = require(_load_source(args.source_file), args.source_file)
+    grid, spec = _grid_from_args(args), _spec_from_args(args)
+    if args.command == "poisson":
+        fld = poisson_integral(obj, grid, spec)
+    elif args.command == "project":
+        fld = bergman_project(obj, grid, spec)
+    else:
+        fld = q_transform(obj, grid, args.prefactor, spec)
     write_grid_file(fld, args.out, timestamp=args.timestamp, reload_check=args.reload)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -368,15 +350,13 @@ def cmd_conjecture(args) -> int:
     if bool(args.source_file) == bool(args.figure):
         raise SourceParseError("pass exactly one of --source-file or --figure")
     if args.figure:
-        payload = figure_case(args.figure).payload
-        if isinstance(payload, PairedCase):
-            source = payload.q.source
-        elif isinstance(payload, QCase):
-            source = payload.source
-        else:
+        q_case = catalog_q_sources().get(args.figure)
+        if q_case is None:
+            figure_case(args.figure)  # an unknown id raises UnknownFigureError
             raise SourceValidationError(
                 f"figure {args.figure} has no disk source to feed the solver"
             )
+        source = q_case.source
     else:
         source = _require_source(_load_source(args.source_file), args.source_file)
     boundary = (

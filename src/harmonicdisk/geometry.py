@@ -181,8 +181,3 @@ class EvaluationGrid:
             f"EvaluationGrid(n_r={self.n_r}, n_theta={self.n_theta}, "
             f"r_max={self.radii[-1]:g})"
         )
-
-
-def wrap_angle(theta):
-    """Map angles into [-pi, pi)."""
-    return np.mod(np.asarray(theta) + math.pi, TWO_PI) - math.pi

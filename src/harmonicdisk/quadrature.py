@@ -1,23 +1,28 @@
-"""Adaptive tensor Gauss-Legendre quadrature over polar rectangles.
+"""Adaptive Gauss-Legendre quadrature over polar rectangles and arcs.
 
-Conventions baked in here, not in integrands:
+One engine serves every entry point: a panel is a tuple of one interval
+(an arc, for circle integrals) or two intervals (a polar rectangle,
+radius first), and the same adaptive loop refines both.
 
-* the Jacobian rho of the measure rho drho dphi is applied by the
-  quadrature layer -- integrands are plain functions g(rho, phi);
-* integrands must accept numpy arrays and broadcast: they are called with
-  a column of radii and a row of angles and must return the (n_r, n_phi)
-  tensor of values;
-* per-panel error = |G_n - G_2n| (same rule at doubled node counts); a
+* The Jacobian rho of the measure rho drho dphi is applied by the
+  quadrature layer -- integrands are plain functions g(rho, phi) or
+  g(phi).
+* Integrands must accept numpy arrays and broadcast: 2-D integrands are
+  called with a column of radii and a row of angles and must return the
+  (n_r, n_phi) tensor of values.
+* Per-panel error = |G_n - G_2n| (same rule at doubled node counts).  A
   panel is accepted when that difference drops below the absolute
-  per-panel tolerance, otherwise it is bisected in the direction whose
-  refinement moved the estimate most (ties go to the angular direction,
-  where the integral kernels of this package peak);
-* the final value is an fsum over accepted panels in a fixed depth-first
+  per-panel tolerance or at ``max_depth``; otherwise it is bisected.  A
+  two-interval panel probes each direction at doubled nodes and splits
+  where the estimate moved most (ties go to the angular direction, where
+  the integral kernels of this package peak).
+* The final value is an fsum over accepted panels in a fixed depth-first
   order, so results are deterministic no matter how panels would be
   scheduled.
 
 Integrable endpoint singularities (1 - rho)^(-beta) at rho = 1 are
-handled by ``integrate_singular_radial`` through the substitution
+declared by the source (``SourcePiece.beta``) and handled by
+``integrate_singular_radial`` through the substitution
 t = (1 - rho)^(1 - beta), which makes the transformed integrand bounded.
 """
 
@@ -39,15 +44,13 @@ class QuadratureSpec:
 
     ``adaptive_tol`` is an absolute per-panel tolerance; the error
     estimate of a converged result is bounded by adaptive_tol times the
-    number of panels used.  ``singularity_exponent`` flags an integrand
-    factor (1 - rho)^(-beta) handled by substitution.
+    number of panels used.
     """
 
     nodes_radial: int = 32
     nodes_angular: int = 64
     adaptive_tol: float = 1e-9
     max_depth: int = 12
-    singularity_exponent: float | None = None
 
     def __post_init__(self):
         if self.nodes_radial < 1 or self.nodes_angular < 1:
@@ -56,10 +59,6 @@ class QuadratureSpec:
             raise InvalidRegionError("adaptive_tol must be positive")
         if not 1 <= self.max_depth <= 30:
             raise InvalidRegionError("max_depth must lie in [1, 30]")
-        if self.singularity_exponent is not None and not (
-            0.0 < self.singularity_exponent < 1.0
-        ):
-            raise InvalidExponentError("singularity exponent must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -83,32 +82,42 @@ def _map_nodes(lo: float, hi: float, n: int):
     return mid + half * nodes, half * weights
 
 
-def _tensor_eval(integrand, r_lo, r_hi, p_lo, p_hi, n_r, n_p, jacobian):
-    """One tensor Gauss-Legendre evaluation over a panel."""
-    rho, w_r = _map_nodes(r_lo, r_hi, n_r)
-    phi, w_p = _map_nodes(p_lo, p_hi, n_p)
-    values = np.asarray(integrand(rho[:, None], phi[None, :]), dtype=float)
-    values = np.broadcast_to(values, (n_r, n_p))
+def _finite_values(raw, shape, panel):
+    values = np.broadcast_to(np.asarray(raw, dtype=float), shape)
     if not np.all(np.isfinite(values)):
-        raise NonFiniteError(
-            f"integrand returned NaN/inf on panel [{r_lo},{r_hi}]x[{p_lo},{p_hi}]"
-        )
+        bounds = "x".join(f"[{lo},{hi}]" for lo, hi in panel)
+        raise NonFiniteError(f"integrand returned NaN/inf on panel {bounds}")
+    return values
+
+
+def _panel_rule(integrand, panel, counts, jacobian):
+    """One Gauss-Legendre evaluation over a panel of one or two intervals."""
+    x, w = _map_nodes(*panel[0], counts[0])
+    if len(panel) == 1:
+        return float(w @ _finite_values(integrand(x), x.shape, panel))
+    phi, w_p = _map_nodes(*panel[1], counts[1])
+    values = _finite_values(integrand(x[:, None], phi[None, :]), (x.size, phi.size), panel)
     if jacobian:
-        values = values * rho[:, None]
-    return float(w_r @ values @ w_p)
+        values = values * x[:, None]
+    return float(w @ values @ w_p)
 
 
-def _adaptive_tensor(integrand, r_lo, r_hi, p_lo, p_hi, spec, jacobian):
-    """Adaptive bisection engine shared by the public entry points."""
-    n_r, n_p = spec.nodes_radial, spec.nodes_angular
-    stack = [(r_lo, r_hi, p_lo, p_hi, 0)]
+def _adaptive(integrand, panel, spec, jacobian=False):
+    """The adaptive bisection loop behind every public entry point.
+
+    ``panel`` is ((phi_lo, phi_hi),) for a 1-D angular integral or
+    ((r_lo, r_hi), (phi_lo, phi_hi)) for a polar rectangle.
+    """
+    counts = (spec.nodes_radial, spec.nodes_angular)[-len(panel):]
+    fine_counts = tuple(2 * n for n in counts)
+    stack = [(panel, 0)]
     values = []
     errors = []
     all_converged = True
     while stack:
-        a, b, c, d, depth = stack.pop()
-        coarse = _tensor_eval(integrand, a, b, c, d, n_r, n_p, jacobian)
-        fine = _tensor_eval(integrand, a, b, c, d, 2 * n_r, 2 * n_p, jacobian)
+        panel, depth = stack.pop()
+        coarse = _panel_rule(integrand, panel, counts, jacobian)
+        fine = _panel_rule(integrand, panel, fine_counts, jacobian)
         err = abs(fine - coarse)
         if err <= spec.adaptive_tol or depth >= spec.max_depth:
             values.append(fine)
@@ -116,19 +125,21 @@ def _adaptive_tensor(integrand, r_lo, r_hi, p_lo, p_hi, spec, jacobian):
             if err > spec.adaptive_tol:
                 all_converged = False
             continue
-        # Probe which direction is under-resolved: refine each separately
-        # and split where the estimate moves most.  Angular wins ties --
-        # the kernels peak in angle as r*rho -> 1.
-        move_r = abs(_tensor_eval(integrand, a, b, c, d, 2 * n_r, n_p, jacobian) - coarse)
-        move_p = abs(_tensor_eval(integrand, a, b, c, d, n_r, 2 * n_p, jacobian) - coarse)
-        if move_p >= move_r:
-            mid = 0.5 * (c + d)
-            stack.append((a, b, mid, d, depth + 1))
-            stack.append((a, b, c, mid, depth + 1))
-        else:
-            mid = 0.5 * (a + b)
-            stack.append((mid, b, c, d, depth + 1))
-            stack.append((a, mid, c, d, depth + 1))
+        # Split the angular (last) interval, unless a probe of each
+        # direction at doubled nodes shows the radial one moved the
+        # estimate more.  Angular wins ties -- the kernels peak in angle
+        # as r*rho -> 1.
+        axis = len(panel) - 1
+        if axis == 1:
+            n_r, n_p = counts
+            move_r = abs(_panel_rule(integrand, panel, (2 * n_r, n_p), jacobian) - coarse)
+            move_p = abs(_panel_rule(integrand, panel, (n_r, 2 * n_p), jacobian) - coarse)
+            if move_p < move_r:
+                axis = 0
+        lo, hi = panel[axis]
+        mid = 0.5 * (lo + hi)
+        stack.append((panel[:axis] + ((mid, hi),) + panel[axis + 1:], depth + 1))
+        stack.append((panel[:axis] + ((lo, mid),) + panel[axis + 1:], depth + 1))
     return QuadratureResult(
         value=math.fsum(values),
         error_estimate=math.fsum(errors),
@@ -138,19 +149,10 @@ def _adaptive_tensor(integrand, r_lo, r_hi, p_lo, p_hi, spec, jacobian):
 
 
 def integrate_polar(integrand, region: PolarRectangle, spec: QuadratureSpec | None = None):
-    """Integrate g(rho, phi) * rho over a polar rectangle adaptively.
-
-    If ``spec.singularity_exponent`` is set, the integrand is understood
-    to carry a factor (1 - rho)^(-beta) *in addition* to the regular part
-    passed here, and the call is routed through the substitution path
-    (the region must then touch rho = 1).
-    """
+    """Integrate g(rho, phi) * rho over a polar rectangle adaptively."""
     spec = spec or QuadratureSpec()
-    if spec.singularity_exponent is not None:
-        return integrate_singular_radial(integrand, spec.singularity_exponent, region, spec)
-    return _adaptive_tensor(
-        integrand, region.r_lo, region.r_hi, region.theta_lo, region.theta_hi, spec, True
-    )
+    panel = ((region.r_lo, region.r_hi), (region.theta_lo, region.theta_hi))
+    return _adaptive(integrand, panel, spec, jacobian=True)
 
 
 def integrate_singular_radial(
@@ -158,15 +160,13 @@ def integrate_singular_radial(
     beta: float,
     region: PolarRectangle,
     spec: QuadratureSpec | None = None,
-    include_jacobian: bool = True,
 ):
     """Integrate g(rho, phi) * (1 - rho)^(-beta) * rho with r_hi = 1.
 
     Substitutes t = (1 - rho)^(1 - beta), under which the singular factor
     and the Jacobian of the change of variables combine into the constant
     1/(1 - beta); the remaining integrand g(rho(t), phi) * rho(t) is
-    bounded.  ``include_jacobian=False`` drops the measure factor rho,
-    giving the plain iterated integral (1-D self-test mode).
+    bounded.
     """
     spec = spec or QuadratureSpec()
     if not 0.0 < beta < 1.0:
@@ -179,62 +179,19 @@ def integrate_singular_radial(
 
     def transformed(t, phi):
         rho = 1.0 - t**power
-        values = np.asarray(integrand_regular(rho, phi), dtype=float)
-        if include_jacobian:
-            values = values * rho
-        return values / one_minus_beta
+        return np.asarray(integrand_regular(rho, phi), dtype=float) * rho / one_minus_beta
 
-    inner = QuadratureSpec(
-        nodes_radial=spec.nodes_radial,
-        nodes_angular=spec.nodes_angular,
-        adaptive_tol=spec.adaptive_tol,
-        max_depth=spec.max_depth,
-    )
-    return _adaptive_tensor(
-        transformed, 0.0, t_hi, region.theta_lo, region.theta_hi, inner, False
-    )
+    panel = ((0.0, t_hi), (region.theta_lo, region.theta_hi))
+    return _adaptive(transformed, panel, spec)
 
 
 def integrate_angular(integrand, lo: float, hi: float, spec: QuadratureSpec | None = None):
-    """1-D adaptive Gauss-Legendre over an angular interval.
-
-    Same panel logic as integrate_polar restricted to the angular
-    variable; used for circle integrals (no Jacobian).
-    """
+    """1-D adaptive Gauss-Legendre over an angular interval (no Jacobian),
+    used for circle integrals; ``spec.nodes_angular`` sets the node count."""
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise InvalidRegionError(f"need lo < hi, got [{lo}, {hi}]")
-    n = spec.nodes_angular
-    stack = [(lo, hi, 0)]
-    values = []
-    errors = []
-    all_converged = True
-    while stack:
-        a, b, depth = stack.pop()
-        x1, w1 = _map_nodes(a, b, n)
-        x2, w2 = _map_nodes(a, b, 2 * n)
-        v1 = np.asarray(integrand(x1), dtype=float)
-        v2 = np.asarray(integrand(x2), dtype=float)
-        if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
-            raise NonFiniteError(f"integrand returned NaN/inf on [{a}, {b}]")
-        coarse = float(w1 @ np.broadcast_to(v1, x1.shape))
-        fine = float(w2 @ np.broadcast_to(v2, x2.shape))
-        err = abs(fine - coarse)
-        if err <= spec.adaptive_tol or depth >= spec.max_depth:
-            values.append(fine)
-            errors.append(err)
-            if err > spec.adaptive_tol:
-                all_converged = False
-            continue
-        mid = 0.5 * (a + b)
-        stack.append((mid, b, depth + 1))
-        stack.append((a, mid, depth + 1))
-    return QuadratureResult(
-        value=math.fsum(values),
-        error_estimate=math.fsum(errors),
-        panels_used=len(values),
-        converged=all_converged,
-    )
+    return _adaptive(integrand, ((lo, hi),), spec)
 
 
 def midpoint_oracle(

@@ -517,10 +517,6 @@ def evaluate_source(source: SourceFunction, point: PolarPoint) -> float:
     return value
 
 
-def evaluate_boundary(f: BoundaryFunction, theta: float) -> float:
-    return float(np.asarray(f(theta)))
-
-
 # ---------------------------------------------------------------------------
 # Config parsing / serialization
 # ---------------------------------------------------------------------------

@@ -3,18 +3,26 @@ the self-reproducing harmonic representation, the derived orthogonal
 projection onto square-integrable harmonic functions, and the weighted
 analytic representation.
 
-Fields are computed point by point with no interpolation or smoothing;
-grid evaluation is a plain deterministic double loop over the point
-evaluators, so a CLI run and an in-process call produce bitwise-identical
-values.  Every evaluator refuses radii above the 0.99 cap unless
-explicitly overridden (kernel peak width ~ (1 - r*rho) drives quadrature
-cost).
+Fields are computed point by point with no interpolation or smoothing.
+The three area-kernel grid operators (``q_transform``, ``harmonic_rep``,
+``bergman_project``) are one evaluator, ``_q_field``, which differ only in
+the prefactor and the constant subtracted from every point; the Poisson
+integral runs the same plain double loop over its arcs.  Each source
+piece is integrated by ``_integrate_piece``, which picks the singular or
+the regular rule from the piece's declared ``beta``.  Grid and point
+evaluators take the same path per point, so a CLI run and an in-process
+call produce bitwise-identical values.
+
+Point evaluators refuse radii above the 0.99 cap unless explicitly
+overridden (kernel peak width ~ (1 - r*rho) drives quadrature cost);
+grid evaluators rely on ``EvaluationGrid``, which applies the same cap
+when the grid is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import asdict, dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -97,18 +105,9 @@ def _check_radius(r, allow_near_boundary):
 # ---------------------------------------------------------------------------
 
 
-def poisson_point(
-    f: BoundaryFunction,
-    r: float,
-    theta: float,
-    spec: QuadratureSpec | None = None,
-    allow_near_boundary: bool = False,
-):
-    """(1/2pi) integral of f(phi) * P_r(theta - phi) over the circle."""
-    spec = spec or QuadratureSpec()
-    _check_radius(r, allow_near_boundary)
+def _poisson_arcs_point(arcs, r, theta, spec):
     total, err, converged = 0.0, 0.0, True
-    for arc in f.arcs():
+    for arc in arcs:
         res = integrate_angular(
             lambda phi, fn=arc.fn: fn(phi) * poisson_kernel(r, theta - phi),
             arc.lo,
@@ -121,16 +120,34 @@ def poisson_point(
     return total / TWO_PI, err / TWO_PI, converged
 
 
+def poisson_point(
+    f: BoundaryFunction,
+    r: float,
+    theta: float,
+    spec: QuadratureSpec | None = None,
+    allow_near_boundary: bool = False,
+):
+    """(1/2pi) integral of f(phi) * P_r(theta - phi) over the circle."""
+    _check_radius(r, allow_near_boundary)
+    return _poisson_arcs_point(f.arcs(), r, theta, spec or QuadratureSpec())
+
+
+def _integrate_piece(piece: SourcePiece, integrand, spec):
+    """Integrate ``integrand`` times the piece's declared radial singularity
+    (if any) over the piece's rectangle, under the measure rho drho dphi."""
+    if piece.beta is None:
+        return integrate_polar(integrand, piece.rect, spec)
+    return integrate_singular_radial(integrand, piece.beta, piece.rect, spec)
+
+
 def _q_pieces_point(pieces, r, theta, prefactor, spec):
     total, err, converged = 0.0, 0.0, True
     for piece in pieces:
-        integrand = lambda rho, phi, fn=piece.fn: fn(rho, phi) * q_kernel(
-            r * rho, theta - phi
+        res = _integrate_piece(
+            piece,
+            lambda rho, phi, fn=piece.fn: fn(rho, phi) * q_kernel(r * rho, theta - phi),
+            spec,
         )
-        if piece.beta is not None:
-            res = integrate_singular_radial(integrand, piece.beta, piece.rect, spec)
-        else:
-            res = integrate_polar(integrand, piece.rect, spec)
         total += piece.coef * res.value
         err += abs(piece.coef) * res.error_estimate
         converged &= res.converged
@@ -146,9 +163,8 @@ def q_point(
     allow_near_boundary: bool = False,
 ):
     """prefactor * integral of f(rho, phi) Q(r rho, theta - phi) rho drho dphi."""
-    spec = spec or QuadratureSpec()
     _check_radius(r, allow_near_boundary)
-    return _q_pieces_point(f.pieces(), r, theta, prefactor, spec)
+    return _q_pieces_point(f.pieces(), r, theta, prefactor, spec or QuadratureSpec())
 
 
 def source_mass(f: SourceFunction, spec: QuadratureSpec | None = None) -> float:
@@ -156,11 +172,7 @@ def source_mass(f: SourceFunction, spec: QuadratureSpec | None = None) -> float:
     spec = spec or QuadratureSpec()
     total = 0.0
     for piece in f.pieces():
-        if piece.beta is not None:
-            res = integrate_singular_radial(piece.fn, piece.beta, piece.rect, spec)
-        else:
-            res = integrate_polar(piece.fn, piece.rect, spec)
-        total += piece.coef * res.value
+        total += piece.coef * _integrate_piece(piece, piece.fn, spec).value
     return total
 
 
@@ -191,17 +203,28 @@ def bergman_project_point(
 # ---------------------------------------------------------------------------
 
 
-def _grid_eval(point_fn, grid: EvaluationGrid, meta: dict) -> Field:
+def _grid_eval(point, grid: EvaluationGrid, meta: dict) -> Field:
     values = np.empty(grid.shape)
     errors = np.empty(grid.shape)
     converged = np.empty(grid.shape, dtype=bool)
     for i, r in enumerate(grid.radii):
         for j, theta in enumerate(grid.angles):
-            v, e, c = point_fn(float(r), float(theta))
-            values[i, j] = v
-            errors[i, j] = e
-            converged[i, j] = c
+            values[i, j], errors[i, j], converged[i, j] = point(float(r), float(theta))
     return Field(grid=grid, values=values, converged=converged, errors=errors, meta=meta)
+
+
+def _q_field(source: SourceFunction, grid: EvaluationGrid, prefactor: float,
+             offset: float, spec: QuadratureSpec, meta: dict) -> Field:
+    """prefactor * (area transform of source) - offset at every grid point."""
+    pieces = source.pieces()
+
+    def point(r, theta):
+        value, err, converged = _q_pieces_point(pieces, r, theta, prefactor, spec)
+        return value - offset, err, converged
+
+    meta = {**meta, "source": source.to_config(), "prefactor": prefactor,
+            "quadrature": asdict(spec)}
+    return _grid_eval(point, grid, meta)
 
 
 def poisson_integral(
@@ -209,16 +232,14 @@ def poisson_integral(
 ) -> Field:
     """Solve the boundary-value problem: harmonic extension of f."""
     spec = spec or QuadratureSpec()
+    arcs = f.arcs()
     meta = {
         "operator": "poisson_integral",
         "source": f.to_config(),
         "prefactor": 1.0 / TWO_PI,
-        "quadrature": _spec_meta(spec),
+        "quadrature": asdict(spec),
     }
-    allow = bool(grid.radii[-1] > DEFAULT_RADIUS_CAP)
-    return _grid_eval(
-        lambda r, t: poisson_point(f, r, t, spec, allow_near_boundary=allow), grid, meta
-    )
+    return _grid_eval(lambda r, t: _poisson_arcs_point(arcs, r, t, spec), grid, meta)
 
 
 def q_transform(
@@ -233,19 +254,8 @@ def q_transform(
     different constants (1 for the plain transform, 2/pi for the
     reproducing representation); pass whichever the use case demands.
     """
-    spec = spec or QuadratureSpec()
-    meta = {
-        "operator": "q_transform",
-        "source": f.to_config(),
-        "prefactor": prefactor,
-        "quadrature": _spec_meta(spec),
-    }
-    pieces = f.pieces()
-    allow = bool(grid.radii[-1] > DEFAULT_RADIUS_CAP)
-    def point(r, t):
-        _check_radius(r, allow)
-        return _q_pieces_point(pieces, r, t, prefactor, spec)
-    return _grid_eval(point, grid, meta)
+    return _q_field(f, grid, prefactor, 0.0, spec or QuadratureSpec(),
+                    {"operator": "q_transform"})
 
 
 class CallableSource(SourceFunction):
@@ -332,24 +342,9 @@ def harmonic_rep(
     u(r, theta) = -u(0) + (2/pi) * area transform of u.  For harmonic
     input the output matches the input on the grid.
     """
-    spec = spec or QuadratureSpec()
     source = u_sampled if isinstance(u_sampled, SourceFunction) else CallableSource(u_sampled)
-    pieces = source.pieces()
-    allow = bool(grid.radii[-1] > DEFAULT_RADIUS_CAP)
-
-    def point(r, t):
-        _check_radius(r, allow)
-        v, e, c = _q_pieces_point(pieces, r, t, 2.0 / math.pi, spec)
-        return v - u_at_origin, e, c
-
-    meta = {
-        "operator": "harmonic_rep",
-        "source": source.to_config(),
-        "prefactor": 2.0 / math.pi,
-        "u_at_origin": u_at_origin,
-        "quadrature": _spec_meta(spec),
-    }
-    return _grid_eval(point, grid, meta)
+    return _q_field(source, grid, 2.0 / math.pi, u_at_origin, spec or QuadratureSpec(),
+                    {"operator": "harmonic_rep", "u_at_origin": u_at_origin})
 
 
 def bergman_project(
@@ -357,23 +352,9 @@ def bergman_project(
 ) -> Field:
     """Orthogonal projection of f onto harmonic square-integrable functions."""
     spec = spec or QuadratureSpec()
-    mass = source_mass(f, spec)
-    pieces = f.pieces()
-    allow = bool(grid.radii[-1] > DEFAULT_RADIUS_CAP)
-
-    def point(r, t):
-        _check_radius(r, allow)
-        v, e, c = _q_pieces_point(pieces, r, t, 2.0 / math.pi, spec)
-        return v - mass / math.pi, e, c
-
-    meta = {
-        "operator": "bergman_project",
-        "source": f.to_config(),
-        "prefactor": 2.0 / math.pi,
-        "mean_term": mass / math.pi,
-        "quadrature": _spec_meta(spec),
-    }
-    return _grid_eval(point, grid, meta)
+    mean_term = source_mass(f, spec) / math.pi
+    return _q_field(f, grid, 2.0 / math.pi, mean_term, spec,
+                    {"operator": "bergman_project", "mean_term": mean_term})
 
 
 def analytic_rep(
@@ -412,13 +393,3 @@ def analytic_rep(
     re = integrate_polar(lambda r, p: complex_integrand(r, p).real, disk, spec)
     im = integrate_polar(lambda r, p: complex_integrand(r, p).imag, disk, spec)
     return complex(re.value, im.value)
-
-
-def _spec_meta(spec: QuadratureSpec) -> dict:
-    return {
-        "nodes_radial": spec.nodes_radial,
-        "nodes_angular": spec.nodes_angular,
-        "adaptive_tol": spec.adaptive_tol,
-        "max_depth": spec.max_depth,
-        "singularity_exponent": spec.singularity_exponent,
-    }

@@ -60,6 +60,9 @@ TWO_PI = 2.0 * math.pi
 
 NORM_KINDS = ("bergman_weighted", "harmonic_bergman_l2", "hardy_sup", "circle_l2")
 
+# transforms.reproducing checks r^n cos(n theta) and r^n sin(n theta), n <= this
+REPRODUCING_DEGREE = 3
+
 
 @dataclass(frozen=True)
 class NormSpec:
@@ -398,8 +401,6 @@ class SuiteConfig:
     quad: QuadratureSpec = dataclass_field(default_factory=QuadratureSpec)
     q_kernel_fn: object = None
     include_heat: bool = True
-    reproducing_degree: int = 3
-    seed: int = 20240601
 
 
 def _record(records, rec_id, measured, threshold, comparator="<=", note=""):
@@ -422,7 +423,6 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     q_fn = cfg.q_kernel_fn or _kernels.q_kernel
     quad = cfg.quad
     records = []
-    rng = np.random.default_rng(cfg.seed)
 
     # --- kernels ---------------------------------------------------------
     rs = np.linspace(0.0, 0.99, 34)[:, None]
@@ -510,9 +510,9 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
             note="(1/pi) iint Q(r rho, theta - phi) rho = 1 for all r, theta")
 
     worst = 0.0
+    q_cases = catalog_q_sources()
     for fig_id, (r, theta) in ((4, (0.6, 0.5)), (9, (0.85, -0.2))):
-        case = figure_case(fig_id).payload
-        q_case = case.q if hasattr(case, "q") else case
+        q_case = q_cases[fig_id]
         gap, err = oracle_disagreement(q_case.source, r, theta, q_case.prefactor,
                                        quad=quad)
         worst = max(worst, gap - max(1e-6, 10.0 * err))
@@ -533,7 +533,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     _record(records, "sources.catalog_complete", missing, 0.0)
 
     worst_norm = 0.0
-    for q_case in catalog_q_sources().values():
+    for q_case in q_cases.values():
         value = norm(q_case.source, NormSpec("harmonic_bergman_l2", truncation_radius=0.999), quad)
         if not math.isfinite(value):
             worst_norm = math.inf
@@ -544,7 +544,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
 
     # --- transforms ------------------------------------------------------
     worst = 0.0
-    for q_case in catalog_q_sources().values():
+    for q_case in q_cases.values():
         mass = source_mass(q_case.source, quad)
         for theta in (0.0, 2.0):
             v, _, _ = q_point(q_case.source, 0.0, theta, q_case.prefactor, quad)
@@ -587,14 +587,14 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     from .transforms import CallableSource
 
     worst = 0.0
-    for n in range(1, cfg.reproducing_degree + 1):
+    for n in range(1, REPRODUCING_DEGREE + 1):
         for trig, name in ((np.cos, "cos"), (np.sin, "sin")):
             u = CallableSource(lambda rho, phi, n=n, trig=trig: rho**n * trig(n * phi))
             for r, theta in ((0.4, 0.7), (0.8, -1.9)):
                 v, _, _ = q_point(u, r, theta, 2.0 / math.pi, quad)
                 worst = max(worst, abs(v - r**n * trig(n * theta)))
     _record(records, "transforms.reproducing", worst, 1e-6,
-            note=f"harmonic polynomials up to degree {cfg.reproducing_degree}")
+            note=f"harmonic polynomials up to degree {REPRODUCING_DEGREE}")
 
     # --- verify ----------------------------------------------------------
     exact = lambda rr, tt: rr**5 * np.cos(5 * tt)

@@ -12,7 +12,7 @@ from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
 from harmonicdisk.heatlab import (
     BoundaryCondition,
     HeatProblem,
-    conjecture_compare,
+    conjecture_run,
     radial_dirichlet_exact,
     solve_steady_state,
 )
@@ -336,8 +336,8 @@ def test_criterion_10_heat_solver_and_conjecture_reports():
     for fig_id in (4, 15):
         source = figure_case(fig_id).payload.source
         for boundary in (dirichlet, BoundaryCondition("robin", 1.0)):
-            rep = conjecture_compare(source, boundary, mesh=(64, 128),
-                                     comparison_grid=(8, 16))
+            rep = conjecture_run(source, boundary, mesh=(64, 128),
+                                 comparison_grid=(8, 16))[0]
             complete = (
                 math.isfinite(rep.scale_factor)
                 and math.isfinite(rep.residual_rms)

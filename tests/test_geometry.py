@@ -8,7 +8,6 @@ from harmonicdisk.geometry import (
     ComplexPoint,
     PolarPoint,
     PolarRectangle,
-    wrap_angle,
 )
 from harmonicdisk.kernels import poisson_kernel, q_kernel
 
@@ -78,8 +77,3 @@ class TestPolarRectangle:
         with pytest.raises(InvalidRegionError):
             PolarRectangle(0.0, 1.0, 2.0, 1.0)
 
-
-def test_wrap_angle():
-    assert wrap_angle(PI) == pytest.approx(-PI)
-    assert wrap_angle(3 * PI / 2) == pytest.approx(-PI / 2)
-    assert wrap_angle(0.3) == pytest.approx(0.3)

@@ -89,21 +89,12 @@ class TestIntegratePolar:
         assert res.converged
         assert res.error_estimate <= spec.adaptive_tol * res.panels_used
 
-    def test_singularity_exponent_routes_to_substitution(self):
-        spec = QuadratureSpec(singularity_exponent=0.25)
-        region = PolarRectangle(0.75, 1.0, 0.0, 1.0)
-        expected = (4.0 / 3.0) * 0.25**0.75 - (4.0 / 7.0) * 0.25**1.75
-        res = integrate_polar(ones, region, spec)
-        assert res.value == pytest.approx(expected, abs=1e-9)
-
 
 class TestSingularRadial:
     def test_one_dimensional_self_test(self):
-        # int_0^1 (1 - rho)^(-1/2) drho = 2, Jacobian suppressed
-        res = integrate_singular_radial(
-            ones, 0.5, PolarRectangle(0.0, 1.0, 0.0, 1.0), include_jacobian=False
-        )
-        assert res.value == pytest.approx(2.0, abs=1e-10)
+        # int_0^1 rho (1 - rho)^(-1/2) drho = 2 - 2/3 over a unit angle
+        res = integrate_singular_radial(ones, 0.5, PolarRectangle(0.0, 1.0, 0.0, 1.0))
+        assert res.value == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_with_jacobian_closed_form(self):
         # int_{3/4}^1 rho (1-rho)^(-1/4) drho via u = 1-rho
@@ -197,6 +188,20 @@ class TestIntegrateAngular:
         res = integrate_angular(lambda t: np.cos(t) ** 2, -PI, PI)
         assert res.value == pytest.approx(PI, abs=1e-12)
 
+    def test_kink_is_bisected(self):
+        # int_{-1}^{1} |phi - 0.3| dphi = (1.3^2 + 0.7^2) / 2; the panel
+        # count pins the 1-D bisection path of the shared panel loop
+        res = integrate_angular(lambda t: np.abs(t - 0.3), -1.0, 1.0)
+        assert res.converged
+        assert res.value == pytest.approx(1.09, abs=1e-9)
+        assert res.panels_used == 10
+
+    def test_unconverged_at_max_depth(self):
+        spec = QuadratureSpec(max_depth=2)
+        res = integrate_angular(lambda t: np.abs(np.log(t)), 0.0, 1.0, spec)
+        assert not res.converged
+        assert res.error_estimate > spec.adaptive_tol
+
     def test_invalid_interval(self):
         with pytest.raises(InvalidRegionError):
             integrate_angular(lambda t: t, 1.0, 1.0)
@@ -210,8 +215,6 @@ class TestSpecValidation:
             QuadratureSpec(adaptive_tol=0.0)
         with pytest.raises(InvalidRegionError):
             QuadratureSpec(max_depth=31)
-        with pytest.raises(InvalidExponentError):
-            QuadratureSpec(singularity_exponent=1.0)
 
     def test_bad_region(self):
         with pytest.raises(InvalidRegionError):

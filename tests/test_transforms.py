@@ -287,3 +287,43 @@ class TestGridAndField:
         assert src.values(0.98, 0.4) == pytest.approx(
             0.98**3 * math.cos(1.2), abs=1e-12
         )
+
+
+class TestGridMatchesPoint:
+    """The grid operators the CLI writes and the point evaluators `verify`
+    checks must give the same bits, value, error and flag, at every point."""
+
+    GRID = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.85)
+
+    def assert_same(self, fld, point):
+        expected = [[point(float(r), float(t)) for t in self.GRID.angles]
+                    for r in self.GRID.radii]
+        for k, got in enumerate((fld.values, fld.errors, fld.converged)):
+            assert np.array_equal(got, np.array([[p[k] for p in row] for row in expected]))
+
+    def test_q_transform_singular_sum(self):
+        case = figure_case(7).payload
+        fld = q_transform(case.source, self.GRID, case.prefactor)
+        self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor))
+
+    def test_bergman_project(self):
+        src = figure_case(7).payload.source
+        fld = bergman_project(src, self.GRID)
+        self.assert_same(fld, lambda r, t: bergman_project_point(src, r, t))
+
+    def test_harmonic_rep(self):
+        u = lambda rho, phi: 1.0 + rho * np.cos(phi)
+        fld = harmonic_rep(u, 1.0, self.GRID)
+
+        def point(r, t):
+            value, err, converged = q_point(CallableSource(u), r, t, 2.0 / PI)
+            return value - 1.0, err, converged
+
+        self.assert_same(fld, point)
+
+    @pytest.mark.parametrize("fig_id", [10, 14])
+    def test_poisson_integral(self, fig_id):
+        payload = figure_case(fig_id).payload
+        boundary = getattr(payload, "poisson", payload).boundary
+        fld = poisson_integral(boundary, self.GRID)
+        self.assert_same(fld, lambda r, t: poisson_point(boundary, r, t))
