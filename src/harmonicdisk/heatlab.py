@@ -263,7 +263,9 @@ def conjecture_run(
     scale = float(np.dot(fd_pts, q_pts) / q_norm_sq)
     residual_rms = float(np.sqrt(np.mean((fd_pts - scale * q_pts) ** 2)))
     if np.ptp(q_pts) == 0.0 or np.ptp(fd_pts) == 0.0:
-        correlation = math.nan  # constant field: correlation undefined
+        # the covariance is exactly zero: a constant field explains none of
+        # the other's variation (the disk-indicator plateau is one)
+        correlation = 0.0
     else:
         correlation = float(np.corrcoef(fd_pts, q_pts)[0, 1])
     report = ConjectureReport(

@@ -12,6 +12,14 @@ A :class:`BoundaryFunction` plays the same role on the unit circle and is
 consumed through :meth:`arcs`; arcs are pre-split at interior kinks and
 singular points so adaptive panels see clean endpoints.
 
+Kinks are declared once, by the factors themselves: an angular factor
+lists its ``breaks`` (angles where it is continuous but not smooth) and
+says whether it is ``smooth`` between them; a radial factor says whether
+it is ``smooth`` on every rectangle.  A piece or arc whose factors are
+all smooth carries its interior breaks in ``breaks`` (an empty tuple when
+there are none); ``breaks=None`` means nothing is declared, and the grid
+transforms then keep to adaptive quadrature.
+
 Everything is immutable after construction and serializes to a small
 JSON document (see :func:`parse_source_config`).
 """
@@ -59,6 +67,7 @@ class PowerOfOneMinusRho:
     """(1 - rho)^(-beta); beta < 1/2 keeps the square integrable."""
 
     beta: float
+    smooth = False
 
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
@@ -81,6 +90,11 @@ class RhoPower:
         if self.k < 0:
             raise SourceValidationError(f"rho power must be >= 0, got {self.k}")
 
+    @property
+    def smooth(self):
+        """A fractional power is not smooth at rho = 0."""
+        return float(self.k).is_integer()
+
     def __call__(self, rho):
         return np.asarray(rho, dtype=float) ** self.k
 
@@ -95,6 +109,7 @@ class GaussianBump:
     amp: float
     center: float
     width: float
+    smooth = True
 
     def __post_init__(self):
         if self.width <= 0:
@@ -110,6 +125,8 @@ class GaussianBump:
 
 @dataclass(frozen=True)
 class RadialOne:
+    smooth = True
+
     def __call__(self, rho):
         return np.ones(np.shape(rho))
 
@@ -120,6 +137,8 @@ class RadialOne:
 @dataclass(frozen=True)
 class AngularCos:
     n: int
+    smooth = True
+    breaks = ()
 
     def __post_init__(self):
         if self.n < 0:
@@ -135,6 +154,8 @@ class AngularCos:
 @dataclass(frozen=True)
 class AngularSin:
     n: int
+    smooth = True
+    breaks = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -149,6 +170,9 @@ class AngularSin:
 
 @dataclass(frozen=True)
 class AbsPhi:
+    smooth = True
+    breaks = (0.0,)
+
     def __call__(self, phi):
         return np.abs(np.asarray(phi, dtype=float))
 
@@ -158,6 +182,9 @@ class AbsPhi:
 
 @dataclass(frozen=True)
 class PhiSquared:
+    smooth = True
+    breaks = ()
+
     def __call__(self, phi):
         return np.asarray(phi, dtype=float) ** 2
 
@@ -167,7 +194,10 @@ class PhiSquared:
 
 @dataclass(frozen=True)
 class AbsLogAbsPhi:
-    """|ln|phi||; integrable singularity at phi = 0."""
+    """|ln|phi||; integrable singularity at phi = 0, corners at phi = -1, 1."""
+
+    smooth = False
+    breaks = (-1.0, 0.0, 1.0)
 
     def __call__(self, phi):
         a = np.abs(np.asarray(phi, dtype=float))
@@ -180,6 +210,9 @@ class AbsLogAbsPhi:
 
 @dataclass(frozen=True)
 class AngularOne:
+    smooth = True
+    breaks = ()
+
     def __call__(self, phi):
         return np.ones(np.shape(phi))
 
@@ -194,11 +227,16 @@ class AngularOne:
 
 @dataclass(frozen=True)
 class BoundaryArc:
-    """One smooth piece of a boundary function: fn on [lo, hi], 0 elsewhere."""
+    """One piece of a boundary function: fn on [lo, hi], 0 elsewhere.
+
+    ``breaks`` lists the kinks strictly inside the arc when fn is declared
+    smooth between them, and is None when nothing is declared.
+    """
 
     lo: float
     hi: float
     fn: object  # callable(phi) -> array
+    breaks: tuple | None = None
 
 
 class BoundaryFunction:
@@ -227,7 +265,7 @@ class CharacteristicArc(BoundaryFunction):
         return ((t >= self.a) & (t <= self.b)).astype(float)
 
     def arcs(self):
-        return [BoundaryArc(self.a, self.b, lambda phi: np.ones(np.shape(phi)))]
+        return [BoundaryArc(self.a, self.b, lambda phi: np.ones(np.shape(phi)), ())]
 
     def to_config(self):
         return {"type": "char_arc", "arc": [self.a, self.b]}
@@ -240,7 +278,7 @@ class AbsTheta(BoundaryFunction):
 
     def arcs(self):
         fn = lambda phi: np.abs(np.asarray(phi, dtype=float))
-        return [BoundaryArc(-_PI, 0.0, fn), BoundaryArc(0.0, _PI, fn)]
+        return [BoundaryArc(-_PI, 0.0, fn, ()), BoundaryArc(0.0, _PI, fn, ())]
 
     def to_config(self):
         return {"type": "abs_theta"}
@@ -259,7 +297,7 @@ class ThetaSquaredOnArc(BoundaryFunction):
         return np.where((t >= self.a) & (t <= self.b), t * t, 0.0)
 
     def arcs(self):
-        return [BoundaryArc(self.a, self.b, lambda phi: np.asarray(phi) ** 2)]
+        return [BoundaryArc(self.a, self.b, lambda phi: np.asarray(phi) ** 2, ())]
 
     def to_config(self):
         return {"type": "theta_squared_on_arc", "arc": [self.a, self.b]}
@@ -278,7 +316,7 @@ class SinOnArc(BoundaryFunction):
         return np.where((t >= self.a) & (t <= self.b), np.sin(t), 0.0)
 
     def arcs(self):
-        return [BoundaryArc(self.a, self.b, np.sin)]
+        return [BoundaryArc(self.a, self.b, np.sin, ())]
 
     def to_config(self):
         return {"type": "sin_on_arc", "arc": [self.a, self.b]}
@@ -302,7 +340,7 @@ class AbsLogAbsOnArc(BoundaryFunction):
 
     def arcs(self):
         fn = AbsLogAbsPhi()
-        breaks = [p for p in (-1.0, 0.0, 1.0) if self.a < p < self.b]
+        breaks = [p for p in fn.breaks if self.a < p < self.b]
         edges = [self.a] + breaks + [self.b]
         return [BoundaryArc(lo, hi, fn) for lo, hi in zip(edges[:-1], edges[1:])]
 
@@ -324,7 +362,7 @@ class Cosine(BoundaryFunction):
         return np.cos(self.n * np.asarray(theta, dtype=float))
 
     def arcs(self):
-        return [BoundaryArc(-_PI, _PI, lambda phi: np.cos(self.n * np.asarray(phi)))]
+        return [BoundaryArc(-_PI, _PI, lambda phi: np.cos(self.n * np.asarray(phi)), ())]
 
     def to_config(self):
         return {"type": "cos", "n": self.n}
@@ -336,7 +374,7 @@ class ConstantOne(BoundaryFunction):
         return np.ones(np.shape(theta))
 
     def arcs(self):
-        return [BoundaryArc(-_PI, _PI, lambda phi: np.ones(np.shape(phi)))]
+        return [BoundaryArc(-_PI, _PI, lambda phi: np.ones(np.shape(phi)), ())]
 
     def to_config(self):
         return {"type": "one"}
@@ -354,12 +392,8 @@ class BoundarySum(BoundaryFunction):
         return sum(c * f(theta) for c, f in self.terms)
 
     def arcs(self):
-        out = []
-        for coef, f in self.terms:
-            for arc in f.arcs():
-                inner = arc.fn
-                out.append(BoundaryArc(arc.lo, arc.hi, _scale_fn(coef, inner)))
-        return out
+        return [BoundaryArc(arc.lo, arc.hi, _scale_fn(coef, arc.fn), arc.breaks)
+                for coef, f in self.terms for arc in f.arcs()]
 
     def to_config(self):
         return {
@@ -382,12 +416,15 @@ class SourcePiece:
     """One rectangle of a source: value = coef * fn(rho, phi) * (1-rho)^(-beta).
 
     ``fn`` is the smooth part; ``beta`` is None when the piece is regular.
+    ``breaks`` lists the angles strictly inside the rectangle where fn has
+    a kink, when fn is declared smooth between them; None declares nothing.
     """
 
     coef: float
     rect: PolarRectangle
     fn: object  # callable(rho, phi) -> array (broadcasting)
     beta: float | None = None
+    breaks: tuple | None = None
 
 
 class SourceFunction:
@@ -419,7 +456,7 @@ class CharacteristicDisk(SourceFunction):
 
     def pieces(self):
         rect = PolarRectangle(0.0, self.radius, -_PI, _PI)
-        return [SourcePiece(1.0, rect, _ones_like)]
+        return [SourcePiece(1.0, rect, _ones_like, breaks=())]
 
     def to_config(self):
         return {"type": "char_disk", "radius": self.radius}
@@ -433,7 +470,7 @@ class CharacteristicRect(SourceFunction):
         return self.rect.contains(rho, phi).astype(float)
 
     def pieces(self):
-        return [SourcePiece(1.0, self.rect, _ones_like)]
+        return [SourcePiece(1.0, self.rect, _ones_like, breaks=())]
 
     def to_config(self):
         return {
@@ -464,7 +501,11 @@ class SeparableOnRect(SourceFunction):
             ).astype(float)
             return [SourcePiece(1.0, self.rect, fn, beta=radial.beta)]
         fn = lambda rho, phi: np.asarray(radial(rho)) * np.asarray(angular(phi))
-        return [SourcePiece(1.0, self.rect, fn)]
+        breaks = None
+        if radial.smooth and angular.smooth:
+            lo, hi = self.rect.theta_lo, self.rect.theta_hi
+            breaks = tuple(b for b in angular.breaks if lo < b < hi)
+        return [SourcePiece(1.0, self.rect, fn, breaks=breaks)]
 
     def to_config(self):
         return {
@@ -493,7 +534,7 @@ class SourceSum(SourceFunction):
         out = []
         for coef, s in self.terms:
             for p in s.pieces():
-                out.append(SourcePiece(coef * p.coef, p.rect, p.fn, p.beta))
+                out.append(SourcePiece(coef * p.coef, p.rect, p.fn, p.beta, p.breaks))
         return out
 
     def to_config(self):

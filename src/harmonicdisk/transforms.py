@@ -3,15 +3,31 @@ the self-reproducing harmonic representation, the derived orthogonal
 projection onto square-integrable harmonic functions, and the weighted
 analytic representation.
 
-Fields are computed point by point with no interpolation or smoothing.
-The three area-kernel grid operators (``q_transform``, ``harmonic_rep``,
-``bergman_project``) are one evaluator, ``_q_field``, which differ only in
-the prefactor and the constant subtracted from every point; the Poisson
-integral runs the same plain double loop over its arcs.  Each source
-piece is integrated by ``_integrate_piece``, which picks the singular or
-the regular rule from the piece's declared ``beta``.  Grid and point
-evaluators take the same path per point, so a CLI run and an in-process
-call produce bitwise-identical values.
+Two engines compute them, with no interpolation or smoothing in either.
+
+* The point evaluators (``q_point``, ``poisson_point``, ...) run adaptive
+  Gauss-Legendre quadrature of the kernel times the source at one point.
+  Each source piece is integrated by ``_integrate_piece``, which picks the
+  singular or the regular rule from the piece's declared ``beta``.
+* The grid operators (``q_transform``, ``harmonic_rep`` and
+  ``bergman_project``, one evaluator ``_q_field`` differing only in the
+  prefactor and the constant subtracted; and ``poisson_integral``) take
+  the spectral path when every piece or arc of the source declares itself
+  smooth (``breaks`` is not None, no ``beta``).  Both kernels have closed
+  Fourier series, so the whole grid is a sum over modes k of
+  w_k(r) [C_k cos k theta + S_k sin k theta], with the trig moments
+  C_k, S_k of each piece taken once on fixed Gauss-Legendre rules.  The
+  series is cut where its tail bound drops below 1e-16 of the source's
+  absolute mass.  Each point's error estimate is that tail plus the
+  difference between the moments of the main rule and a rule of half the
+  nodes; if any estimate exceeds ``spec.adaptive_tol``, or the source has
+  a singular piece, no declared smoothness, or would need more modes than
+  r_max * r_hi <= 0.99 allows, the grid is computed point by point with
+  the point evaluators instead, bit for bit as they would.
+
+Field metadata records which engine ran (``engine``), the mode count of
+the spectral path (``modes``) and the number of unconverged points
+(``unconverged``).
 
 Point evaluators refuse radii above the 0.99 cap unless explicitly
 overridden (kernel peak width ~ (1 - r*rho) drives quadrature cost);
@@ -31,6 +47,8 @@ from .geometry import DEFAULT_RADIUS_CAP, EvaluationGrid, PolarRectangle
 from .kernels import poisson_kernel, q_kernel
 from .quadrature import (
     QuadratureSpec,
+    _gauss_rule,
+    _map_nodes,
     integrate_angular,
     integrate_polar,
     integrate_singular_radial,
@@ -199,17 +217,204 @@ def bergman_project_point(
 
 
 # ---------------------------------------------------------------------------
+# Spectral grid engine
+# ---------------------------------------------------------------------------
+#
+# Both kernels have closed Fourier series,
+#   Q(s, psi) = sum_k (k+1) s^k cos(k psi),
+#   P_r(psi)  = 1 + 2 sum_{k>=1} r^k cos(k psi),
+# so a grid of either transform is sum_k w_k(r) [C_k cos k theta + S_k sin k theta]
+# with the trig moments C_k, S_k = iint f rho^(k+1) (cos, sin)(k phi) drho dphi
+# of an area source (rho = 1 and a single integral for boundary data).
+
+
+@dataclass(frozen=True)
+class _Series:
+    """Mode weights w_k(r) of one kernel and the bound on its dropped tail."""
+
+    weights: object  # (r, k) -> w_k(r), broadcasting
+    tail: object  # (q, K) -> bound on sum_{k > K} w_k(r) r_hi^k, with q = r * r_hi
+
+
+_Q_SERIES = _Series(
+    weights=lambda r, k: (k + 1.0) * r**k,
+    tail=lambda q, K: q ** (K + 1) * ((K + 2) - (K + 1) * q) / (1.0 - q) ** 2,
+)
+_POISSON_SERIES = _Series(
+    weights=lambda r, k: np.where(k == 0, 1.0, 2.0) * r**k / TWO_PI,
+    tail=lambda q, K: q ** (K + 1) / (math.pi * (1.0 - q)),
+)
+
+_TAIL_TOL = 1e-16  # truncation tail per unit absolute mass of the source
+_MAX_RATIO = 0.99  # r_max * r_hi above this needs over ~5k modes: adaptive path
+_ANGULAR_NODES = 32  # coarse Gauss-Legendre rule per angular panel (main: 64)
+_CHUNK = 2 * _ANGULAR_NODES  # angles per block of source values or trig tables
+_RADIAL_NODES = 8  # coarse radial nodes beyond those rho^K needs
+_PANEL_PHASE = 24.0  # K * (panel half-width): the phase cos(k phi) turns through
+
+
+def _mode_count(series: _Series, q: float):
+    """Smallest K whose dropped tail is below _TAIL_TOL, or None above the cap."""
+    if q > _MAX_RATIO:
+        return None
+    if q == 0.0:
+        return 0
+    K = max(0, int(math.log(_TAIL_TOL * (1.0 - q) ** 2) / math.log(q)) - 1)
+    while series.tail(q, K) > _TAIL_TOL:
+        K += 1
+    return K
+
+
+def _spectral_modes(series: _Series, parts, r_max: float):
+    """Mode count per part (a SourcePiece or a BoundaryArc), or None when any
+    part must take the adaptive path: a declared singularity (``beta``), no
+    declared smoothness (``breaks is None``), or too many modes."""
+    modes = []
+    for part in parts:
+        if getattr(part, "beta", None) is not None or part.breaks is None:
+            return None
+        r_hi = part.rect.r_hi if isinstance(part, SourcePiece) else 1.0
+        modes.append(_mode_count(series, r_max * r_hi))
+    return None if None in modes else modes
+
+
+def _angular_panels(lo, hi, breaks, n_modes):
+    """(half-width, midpoints) of the angular panels of [lo, hi]: a panel
+    edge at every break, and panels narrow enough that cos(K phi) turns
+    through at most 2 * _PANEL_PHASE radians in each."""
+    edges = [lo, *breaks, hi]
+    out = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        m = max(1, math.ceil(n_modes * (b - a) / (2.0 * _PANEL_PHASE)))
+        half = 0.5 * (b - a) / m
+        out.append((half, a + half * (2.0 * np.arange(m) + 1.0)))
+    return out
+
+
+def _radial_rule(rect, n_modes, scale):
+    """``scale`` times the coarse Gauss-Legendre rule on [r_lo, r_hi], with
+    the Jacobian rho in the weights.  rho^K on an interval of half-width h
+    and midpoint c needs about 3 sqrt(K h / c) nodes; _RADIAL_NODES more
+    are left for the source's own radial shape."""
+    spread = (rect.r_hi - rect.r_lo) / (rect.r_hi + rect.r_lo)
+    n = _RADIAL_NODES + math.ceil(3.0 * math.sqrt(n_modes * spread))
+    rho, w = _map_nodes(rect.r_lo, rect.r_hi, scale * n)
+    return rho, w * rho
+
+
+def _trig_moments(fn, rho, w_rho, panels, n, n_modes):
+    """(C_k, S_k) for k <= n_modes, and the absolute mass, of
+    sum_ij w_rho_i w_j fn(rho_i, phi_j) rho_i^k (cos, sin)(k phi_j) over an
+    n-point Gauss-Legendre rule on each angular panel, or None when fn is
+    not finite at a node.
+
+    One panel of source values is held at a time.  Its nodes are
+    mid + half * t_j, so cos and sin of k phi_j come from one table of
+    k half t_j per panel width and the angle-addition formulas."""
+    t, w = _gauss_rule(n)
+    k = np.arange(n_modes + 1)
+    powers = rho[:, None] ** k  # n_rho x (K+1), reused by every panel
+    powers *= w_rho[:, None]
+    moments = np.zeros((2, k.size))
+    mass = 0.0
+    for half, mids in panels:
+        kt = np.outer(half * t, k)
+        cos_t = np.cos(kt)
+        sin_t = np.sin(kt, out=kt)
+        cos_t *= (half * w)[:, None]
+        sin_t *= (half * w)[:, None]
+        for mid in mids.tolist():
+            f = np.broadcast_to(np.asarray(fn(rho[:, None], mid + half * t), dtype=float),
+                                (rho.size, n))
+            if not np.all(np.isfinite(f)):
+                return None
+            h = f.T @ powers
+            a = np.einsum("jk,jk->k", cos_t, h)
+            b = np.einsum("jk,jk->k", sin_t, h)
+            cos_m, sin_m = np.cos(k * mid), np.sin(k * mid)
+            moments[0] += cos_m * a - sin_m * b
+            moments[1] += sin_m * a + cos_m * b
+            mass += half * float(np.abs(w_rho) @ np.abs(f) @ w)
+    return moments, mass
+
+
+def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
+                    prefactor: float, offset: float, spec: QuadratureSpec):
+    """Values and error estimates of prefactor * transform - offset on the
+    grid from the trig moments of every part, or None when an error
+    estimate exceeds ``spec.adaptive_tol`` (or the source is not finite at
+    a node), so the caller falls back to the adaptive path.
+
+    Each part's moments are taken with a main rule and a coarser one of
+    half the nodes per direction; a point's error estimate is the series
+    of their differences, summed in absolute value over the modes, plus
+    the truncation tail bound."""
+    n_modes = max(modes)
+    total = np.zeros((2, n_modes + 1))
+    diff = np.zeros((2, n_modes + 1))
+    radii = grid.radii
+    tail = np.zeros(radii.size)
+    for part, K in zip(parts, modes):
+        scales = (2, 1)  # main rule, then the coarse one
+        if isinstance(part, SourcePiece):
+            coef, fn, rect = part.coef, part.fn, part.rect
+            lo, hi, r_hi = rect.theta_lo, rect.theta_hi, rect.r_hi
+            radial = [_radial_rule(rect, K, scale) for scale in scales]
+        else:  # a boundary arc: one radial node, rho = 1 with weight 1
+            coef, fn, r_hi = 1.0, lambda rho, phi, g=part.fn: g(phi), 1.0
+            lo, hi = part.lo, part.hi
+            radial = [(np.ones(1), np.ones(1))] * len(scales)
+        panels = _angular_panels(lo, hi, part.breaks, K)
+        got = [_trig_moments(fn, rho, w_rho, panels, scale * _ANGULAR_NODES, K)
+               for (rho, w_rho), scale in zip(radial, scales)]
+        if None in got:
+            return None
+        (main, mass), (coarse, _) = got
+        total[:, :K + 1] += coef * main
+        diff[:, :K + 1] += coef * (main - coarse)
+        tail += abs(coef) * mass * series.tail(radii * r_hi, K)
+
+    k = np.arange(n_modes + 1)
+    w = series.weights(radii[:, None], k)
+    errors = abs(prefactor) * (w @ np.abs(diff).sum(axis=0) + tail)
+    if not np.all(errors <= spec.adaptive_tol):
+        return None
+    errors = np.repeat(errors[:, None], grid.n_theta, axis=1)
+    values = np.empty(grid.shape)
+    coeffs = prefactor * w[:, None, :] * total  # n_r x 2 x (K+1)
+    for start in range(0, grid.n_theta, _CHUNK):
+        block = values[:, start:start + _CHUNK]
+        kt = np.outer(k, grid.angles[start:start + _CHUNK])
+        block[:] = coeffs[:, 0] @ np.cos(kt) - offset
+        block += coeffs[:, 1] @ np.sin(kt, out=kt)
+    return values, errors, n_modes
+
+
+# ---------------------------------------------------------------------------
 # Grid transforms
 # ---------------------------------------------------------------------------
 
 
-def _grid_eval(point, grid: EvaluationGrid, meta: dict) -> Field:
-    values = np.empty(grid.shape)
-    errors = np.empty(grid.shape)
-    converged = np.empty(grid.shape, dtype=bool)
-    for i, r in enumerate(grid.radii):
-        for j, theta in enumerate(grid.angles):
-            values[i, j], errors[i, j], converged[i, j] = point(float(r), float(theta))
+def _grid_eval(point, series, parts, grid: EvaluationGrid, prefactor, offset,
+               spec, meta: dict) -> Field:
+    """The field of prefactor * transform - offset: spectral when every part
+    declares itself smooth and the error estimates hold, else ``point`` at
+    every grid point."""
+    modes = _spectral_modes(series, parts, float(grid.radii[-1]))
+    spectral = modes and _spectral_field(series, parts, modes, grid, prefactor, offset, spec)
+    if spectral:
+        values, errors, n_modes = spectral
+        converged = np.ones(grid.shape, dtype=bool)
+        meta = {**meta, "engine": "spectral", "modes": n_modes}
+    else:
+        values = np.empty(grid.shape)
+        errors = np.empty(grid.shape)
+        converged = np.empty(grid.shape, dtype=bool)
+        for i, r in enumerate(grid.radii):
+            for j, theta in enumerate(grid.angles):
+                values[i, j], errors[i, j], converged[i, j] = point(float(r), float(theta))
+        meta = {**meta, "engine": "adaptive"}
+    meta["unconverged"] = int(np.count_nonzero(~converged))
     return Field(grid=grid, values=values, converged=converged, errors=errors, meta=meta)
 
 
@@ -224,7 +429,7 @@ def _q_field(source: SourceFunction, grid: EvaluationGrid, prefactor: float,
 
     meta = {**meta, "source": source.to_config(), "prefactor": prefactor,
             "quadrature": asdict(spec)}
-    return _grid_eval(point, grid, meta)
+    return _grid_eval(point, _Q_SERIES, pieces, grid, prefactor, offset, spec, meta)
 
 
 def poisson_integral(
@@ -239,7 +444,8 @@ def poisson_integral(
         "prefactor": 1.0 / TWO_PI,
         "quadrature": asdict(spec),
     }
-    return _grid_eval(lambda r, t: _poisson_arcs_point(arcs, r, t, spec), grid, meta)
+    return _grid_eval(lambda r, t: _poisson_arcs_point(arcs, r, t, spec),
+                      _POISSON_SERIES, arcs, grid, 1.0, 0.0, spec, meta)
 
 
 def q_transform(

@@ -27,7 +27,7 @@ from .errors import (
     IncompatibleKindError,
     StencilOutOfRangeError,
 )
-from .geometry import PolarRectangle
+from .geometry import EvaluationGrid, PolarRectangle
 from . import heatlab
 from .heatlab import (
     BoundaryCondition,
@@ -54,7 +54,14 @@ from .sources import (
     parse_source_config,
     serialize_config,
 )
-from .transforms import Field, poisson_point, q_point, source_mass
+from .transforms import (
+    Field,
+    poisson_integral,
+    poisson_point,
+    q_point,
+    q_transform,
+    source_mass,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -596,6 +603,11 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     _record(records, "transforms.reproducing", worst, 1e-6,
             note=f"harmonic polynomials up to degree {REPRODUCING_DEGREE}")
 
+    _record(records, "transforms.engine_agreement",
+            _engine_disagreement(figure_case(13).payload, cfg.r_max, quad), 1.0,
+            note="spectral grid vs adaptive points, fig 13 Q and Poisson on 3x8: "
+                 "|gap| / (err_adaptive + err_spectral + 1e-12 max(1, |value|))")
+
     # --- verify ----------------------------------------------------------
     exact = lambda rr, tt: rr**5 * np.cos(5 * tt)
     res_coarse = laplacian_residual(exact, (0.2, 0.8), (0.02, 0.02)).max_abs_residual
@@ -687,6 +699,30 @@ def _heat_suite_records(records):
     _record(records, "heat.determinism",
             float(np.max(np.abs(fld_c.values - fld_a.values))), 0.0,
             note="identical inputs give bitwise-identical fields")
+
+
+def _engine_disagreement(case, r_max: float, quad: QuadratureSpec) -> float:
+    """Largest gap between the spectral grid fields of a paired figure and
+    the adaptive point evaluators, in units of their joint error bound;
+    inf when a grid does not take the spectral path."""
+    grid = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=r_max)
+    q_case, boundary = case.q, case.poisson.boundary
+    pairs = (
+        (q_transform(q_case.source, grid, q_case.prefactor, quad),
+         lambda r, t: q_point(q_case.source, r, t, q_case.prefactor, quad)),
+        (poisson_integral(boundary, grid, quad),
+         lambda r, t: poisson_point(boundary, r, t, quad)),
+    )
+    worst = 0.0
+    for fld, point in pairs:
+        if fld.meta["engine"] != "spectral":
+            return math.inf
+        for i, r in enumerate(grid.radii.tolist()):
+            for j, theta in enumerate(grid.angles.tolist()):
+                value, err, _ = point(r, theta)
+                bound = err + fld.errors[i, j] + 1e-12 * max(1.0, abs(value))
+                worst = max(worst, abs(fld.values[i, j] - value) / bound)
+    return worst
 
 
 def _catalog_objects(case):

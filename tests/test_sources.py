@@ -14,7 +14,10 @@ from harmonicdisk.geometry import PolarPoint, PolarRectangle
 from harmonicdisk.quadrature import integrate_polar, integrate_singular_radial
 from harmonicdisk.sources import (
     AbsLogAbsOnArc,
+    AbsLogAbsPhi,
     AbsPhi,
+    AbsTheta,
+    BoundarySum,
     AngularCos,
     CharacteristicArc,
     CharacteristicDisk,
@@ -275,3 +278,38 @@ class TestVectorizedValues:
     def test_abs_phi_factor(self):
         f = AbsPhi()
         assert np.array_equal(f(np.array([-1.0, 2.0])), np.array([1.0, 2.0]))
+
+
+class TestDeclaredBreaks:
+    """Kinks are declared by the factors and reach the pieces and arcs."""
+
+    ANNULUS = PolarRectangle(0.9, 1.0, -PI, PI)
+
+    def test_smooth_pieces_declare_no_breaks(self):
+        assert CharacteristicDisk(0.5).pieces()[0].breaks == ()
+        assert CharacteristicRect(self.ANNULUS).pieces()[0].breaks == ()
+        piece = SeparableOnRect(GaussianBump(1.0, 0.5, 10.0), AngularCos(2), self.ANNULUS)
+        assert piece.pieces()[0].breaks == ()
+
+    def test_abs_phi_break_only_inside_the_rectangle(self):
+        assert SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS).pieces()[0].breaks == (0.0,)
+        right = PolarRectangle(0.9, 1.0, 0.0, PI)
+        assert SeparableOnRect(RhoPower(1), AbsPhi(), right).pieces()[0].breaks == ()
+
+    def test_undeclared_factors(self):
+        for radial, angular in ((RhoPower(1), AbsLogAbsPhi()), (RhoPower(0.5), AngularCos(1)),
+                                (PowerOfOneMinusRho(0.25), AngularCos(1))):
+            rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
+            assert SeparableOnRect(radial, angular, rect).pieces()[0].breaks is None
+
+    def test_sum_keeps_breaks(self):
+        a = SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS)
+        b = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), self.ANNULUS)
+        assert [p.breaks for p in SourceSum(((2.0, a), (1.0, b))).pieces()] == [(0.0,), None]
+        arcs = BoundarySum(((2.0, AbsTheta()), (1.0, AbsLogAbsOnArc(0.0, PI)))).arcs()
+        assert [arc.breaks for arc in arcs] == [(), (), None, None]
+
+    def test_log_arc_splits_at_declared_breaks(self):
+        arcs = AbsLogAbsOnArc(-2.0, 2.0).arcs()
+        assert [(arc.lo, arc.hi) for arc in arcs] == [(-2.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]
+        assert AbsLogAbsPhi.breaks == (-1.0, 0.0, 1.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,11 +18,19 @@ from harmonicdisk.sources import (
     RhoPower,
     SeparableOnRect,
     SourceSum,
+    catalog_boundary_functions,
+    catalog_q_sources,
     figure_case,
 )
 from harmonicdisk.transforms import (
+    _POISSON_SERIES,
+    _Q_SERIES,
     CallableSource,
+    Field,
     GridResampledSource,
+    _angular_panels,
+    _spectral_field,
+    _spectral_modes,
     analytic_rep,
     bergman_project,
     bergman_project_point,
@@ -35,6 +44,7 @@ from harmonicdisk.transforms import (
 
 PI = math.pi
 TIGHT = QuadratureSpec(adaptive_tol=1e-12)
+LOOSE = QuadratureSpec(adaptive_tol=1e-4, max_depth=9)
 
 
 def small_grid(r_max=0.8, n_r=4, n_theta=8):
@@ -290,14 +300,15 @@ class TestGridAndField:
 
 
 class TestGridMatchesPoint:
-    """The grid operators the CLI writes and the point evaluators `verify`
-    checks must give the same bits, value, error and flag, at every point."""
+    """On the adaptive path, the grid operators the CLI writes and the point
+    evaluators `verify` checks must give the same bits, value, error and
+    flag, at every point."""
 
     GRID = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.85)
 
-    def assert_same(self, fld, point):
-        expected = [[point(float(r), float(t)) for t in self.GRID.angles]
-                    for r in self.GRID.radii]
+    def assert_same(self, fld, point, grid=GRID):
+        assert fld.meta["engine"] == "adaptive"
+        expected = [[point(float(r), float(t)) for t in grid.angles] for r in grid.radii]
         for k, got in enumerate((fld.values, fld.errors, fld.converged)):
             assert np.array_equal(got, np.array([[p[k] for p in row] for row in expected]))
 
@@ -321,9 +332,154 @@ class TestGridMatchesPoint:
 
         self.assert_same(fld, point)
 
-    @pytest.mark.parametrize("fig_id", [10, 14])
+    def test_q_transform_resampled_source(self):
+        grid = EvaluationGrid.regular(n_r=2, n_theta=4, r_max=0.85)
+        src = GridResampledSource(_harmonic_field())
+        fld = q_transform(src, grid, 2.0 / PI, LOOSE)
+        self.assert_same(fld, lambda r, t: q_point(src, r, t, 2.0 / PI, LOOSE), grid)
+
+    @pytest.mark.parametrize("fig_id", [14])
     def test_poisson_integral(self, fig_id):
         payload = figure_case(fig_id).payload
         boundary = getattr(payload, "poisson", payload).boundary
         fld = poisson_integral(boundary, self.GRID)
         self.assert_same(fld, lambda r, t: poisson_point(boundary, r, t))
+
+
+def _harmonic_field():
+    grid = EvaluationGrid.regular(n_r=6, n_theta=12, r_max=0.9)
+    values = grid.radii[:, None] * np.cos(grid.angles[None, :])
+    return Field(grid=grid, values=values, converged=np.ones_like(values, bool),
+                 errors=np.zeros_like(values))
+
+
+SPECTRAL_Q_FIGURES = (3, 4, 5, 9, 11, 12, 13, 15)
+SPECTRAL_POISSON_FIGURES = (3, 8, 10, 12, 13)
+
+
+def _q_case(fig_id):
+    return catalog_q_sources()[fig_id]
+
+
+def _boundary(fig_id):
+    return catalog_boundary_functions()[fig_id].boundary
+
+
+class TestSpectralDispatch:
+    """Which grids take the spectral path, decided without running the
+    adaptive one."""
+
+    GRID = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.9)
+
+    @pytest.mark.parametrize("fig_id", SPECTRAL_Q_FIGURES)
+    def test_q_figures_take_spectral_path(self, fig_id):
+        case = _q_case(fig_id)
+        fld = q_transform(case.source, self.GRID, case.prefactor)
+        assert fld.meta["engine"] == "spectral"
+        assert fld.meta["modes"] == max(_spectral_modes(_Q_SERIES, case.source.pieces(), 0.9))
+        assert fld.meta["unconverged"] == 0 and fld.converged.all()
+
+    @pytest.mark.parametrize("fig_id", SPECTRAL_POISSON_FIGURES)
+    def test_poisson_figures_take_spectral_path(self, fig_id):
+        fld = poisson_integral(_boundary(fig_id), self.GRID)
+        assert fld.meta["engine"] == "spectral"
+        assert fld.meta["modes"] > 0
+        assert fld.meta["unconverged"] == 0 and fld.converged.all()
+
+    def test_undeclared_sources_take_adaptive_path(self):
+        adaptive = [_q_case(fig_id).source for fig_id in (6, 7, 14)] + [
+            CallableSource(lambda rho, phi: rho * np.cos(phi)),
+            GridResampledSource(_harmonic_field()),
+            SeparableOnRect(RhoPower(0.5), AngularCos(1), PolarRectangle.full_disk()),
+        ]
+        for src in adaptive:
+            assert _spectral_modes(_Q_SERIES, src.pieces(), 0.9) is None
+        assert _spectral_modes(_POISSON_SERIES, _boundary(14).arcs(), 0.9) is None
+
+    def test_mode_cap(self):
+        grid = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.995, allow_near_boundary=True)
+        r_max = float(grid.radii[-1])
+        full = SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle.full_disk())
+        assert _spectral_modes(_Q_SERIES, full.pieces(), r_max) is None
+        assert _spectral_modes(_POISSON_SERIES, Cosine(2).arcs(), r_max) is None
+        # the cap is on r_max * r_hi, so a small disk stays spectral
+        small = _spectral_modes(_Q_SERIES, CharacteristicDisk(0.25).pieces(), r_max)
+        assert small is not None and small[0] < 50
+        below = _spectral_modes(_Q_SERIES, full.pieces(), 0.99)
+        assert below is not None and below[0] < 5000
+
+    def test_error_estimate_above_tol_falls_back(self):
+        case = _q_case(4)
+        pieces = case.source.pieces()
+        modes = _spectral_modes(_Q_SERIES, pieces, 0.9)
+        tight = QuadratureSpec(adaptive_tol=1e-20)
+        assert _spectral_field(_Q_SERIES, pieces, modes, self.GRID, 1.0, 0.0, tight) is None
+        values, errors, _ = _spectral_field(_Q_SERIES, pieces, modes, self.GRID, 1.0, 0.0,
+                                            QuadratureSpec())
+        assert np.all(errors <= 1e-9) and np.all(errors > 0)
+
+    def test_kink_is_a_panel_edge(self):
+        piece = _q_case(11).source.pieces()[0]
+        assert piece.breaks == (0.0,)
+        panels = _angular_panels(piece.rect.theta_lo, piece.rect.theta_hi, piece.breaks, 400)
+        edges = np.concatenate([np.concatenate([mids - half, mids + half])
+                                for half, mids in panels])
+        assert np.any(edges == 0.0)
+        assert np.min(np.abs(edges)) == 0.0
+
+    def test_adaptive_meta_counts_unconverged(self):
+        grid = EvaluationGrid.regular(n_r=2, n_theta=2, r_max=0.8)
+        fld = poisson_integral(_boundary(14), grid)
+        assert fld.meta["engine"] == "adaptive"
+        assert "modes" not in fld.meta
+        assert fld.meta["unconverged"] == int(np.count_nonzero(~fld.converged)) > 0
+
+
+class TestSpectralMatchesPoint:
+    """The spectral grid agrees with the adaptive point evaluators within
+    their joint error estimate (no longer bit for bit)."""
+
+    GRID = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.85)
+
+    def assert_agrees(self, fld, point):
+        assert fld.meta["engine"] == "spectral"
+        for i, r in enumerate(self.GRID.radii):
+            for j, t in enumerate(self.GRID.angles):
+                value, err, converged = point(float(r), float(t))
+                assert converged
+                bound = err + fld.errors[i, j] + 1e-12 * max(1.0, abs(value))
+                assert abs(fld.values[i, j] - value) <= bound
+
+    @pytest.mark.parametrize("fig_id", SPECTRAL_Q_FIGURES)
+    def test_q_transform(self, fig_id):
+        case = _q_case(fig_id)
+        fld = q_transform(case.source, self.GRID, case.prefactor)
+        self.assert_agrees(fld, lambda r, t: q_point(case.source, r, t, case.prefactor))
+
+    @pytest.mark.parametrize("fig_id", SPECTRAL_POISSON_FIGURES)
+    def test_poisson_integral(self, fig_id):
+        boundary = _boundary(fig_id)
+        fld = poisson_integral(boundary, self.GRID)
+        self.assert_agrees(fld, lambda r, t: poisson_point(boundary, r, t))
+
+    def test_bergman_project(self):
+        src = _q_case(5).source
+        fld = bergman_project(src, self.GRID)
+        self.assert_agrees(fld, lambda r, t: bergman_project_point(src, r, t))
+
+
+def test_spectral_memory_is_chunked():
+    """Source values and trig tables are held 64 angles at a time, so a
+    40 x 128 grid of the full-disk fig 3 source peaks well below the
+    n_rho x n_phi tensor."""
+    case = _q_case(3)
+    grid = EvaluationGrid.regular(n_r=40, n_theta=128, r_max=0.9)
+    q_transform(case.source, grid, case.prefactor)  # fills the node caches
+    tracemalloc.start()
+    try:
+        fld = q_transform(case.source, grid, case.prefactor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fld.meta["engine"] == "spectral"
+    assert peak <= 3e6

@@ -14,6 +14,7 @@ from harmonicdisk.sources import (
     figure_case,
 )
 from harmonicdisk.transforms import Field, poisson_point, q_point
+from harmonicdisk import verify
 from harmonicdisk.verify import (
     NormSpec,
     SuiteConfig,
@@ -199,6 +200,28 @@ class TestInvariantSuite:
         assert not report.all_passed
         by_id = {r.id: r for r in report.records}
         assert not by_id["quadrature.q_normalization"].passed
+
+    def test_engine_agreement_holds(self):
+        worst = verify._engine_disagreement(figure_case(13).payload, 0.9, QuadratureSpec())
+        assert 0.0 < worst <= 1.0
+
+    @pytest.mark.parametrize("change", ["shift", "adaptive"])
+    def test_engine_agreement_negative_controls(self, monkeypatch, change):
+        # a spectral grid moved by 1e-8, or a grid that silently took the
+        # adaptive path, must fail the invariant
+        real = verify.q_transform
+
+        def corrupted(*args):
+            fld = real(*args)
+            if change == "shift":
+                fld.values = fld.values + 1e-8
+            else:
+                fld.meta["engine"] = "adaptive"
+            return fld
+
+        monkeypatch.setattr(verify, "q_transform", corrupted)
+        worst = verify._engine_disagreement(figure_case(13).payload, 0.9, QuadratureSpec())
+        assert worst > 1.0
 
     def test_report_serializes(self):
         report = run_invariant_suite(SuiteConfig(include_heat=False))
