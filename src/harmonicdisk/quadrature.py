@@ -20,10 +20,19 @@ radius first), and the same adaptive loop refines both.
   order, so results are deterministic no matter how panels would be
   scheduled.
 
-Integrable endpoint singularities (1 - rho)^(-beta) at rho = 1 are
-declared by the source (``SourcePiece.beta``) and handled by
-``integrate_singular_radial`` through the substitution
-t = (1 - rho)^(1 - beta), which makes the transformed integrand bounded.
+Integrable endpoint singularities are declared by the source, never
+found by bisection:
+
+* radially, (1 - rho)^(-beta) at rho = 1 (``SourcePiece.beta``) is
+  handled by ``integrate_singular_radial`` through the substitution
+  t = (1 - rho)^(1 - beta), which makes the transformed integrand bounded;
+* angularly, a logarithmic singularity at one end e of the angular
+  interval (``SourcePiece.log_end``, ``BoundaryArc.log_end``) is graded
+  by every entry point's ``graded_end``: phi = e + (o - e) t^q on
+  t in [0, 1], o the other end, with Jacobian |o - e| q t^(q - 1).  With
+  q = GRADING_POWER = 4 the transformed integrand of ln|phi - e| is
+  t^3 ln t up to smooth factors, which one Gauss-Legendre panel resolves
+  to roundoff.  The two substitutions act on different axes and compose.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ import numpy as np
 
 from .errors import InvalidExponentError, InvalidRegionError, NonFiniteError
 from .geometry import PolarRectangle
+
+GRADING_POWER = 4  # q of the angular grading phi = e + (o - e) t^q
 
 
 @dataclass(frozen=True)
@@ -148,10 +159,42 @@ def _adaptive(integrand, panel, spec, jacobian=False):
     )
 
 
-def integrate_polar(integrand, region: PolarRectangle, spec: QuadratureSpec | None = None):
-    """Integrate g(rho, phi) * rho over a polar rectangle adaptively."""
+def _graded(integrand, lo: float, hi: float, end: float | None):
+    """(integrand, interval) of the angular integral over [lo, hi], with the
+    angle (the integrand's last argument) graded towards ``end``.
+
+    ``end`` None leaves both unchanged.  Otherwise it must be lo or hi, and
+    the angle becomes phi = end + (other - end) t^q on t in [0, 1], the
+    Jacobian |other - end| q t^(q - 1) folded into the integrand.
+    """
+    if end is None:
+        return integrand, (lo, hi)
+    if end not in (lo, hi):
+        raise InvalidRegionError(f"graded end {end} is not an end of [{lo}, {hi}]")
+    span = (hi if end == lo else lo) - end
+    scale = (hi - lo) * GRADING_POWER
+
+    def graded(*args):
+        *head, t = args
+        slope = t ** (GRADING_POWER - 1)
+        phi = end + span * (slope * t)
+        return np.asarray(integrand(*head, phi), dtype=float) * (scale * slope)
+
+    return graded, (0.0, 1.0)
+
+
+def integrate_polar(
+    integrand,
+    region: PolarRectangle,
+    spec: QuadratureSpec | None = None,
+    graded_end: float | None = None,
+):
+    """Integrate g(rho, phi) * rho over a polar rectangle adaptively,
+    grading the angle towards ``graded_end`` (theta_lo or theta_hi) when
+    given."""
     spec = spec or QuadratureSpec()
-    panel = ((region.r_lo, region.r_hi), (region.theta_lo, region.theta_hi))
+    integrand, angles = _graded(integrand, region.theta_lo, region.theta_hi, graded_end)
+    panel = ((region.r_lo, region.r_hi), angles)
     return _adaptive(integrand, panel, spec, jacobian=True)
 
 
@@ -160,13 +203,14 @@ def integrate_singular_radial(
     beta: float,
     region: PolarRectangle,
     spec: QuadratureSpec | None = None,
+    graded_end: float | None = None,
 ):
     """Integrate g(rho, phi) * (1 - rho)^(-beta) * rho with r_hi = 1.
 
     Substitutes t = (1 - rho)^(1 - beta), under which the singular factor
     and the Jacobian of the change of variables combine into the constant
     1/(1 - beta); the remaining integrand g(rho(t), phi) * rho(t) is
-    bounded.
+    bounded.  ``graded_end`` grades the angle as in ``integrate_polar``.
     """
     spec = spec or QuadratureSpec()
     if not 0.0 < beta < 1.0:
@@ -181,17 +225,25 @@ def integrate_singular_radial(
         rho = 1.0 - t**power
         return np.asarray(integrand_regular(rho, phi), dtype=float) * rho / one_minus_beta
 
-    panel = ((0.0, t_hi), (region.theta_lo, region.theta_hi))
-    return _adaptive(transformed, panel, spec)
+    transformed, angles = _graded(transformed, region.theta_lo, region.theta_hi, graded_end)
+    return _adaptive(transformed, ((0.0, t_hi), angles), spec)
 
 
-def integrate_angular(integrand, lo: float, hi: float, spec: QuadratureSpec | None = None):
+def integrate_angular(
+    integrand,
+    lo: float,
+    hi: float,
+    spec: QuadratureSpec | None = None,
+    graded_end: float | None = None,
+):
     """1-D adaptive Gauss-Legendre over an angular interval (no Jacobian),
-    used for circle integrals; ``spec.nodes_angular`` sets the node count."""
+    used for circle integrals; ``spec.nodes_angular`` sets the node count.
+    ``graded_end`` (lo or hi) grades the angle towards that end."""
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise InvalidRegionError(f"need lo < hi, got [{lo}, {hi}]")
-    return _adaptive(integrand, ((lo, hi),), spec)
+    integrand, interval = _graded(integrand, lo, hi, graded_end)
+    return _adaptive(integrand, (interval,), spec)
 
 
 def midpoint_oracle(

@@ -12,13 +12,17 @@ A :class:`BoundaryFunction` plays the same role on the unit circle and is
 consumed through :meth:`arcs`; arcs are pre-split at interior kinks and
 singular points so adaptive panels see clean endpoints.
 
-Kinks are declared once, by the factors themselves: an angular factor
-lists its ``breaks`` (angles where it is continuous but not smooth) and
-says whether it is ``smooth`` between them; a radial factor says whether
-it is ``smooth`` on every rectangle.  A piece or arc whose factors are
-all smooth carries its interior breaks in ``breaks`` (an empty tuple when
-there are none); ``breaks=None`` means nothing is declared, and the grid
-transforms then keep to adaptive quadrature.
+Kinks and singular angles are declared once, by the factors themselves:
+an angular factor lists its ``breaks`` (angles where it is not smooth),
+says whether it is ``smooth`` between them, and lists among its breaks
+the ``log_points`` where it has an integrable logarithmic singularity; a
+radial factor says whether it is ``smooth`` on every rectangle.  A piece
+or arc whose factors are all smooth carries its interior breaks in
+``breaks`` (an empty tuple when there are none); ``breaks=None`` means
+nothing is declared, and the grid transforms then keep to adaptive
+quadrature.  A factor with log points is split at its breaks, so each
+log point becomes an end of a piece or arc, recorded in ``log_end``;
+the quadrature grades the angle towards that end.
 
 Everything is immutable after construction and serializes to a small
 JSON document (see :func:`parse_source_config`).
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -139,6 +143,7 @@ class AngularCos:
     n: int
     smooth = True
     breaks = ()
+    log_points = ()
 
     def __post_init__(self):
         if self.n < 0:
@@ -156,6 +161,7 @@ class AngularSin:
     n: int
     smooth = True
     breaks = ()
+    log_points = ()
 
     def __post_init__(self):
         if self.n < 1:
@@ -172,6 +178,7 @@ class AngularSin:
 class AbsPhi:
     smooth = True
     breaks = (0.0,)
+    log_points = ()
 
     def __call__(self, phi):
         return np.abs(np.asarray(phi, dtype=float))
@@ -184,6 +191,7 @@ class AbsPhi:
 class PhiSquared:
     smooth = True
     breaks = ()
+    log_points = ()
 
     def __call__(self, phi):
         return np.asarray(phi, dtype=float) ** 2
@@ -196,8 +204,9 @@ class PhiSquared:
 class AbsLogAbsPhi:
     """|ln|phi||; integrable singularity at phi = 0, corners at phi = -1, 1."""
 
-    smooth = False
+    smooth = True
     breaks = (-1.0, 0.0, 1.0)
+    log_points = (0.0,)
 
     def __call__(self, phi):
         a = np.abs(np.asarray(phi, dtype=float))
@@ -212,6 +221,7 @@ class AbsLogAbsPhi:
 class AngularOne:
     smooth = True
     breaks = ()
+    log_points = ()
 
     def __call__(self, phi):
         return np.ones(np.shape(phi))
@@ -231,12 +241,15 @@ class BoundaryArc:
 
     ``breaks`` lists the kinks strictly inside the arc when fn is declared
     smooth between them, and is None when nothing is declared.
+    ``log_end`` is the end (lo or hi) where fn has a logarithmic
+    singularity, or None.
     """
 
     lo: float
     hi: float
     fn: object  # callable(phi) -> array
     breaks: tuple | None = None
+    log_end: float | None = None
 
 
 class BoundaryFunction:
@@ -340,9 +353,8 @@ class AbsLogAbsOnArc(BoundaryFunction):
 
     def arcs(self):
         fn = AbsLogAbsPhi()
-        breaks = [p for p in fn.breaks if self.a < p < self.b]
-        edges = [self.a] + breaks + [self.b]
-        return [BoundaryArc(lo, hi, fn) for lo, hi in zip(edges[:-1], edges[1:])]
+        return [BoundaryArc(lo, hi, fn, (), end)
+                for lo, hi, end in _split_at_breaks(fn, self.a, self.b)]
 
     def to_config(self):
         return {"type": "abs_log_abs_on_arc", "arc": [self.a, self.b]}
@@ -392,7 +404,7 @@ class BoundarySum(BoundaryFunction):
         return sum(c * f(theta) for c, f in self.terms)
 
     def arcs(self):
-        return [BoundaryArc(arc.lo, arc.hi, _scale_fn(coef, arc.fn), arc.breaks)
+        return [replace(arc, fn=_scale_fn(coef, arc.fn))
                 for coef, f in self.terms for arc in f.arcs()]
 
     def to_config(self):
@@ -404,6 +416,14 @@ class BoundarySum(BoundaryFunction):
 
 def _scale_fn(coef, fn):
     return lambda *args: coef * fn(*args)
+
+
+def _split_at_breaks(angular, lo, hi):
+    """(lo, hi, log_end) of the intervals of [lo, hi] cut at the angular
+    factor's breaks; log_end is the end that is one of its log points."""
+    edges = [lo, *(b for b in angular.breaks if lo < b < hi), hi]
+    return [(a, b, a if a in angular.log_points else b if b in angular.log_points else None)
+            for a, b in zip(edges[:-1], edges[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +438,8 @@ class SourcePiece:
     ``fn`` is the smooth part; ``beta`` is None when the piece is regular.
     ``breaks`` lists the angles strictly inside the rectangle where fn has
     a kink, when fn is declared smooth between them; None declares nothing.
+    ``log_end`` is the angular end (theta_lo or theta_hi) where fn has a
+    logarithmic singularity, or None.
     """
 
     coef: float
@@ -425,6 +447,7 @@ class SourcePiece:
     fn: object  # callable(rho, phi) -> array (broadcasting)
     beta: float | None = None
     breaks: tuple | None = None
+    log_end: float | None = None
 
 
 class SourceFunction:
@@ -493,19 +516,25 @@ class SeparableOnRect(SourceFunction):
         return np.where(inside, np.broadcast_to(vals, inside.shape), 0.0)
 
     def pieces(self):
-        radial, angular = self.radial, self.angular
-        if isinstance(radial, PowerOfOneMinusRho) and self.rect.r_hi == 1.0:
+        radial, angular, rect = self.radial, self.angular, self.rect
+        lo, hi = rect.theta_lo, rect.theta_hi
+        if isinstance(radial, PowerOfOneMinusRho) and rect.r_hi == 1.0:
             # singular factor handled by substitution; fn keeps the rest
             fn = lambda rho, phi: np.broadcast_to(
                 angular(phi), _shape_of(rho, phi)
             ).astype(float)
-            return [SourcePiece(1.0, self.rect, fn, beta=radial.beta)]
-        fn = lambda rho, phi: np.asarray(radial(rho)) * np.asarray(angular(phi))
-        breaks = None
-        if radial.smooth and angular.smooth:
-            lo, hi = self.rect.theta_lo, self.rect.theta_hi
-            breaks = tuple(b for b in angular.breaks if lo < b < hi)
-        return [SourcePiece(1.0, self.rect, fn, breaks=breaks)]
+            beta, breaks = radial.beta, None
+        else:
+            fn = lambda rho, phi: np.asarray(radial(rho)) * np.asarray(angular(phi))
+            beta, breaks = None, None
+            if radial.smooth and angular.smooth:
+                breaks = tuple(b for b in angular.breaks if lo < b < hi)
+        if not angular.log_points:
+            return [SourcePiece(1.0, rect, fn, beta, breaks)]
+        # cut at the breaks so that every log point is the end of a piece
+        return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), fn, beta,
+                            None if breaks is None else (), end)
+                for a, b, end in _split_at_breaks(angular, lo, hi)]
 
     def to_config(self):
         return {
@@ -534,7 +563,7 @@ class SourceSum(SourceFunction):
         out = []
         for coef, s in self.terms:
             for p in s.pieces():
-                out.append(SourcePiece(coef * p.coef, p.rect, p.fn, p.beta, p.breaks))
+                out.append(replace(p, coef=coef * p.coef))
         return out
 
     def to_config(self):

@@ -8,26 +8,29 @@ Two engines compute them, with no interpolation or smoothing in either.
 * The point evaluators (``q_point``, ``poisson_point``, ...) run adaptive
   Gauss-Legendre quadrature of the kernel times the source at one point.
   Each source piece is integrated by ``_integrate_piece``, which picks the
-  singular or the regular rule from the piece's declared ``beta``.
+  singular or the regular rule from the piece's declared ``beta`` and
+  grades the angle towards its declared ``log_end``; each boundary arc by
+  ``_integrate_arc``, which grades towards the arc's ``log_end``.
 * The grid operators (``q_transform``, ``harmonic_rep`` and
   ``bergman_project``, one evaluator ``_q_field`` differing only in the
   prefactor and the constant subtracted; and ``poisson_integral``) take
   the spectral path when every piece or arc of the source declares itself
-  smooth (``breaks`` is not None, no ``beta``).  Both kernels have closed
-  Fourier series, so the whole grid is a sum over modes k of
-  w_k(r) [C_k cos k theta + S_k sin k theta], with the trig moments
-  C_k, S_k of each piece taken once on fixed Gauss-Legendre rules.  The
-  series is cut where its tail bound drops below 1e-16 of the source's
-  absolute mass.  Each point's error estimate is that tail plus the
-  difference between the moments of the main rule and a rule of half the
-  nodes; if any estimate exceeds ``spec.adaptive_tol``, or the source has
-  a singular piece, no declared smoothness, or would need more modes than
-  r_max * r_hi <= 0.99 allows, the grid is computed point by point with
-  the point evaluators instead, bit for bit as they would.
+  smooth (``breaks`` is not None, no ``beta`` or ``log_end``).  Both
+  kernels have closed Fourier series, so the whole grid is a sum over
+  modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with the trig
+  moments C_k, S_k of each piece taken once on fixed Gauss-Legendre rules.
+  The series is cut where its tail bound drops below 1e-16 of the
+  source's absolute mass.  Each point's error estimate is that tail plus
+  the difference between the moments of the main rule and a rule of half
+  the nodes; if any estimate exceeds ``spec.adaptive_tol``, or the source
+  has a singular piece or end, no declared smoothness, or would need more
+  modes than r_max * r_hi <= 0.99 allows, the grid is computed point by
+  point with the point evaluators instead, bit for bit as they would.
 
 Field metadata records which engine ran (``engine``), the mode count of
-the spectral path (``modes``) and the number of unconverged points
-(``unconverged``).
+the spectral path (``modes``), the accepted adaptive panels summed over
+all points of the adaptive path (``panels``) and the number of
+unconverged points (``unconverged``).
 
 Point evaluators refuse radii above the 0.99 cap unless explicitly
 overridden (kernel peak width ~ (1 - r*rho) drives quadrature cost);
@@ -53,7 +56,7 @@ from .quadrature import (
     integrate_polar,
     integrate_singular_radial,
 )
-from .sources import BoundaryFunction, SourceFunction, SourcePiece
+from .sources import BoundaryArc, BoundaryFunction, SourceFunction, SourcePiece
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,19 +126,24 @@ def _check_radius(r, allow_near_boundary):
 # ---------------------------------------------------------------------------
 
 
+def _integrate_arc(arc: BoundaryArc, integrand, spec):
+    """Integrate ``integrand`` over the arc, graded towards its declared
+    logarithmic end (if any)."""
+    return integrate_angular(integrand, arc.lo, arc.hi, spec, graded_end=arc.log_end)
+
+
 def _poisson_arcs_point(arcs, r, theta, spec):
-    total, err, converged = 0.0, 0.0, True
+    """(value, error, converged, panels) of the Poisson integral at one point."""
+    total, err, converged, panels = 0.0, 0.0, True, 0
     for arc in arcs:
-        res = integrate_angular(
-            lambda phi, fn=arc.fn: fn(phi) * poisson_kernel(r, theta - phi),
-            arc.lo,
-            arc.hi,
-            spec,
+        res = _integrate_arc(
+            arc, lambda phi, fn=arc.fn: fn(phi) * poisson_kernel(r, theta - phi), spec
         )
         total += res.value
         err += res.error_estimate
         converged &= res.converged
-    return total / TWO_PI, err / TWO_PI, converged
+        panels += res.panels_used
+    return total / TWO_PI, err / TWO_PI, converged, panels
 
 
 def poisson_point(
@@ -147,19 +155,22 @@ def poisson_point(
 ):
     """(1/2pi) integral of f(phi) * P_r(theta - phi) over the circle."""
     _check_radius(r, allow_near_boundary)
-    return _poisson_arcs_point(f.arcs(), r, theta, spec or QuadratureSpec())
+    return _poisson_arcs_point(f.arcs(), r, theta, spec or QuadratureSpec())[:3]
 
 
 def _integrate_piece(piece: SourcePiece, integrand, spec):
     """Integrate ``integrand`` times the piece's declared radial singularity
-    (if any) over the piece's rectangle, under the measure rho drho dphi."""
+    (if any) over the piece's rectangle, under the measure rho drho dphi,
+    graded towards its declared logarithmic angular end (if any)."""
     if piece.beta is None:
-        return integrate_polar(integrand, piece.rect, spec)
-    return integrate_singular_radial(integrand, piece.beta, piece.rect, spec)
+        return integrate_polar(integrand, piece.rect, spec, graded_end=piece.log_end)
+    return integrate_singular_radial(integrand, piece.beta, piece.rect, spec,
+                                     graded_end=piece.log_end)
 
 
 def _q_pieces_point(pieces, r, theta, prefactor, spec):
-    total, err, converged = 0.0, 0.0, True
+    """(value, error, converged, panels) of the area transform at one point."""
+    total, err, converged, panels = 0.0, 0.0, True, 0
     for piece in pieces:
         res = _integrate_piece(
             piece,
@@ -169,7 +180,8 @@ def _q_pieces_point(pieces, r, theta, prefactor, spec):
         total += piece.coef * res.value
         err += abs(piece.coef) * res.error_estimate
         converged &= res.converged
-    return prefactor * total, abs(prefactor) * err, converged
+        panels += res.panels_used
+    return prefactor * total, abs(prefactor) * err, converged, panels
 
 
 def q_point(
@@ -182,7 +194,7 @@ def q_point(
 ):
     """prefactor * integral of f(rho, phi) Q(r rho, theta - phi) rho drho dphi."""
     _check_radius(r, allow_near_boundary)
-    return _q_pieces_point(f.pieces(), r, theta, prefactor, spec or QuadratureSpec())
+    return _q_pieces_point(f.pieces(), r, theta, prefactor, spec or QuadratureSpec())[:3]
 
 
 def source_mass(f: SourceFunction, spec: QuadratureSpec | None = None) -> float:
@@ -267,11 +279,13 @@ def _mode_count(series: _Series, q: float):
 
 def _spectral_modes(series: _Series, parts, r_max: float):
     """Mode count per part (a SourcePiece or a BoundaryArc), or None when any
-    part must take the adaptive path: a declared singularity (``beta``), no
-    declared smoothness (``breaks is None``), or too many modes."""
+    part must take the adaptive path: a declared singularity (``beta`` or
+    ``log_end``), no declared smoothness (``breaks is None``), or too many
+    modes."""
     modes = []
     for part in parts:
-        if getattr(part, "beta", None) is not None or part.breaks is None:
+        singular = getattr(part, "beta", None) is not None or part.log_end is not None
+        if singular or part.breaks is None:
             return None
         r_hi = part.rect.r_hi if isinstance(part, SourcePiece) else 1.0
         modes.append(_mode_count(series, r_max * r_hi))
@@ -410,10 +424,12 @@ def _grid_eval(point, series, parts, grid: EvaluationGrid, prefactor, offset,
         values = np.empty(grid.shape)
         errors = np.empty(grid.shape)
         converged = np.empty(grid.shape, dtype=bool)
+        panels = 0
         for i, r in enumerate(grid.radii):
             for j, theta in enumerate(grid.angles):
-                values[i, j], errors[i, j], converged[i, j] = point(float(r), float(theta))
-        meta = {**meta, "engine": "adaptive"}
+                values[i, j], errors[i, j], converged[i, j], n = point(float(r), float(theta))
+                panels += n
+        meta = {**meta, "engine": "adaptive", "panels": panels}
     meta["unconverged"] = int(np.count_nonzero(~converged))
     return Field(grid=grid, values=values, converged=converged, errors=errors, meta=meta)
 
@@ -424,8 +440,8 @@ def _q_field(source: SourceFunction, grid: EvaluationGrid, prefactor: float,
     pieces = source.pieces()
 
     def point(r, theta):
-        value, err, converged = _q_pieces_point(pieces, r, theta, prefactor, spec)
-        return value - offset, err, converged
+        value, err, converged, panels = _q_pieces_point(pieces, r, theta, prefactor, spec)
+        return value - offset, err, converged, panels
 
     meta = {**meta, "source": source.to_config(), "prefactor": prefactor,
             "quadrature": asdict(spec)}

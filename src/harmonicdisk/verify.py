@@ -56,6 +56,7 @@ from .sources import (
 )
 from .transforms import (
     Field,
+    _integrate_arc,
     poisson_integral,
     poisson_point,
     q_point,
@@ -181,9 +182,7 @@ def _field_norm_report(fld: Field, spec: NormSpec) -> NormReport:
 def _circle_l2_report(f: BoundaryFunction, quad: QuadratureSpec) -> NormReport:
     total = 0.0
     for arc in f.arcs():
-        res = integrate_angular(
-            lambda phi, fn=arc.fn: np.asarray(fn(phi)) ** 2, arc.lo, arc.hi, quad
-        )
+        res = _integrate_arc(arc, lambda phi, fn=arc.fn: np.asarray(fn(phi)) ** 2, quad)
         total += res.value
     return NormReport(math.sqrt(total), 0.0, 1.0)
 
@@ -563,8 +562,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     for p_case in catalog_boundary_functions().values():
         v, _, _ = poisson_point(p_case.boundary, 0.0, 0.0, quad)
         average = sum(
-            integrate_angular(arc.fn, arc.lo, arc.hi, quad).value
-            for arc in p_case.boundary.arcs()
+            _integrate_arc(arc, arc.fn, quad).value for arc in p_case.boundary.arcs()
         ) / TWO_PI
         worst = max(worst, abs(v - average))
     _record(records, "transforms.mean_value", worst, 1e-8)

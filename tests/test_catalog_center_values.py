@@ -4,6 +4,8 @@ At r = 0 the area kernel is identically 1, so the transform collapses to
 prefactor * (weighted source mass) and every case has an elementary
 closed form.  These are computed independently here and pin the whole
 catalog: radial ranges, angular ranges, weight factors and prefactors.
+The Poisson kernel at r = 0 is identically 1 too, so the boundary
+integral there is the mean of the boundary data.
 """
 
 import math
@@ -12,10 +14,12 @@ import pytest
 
 from harmonicdisk.quadrature import QuadratureSpec
 from harmonicdisk.sources import PairedCase, figure_case
-from harmonicdisk.transforms import q_point
+from harmonicdisk.transforms import poisson_point, q_point
 
 PI = math.pi
 SPEC = QuadratureSpec(adaptive_tol=1e-12)
+ATOL = 5e-14  # every case reaches 1.5e-14 or better (fig 7, the worst)
+LOG_MASS = 2.0 + PI * (math.log(PI) - 1.0)  # integral of |ln phi| over [0, pi]
 
 
 def _r2(a, b):
@@ -43,7 +47,7 @@ CENTER_VALUES = {
     11: (2 / PI) * _r3(0.9, 1.0) * PI**2,
     12: (2 / PI) * _r3(0.9, 1.0) * (2.0 * (PI / 6) ** 3 / 3.0),
     13: (2 / PI) * _r3(0.9, 1.0) * 2.0,
-    14: (2 / PI) * _r3(0.9, 1.0) * (2.0 + PI * (math.log(PI) - 1.0)),
+    14: (2 / PI) * _r3(0.9, 1.0) * LOG_MASS,
     15: 5.0 * math.sqrt(PI / 10.0) * math.erf(0.2 * math.sqrt(10.0)),
 }
 
@@ -52,7 +56,14 @@ CENTER_VALUES = {
 def test_center_value_closed_form(fig_id):
     case = figure_case(fig_id).payload
     q_case = case.q if isinstance(case, PairedCase) else case
-    value, _, _ = q_point(q_case.source, 0.0, 0.77, q_case.prefactor, SPEC)
-    # figure 14's log-singular angular factor converges to ~1e-9 at the
-    # depth cap; everything else sits at machine precision
-    assert value == pytest.approx(CENTER_VALUES[fig_id], abs=1e-8)
+    value, _, converged = q_point(q_case.source, 0.0, 0.77, q_case.prefactor, SPEC)
+    assert converged
+    assert value == pytest.approx(CENTER_VALUES[fig_id], abs=ATOL)
+
+
+def test_log_boundary_center_value():
+    """Figure 14's |ln|theta|| boundary data: mean over the circle."""
+    boundary = figure_case(14).payload.poisson.boundary
+    value, _, converged = poisson_point(boundary, 0.0, 0.77, SPEC)
+    assert converged
+    assert value == pytest.approx(LOG_MASS / (2 * PI), abs=ATOL)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmonicdisk.errors import (
     InvalidExponentError,
@@ -205,6 +206,53 @@ class TestIntegrateAngular:
     def test_invalid_interval(self):
         with pytest.raises(InvalidRegionError):
             integrate_angular(lambda t: t, 1.0, 1.0)
+
+
+def abs_log(phi):
+    return np.abs(np.log(np.abs(phi)))
+
+
+class TestGradedEnd:
+    """A declared logarithmic end is graded, phi = e + (o - e) t^4, so one
+    panel integrates it to roundoff instead of bisecting to max_depth."""
+
+    # below ~1e-300 the graded nodes x t^4 underflow to 0, where ln is -inf
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.floats(min_value=1e-300, max_value=1.0))
+    def test_log_integral_both_orientations(self, x):
+        exact = x * (1.0 - math.log(x))  # integral of |ln phi| over (0, x]
+        for lo, hi in ((0.0, x), (-x, 0.0)):
+            res = integrate_angular(abs_log, lo, hi, graded_end=0.0)
+            assert res.converged
+            assert res.panels_used <= 2
+            assert res.value == pytest.approx(exact, abs=1e-13)
+
+    def test_ungraded_log_end_bisects_to_max_depth(self):
+        res = integrate_angular(abs_log, 0.0, 1.0)
+        assert not res.converged
+        assert res.panels_used > 10
+
+    def test_polar_rectangle(self):
+        # rho over [0.5, 1] times |ln phi| over [0, 1]
+        region = PolarRectangle(0.5, 1.0, 0.0, 1.0)
+        res = integrate_polar(lambda rho, phi: abs_log(phi), region, graded_end=0.0)
+        assert res.converged and res.panels_used == 1
+        assert res.value == pytest.approx(0.375, abs=1e-14)
+
+    def test_composes_with_singular_radial(self):
+        # rho (1 - rho)^(-1/2) over [0, 1] is 4/3; |ln phi| over [-1, 0] is 1
+        region = PolarRectangle(0.0, 1.0, -1.0, 0.0)
+        spec = QuadratureSpec(adaptive_tol=1e-13)
+        res = integrate_singular_radial(lambda rho, phi: abs_log(phi), 0.5,
+                                        region, spec, graded_end=0.0)
+        assert res.converged
+        assert res.value == pytest.approx(4.0 / 3.0, abs=1e-13)
+
+    def test_graded_end_must_be_an_end(self):
+        with pytest.raises(InvalidRegionError):
+            integrate_angular(abs_log, 0.0, 1.0, graded_end=0.5)
+        with pytest.raises(InvalidRegionError):
+            integrate_polar(ones, PolarRectangle(0.0, 1.0, 0.0, 1.0), graded_end=-1.0)
 
 
 class TestSpecValidation:

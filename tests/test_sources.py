@@ -297,19 +297,44 @@ class TestDeclaredBreaks:
         assert SeparableOnRect(RhoPower(1), AbsPhi(), right).pieces()[0].breaks == ()
 
     def test_undeclared_factors(self):
-        for radial, angular in ((RhoPower(1), AbsLogAbsPhi()), (RhoPower(0.5), AngularCos(1)),
+        for radial, angular in ((RhoPower(0.5), AngularCos(1)),
                                 (PowerOfOneMinusRho(0.25), AngularCos(1))):
             rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
             assert SeparableOnRect(radial, angular, rect).pieces()[0].breaks is None
 
+    def test_log_point_becomes_a_piece_end(self):
+        rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
+        pieces = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), rect).pieces()
+        assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(-1.0, 0.0), (0.0, 1.0)]
+        assert [(p.breaks, p.log_end, p.beta) for p in pieces] == [((), 0.0, None)] * 2
+        assert all(p.rect.r_lo == 0.5 and p.rect.r_hi == 0.9 for p in pieces)
+
+    def test_log_factor_away_from_its_log_point_is_one_smooth_piece(self):
+        rect = PolarRectangle(0.5, 0.9, 2.0, 3.0)
+        (piece,) = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), rect).pieces()
+        assert (piece.rect, piece.breaks, piece.log_end) == (rect, (), None)
+
+    def test_log_end_composes_with_singular_radial(self):
+        rect = PolarRectangle(0.75, 1.0, 0.0, PI)
+        pieces = SeparableOnRect(PowerOfOneMinusRho(0.25), AbsLogAbsPhi(), rect).pieces()
+        assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(0.0, 1.0), (1.0, PI)]
+        assert [(p.beta, p.log_end, p.breaks) for p in pieces] == [(0.25, 0.0, None),
+                                                                  (0.25, None, None)]
+
     def test_sum_keeps_breaks(self):
         a = SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS)
         b = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), self.ANNULUS)
-        assert [p.breaks for p in SourceSum(((2.0, a), (1.0, b))).pieces()] == [(0.0,), None]
+        pieces = SourceSum(((2.0, a), (1.0, b))).pieces()
+        assert [p.breaks for p in pieces] == [(0.0,), (), (), (), ()]
+        assert [p.log_end for p in pieces] == [None, None, 0.0, 0.0, None]
+        assert [p.coef for p in pieces] == [2.0, 1.0, 1.0, 1.0, 1.0]
         arcs = BoundarySum(((2.0, AbsTheta()), (1.0, AbsLogAbsOnArc(0.0, PI)))).arcs()
-        assert [arc.breaks for arc in arcs] == [(), (), None, None]
+        assert [arc.breaks for arc in arcs] == [(), (), (), ()]
+        assert [arc.log_end for arc in arcs] == [None, None, 0.0, None]
 
     def test_log_arc_splits_at_declared_breaks(self):
         arcs = AbsLogAbsOnArc(-2.0, 2.0).arcs()
         assert [(arc.lo, arc.hi) for arc in arcs] == [(-2.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]
+        assert [arc.log_end for arc in arcs] == [None, 0.0, 0.0, None]
         assert AbsLogAbsPhi.breaks == (-1.0, 0.0, 1.0)
+        assert AbsLogAbsPhi.log_points == (0.0,)

@@ -8,6 +8,7 @@ from harmonicdisk.errors import DomainError
 from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
 from harmonicdisk.quadrature import QuadratureSpec
 from harmonicdisk.sources import (
+    AbsLogAbsPhi,
     AbsTheta,
     AngularCos,
     CharacteristicArc,
@@ -15,6 +16,7 @@ from harmonicdisk.sources import (
     CharacteristicRect,
     ConstantOne,
     Cosine,
+    PowerOfOneMinusRho,
     RhoPower,
     SeparableOnRect,
     SourceSum,
@@ -317,6 +319,11 @@ class TestGridMatchesPoint:
         fld = q_transform(case.source, self.GRID, case.prefactor)
         self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor))
 
+    def test_q_transform_graded_log_ends(self):
+        case = _q_case(14)
+        fld = q_transform(case.source, self.GRID, case.prefactor)
+        self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor))
+
     def test_bergman_project(self):
         src = figure_case(7).payload.source
         fld = bergman_project(src, self.GRID)
@@ -428,11 +435,57 @@ class TestSpectralDispatch:
         assert np.min(np.abs(edges)) == 0.0
 
     def test_adaptive_meta_counts_unconverged(self):
+        # |ln|phi|| as a callable declares no log point, so the adaptive
+        # panels bisect towards phi = 0 down to max_depth
         grid = EvaluationGrid.regular(n_r=2, n_theta=2, r_max=0.8)
-        fld = poisson_integral(_boundary(14), grid)
+        src = CallableSource(lambda rho, phi: np.abs(np.log(np.abs(phi))))
+        fld = q_transform(src, grid)
         assert fld.meta["engine"] == "adaptive"
         assert "modes" not in fld.meta
         assert fld.meta["unconverged"] == int(np.count_nonzero(~fld.converged)) > 0
+        assert fld.meta["panels"] > 4 * grid.shape[0] * grid.shape[1]
+
+
+class TestGradedLogEnd:
+    """Figure 14's declared log point is a graded piece or arc end: every
+    point converges in about one panel per part, on the adaptive engine."""
+
+    GRID = EvaluationGrid.regular(n_r=8, n_theta=16, r_max=0.9)
+
+    def test_declared_log_end_takes_adaptive_path(self):
+        pieces = _q_case(14).source.pieces()
+        arcs = _boundary(14).arcs()
+        assert [p.log_end for p in pieces] == [0.0, None]
+        assert [a.log_end for a in arcs] == [0.0, None]
+        assert all(p.breaks == () for p in pieces) and all(a.breaks == () for a in arcs)
+        assert _spectral_modes(_Q_SERIES, pieces, 0.9) is None
+        assert _spectral_modes(_POISSON_SERIES, arcs, 0.9) is None
+        # the smooth part alone would be spectral
+        assert _spectral_modes(_Q_SERIES, pieces[1:], 0.9) is not None
+
+    @pytest.mark.parametrize("kind", ["q", "poisson"])
+    def test_fig14_converges_in_few_panels(self, kind):
+        if kind == "q":
+            case = _q_case(14)
+            fld = q_transform(case.source, self.GRID, case.prefactor)
+        else:
+            fld = poisson_integral(_boundary(14), self.GRID)
+        assert fld.meta["engine"] == "adaptive"
+        assert fld.meta["unconverged"] == 0 and fld.converged.all()
+        parts_times_points = 2 * self.GRID.radii.size * self.GRID.angles.size
+        assert parts_times_points <= fld.meta["panels"] <= 1.1 * parts_times_points
+
+    def test_graded_end_composes_with_singular_radial(self):
+        # (1 - rho)^(-1/4) |ln phi| on [3/4, 1] x [0, pi]: both substitutions
+        source = SeparableOnRect(PowerOfOneMinusRho(0.25), AbsLogAbsPhi(),
+                                 PolarRectangle(0.75, 1.0, 0.0, PI))
+        u = 0.25  # 1 - r_lo; radial integral of rho (1 - rho)^(-1/4)
+        radial = u**0.75 / 0.75 - u**1.75 / 1.75
+        expected = radial * (2.0 + PI * (math.log(PI) - 1.0))
+        # the radial substitution, not the grading, needs the tight tolerance
+        assert source_mass(source, TIGHT) == pytest.approx(expected, abs=1e-13)
+        value, _, converged = q_point(source, 0.0, 0.3, 1.0, TIGHT)
+        assert converged and value == pytest.approx(expected, abs=1e-13)
 
 
 class TestSpectralMatchesPoint:

@@ -9,6 +9,7 @@ from harmonicdisk.geometry import EvaluationGrid
 from harmonicdisk.kernels import q_kernel
 from harmonicdisk.quadrature import QuadratureSpec
 from harmonicdisk.sources import (
+    AbsLogAbsOnArc,
     CharacteristicArc,
     CharacteristicDisk,
     figure_case,
@@ -98,6 +99,13 @@ class TestNorms:
         value = norm(CharacteristicArc(-PI / 6, PI / 6), NormSpec("circle_l2"))
         assert value == pytest.approx(math.sqrt(PI / 3.0), abs=1e-10)
 
+    def test_circle_l2_log_arc(self):
+        # ln^2 phi over [0, pi] is pi (ln^2 pi - 2 ln pi + 2); the log end is graded
+        log_pi = math.log(PI)
+        value = norm(AbsLogAbsOnArc(0.0, PI), NormSpec("circle_l2"))
+        assert value == pytest.approx(math.sqrt(PI * (log_pi**2 - 2.0 * log_pi + 2.0)),
+                                      abs=1e-14)
+
     def test_incompatible_kinds(self):
         with pytest.raises(IncompatibleKindError):
             norm(CharacteristicDisk(0.5), NormSpec("circle_l2"))
@@ -182,6 +190,11 @@ class TestInvariantSuite:
         report = run_invariant_suite(SuiteConfig(include_heat=False))
         failed = [r.id for r in report.records if not r.passed]
         assert report.all_passed, f"failed invariants: {failed}"
+        # both sides of these identities use the same graded rule on the
+        # log-singular figure 14, so they hold to roundoff
+        by_id = {r.id: r for r in report.records}
+        assert by_id["transforms.center_identity"].measured <= 1e-15
+        assert by_id["transforms.mean_value"].measured <= 1e-15
 
     def test_normalization_holds_at_extreme_radius(self):
         report = run_invariant_suite(SuiteConfig(r_max=0.99, include_heat=False))
