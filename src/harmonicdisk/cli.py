@@ -233,8 +233,7 @@ def _figure_fields(fig_id, grid, spec):
     payload = case.payload
     out = []
     if isinstance(payload, KernelPlot):
-        name = "poisson" if payload.kernel.tag == "poisson" else payload.kernel.tag
-        out.append(("kernel", _profile_field(name, payload.kernel.alpha or 0.0,
+        out.append(("kernel", _profile_field(payload.kernel.tag, payload.kernel.alpha or 0.0,
                                              list(payload.radii), grid.n_theta)))
         return out, case
     if isinstance(payload, PoissonCase):

@@ -8,21 +8,25 @@ at the boundary.  Transforms consume sources through :meth:`pieces`,
 which hands the quadrature layer one smooth function per rectangle and
 the singular exponent separately.
 
-A :class:`BoundaryFunction` plays the same role on the unit circle and is
-consumed through :meth:`arcs`; arcs are pre-split at interior kinks and
-singular points so adaptive panels see clean endpoints.
+A :class:`BoundaryFunction` is an angular factor on an arc of the unit
+circle (the full circle unless narrowed), zero elsewhere, or a weighted
+sum of such: the boundary data |theta|, theta^2, sin theta, cos n theta,
+|ln|theta|| and 1 are the very factors that multiply area sources.  It
+is consumed through :meth:`arcs`, which cuts its arc at the factor's
+breaks so adaptive panels see clean endpoints.
 
 Kinks and singular angles are declared once, by the factors themselves:
 an angular factor lists its ``breaks`` (angles where it is not smooth),
 says whether it is ``smooth`` between them, and lists among its breaks
 the ``log_points`` where it has an integrable logarithmic singularity; a
 radial factor says whether it is ``smooth`` on every rectangle.  A piece
-or arc whose factors are all smooth carries its interior breaks in
-``breaks`` (an empty tuple when there are none); ``breaks=None`` means
-nothing is declared, and the grid transforms then keep to adaptive
-quadrature.  A factor with log points is split at its breaks, so each
-log point becomes an end of a piece or arc, recorded in ``log_end``;
-the quadrature grades the angle towards that end.
+whose factors are all smooth carries its interior breaks in ``breaks``
+(an empty tuple when there are none); ``breaks=None`` means nothing is
+declared, and the grid transforms then keep to adaptive quadrature.  An
+arc has no interior breaks, having been cut at all of them.  A factor
+with log points is split at its breaks, so each log point becomes an end
+of a piece or arc, recorded in ``log_end``; the quadrature grades the
+angle towards that end.
 
 Everything is immutable after construction and serializes to a small
 JSON document (see :func:`parse_source_config`).
@@ -239,21 +243,21 @@ class AngularOne:
 class BoundaryArc:
     """One piece of a boundary function: fn on [lo, hi], 0 elsewhere.
 
-    ``breaks`` lists the kinks strictly inside the arc when fn is declared
-    smooth between them, and is None when nothing is declared.
-    ``log_end`` is the end (lo or hi) where fn has a logarithmic
+    fn is an angular factor, or a multiple of one, smooth on [lo, hi]
+    except at ``log_end``: the end (lo or hi) where it has a logarithmic
     singularity, or None.
     """
 
     lo: float
     hi: float
     fn: object  # callable(phi) -> array
-    breaks: tuple | None = None
     log_end: float | None = None
 
 
 class BoundaryFunction:
-    """Base class; subclasses provide __call__, arcs() and to_config()."""
+    """Data on the unit circle: an angular factor on an arc, zero elsewhere,
+    or a weighted sum of such.  Subclasses provide arcs(), the arc cut at
+    the factor's breaks, and to_config()."""
 
     def arcs(self) -> list[BoundaryArc]:
         raise NotImplementedError
@@ -261,132 +265,94 @@ class BoundaryFunction:
     def to_config(self) -> dict:
         raise NotImplementedError
 
-    def __call__(self, theta):
-        raise NotImplementedError
 
+class _AngularOnArc(BoundaryFunction):
+    """The angular factor ``angular`` on ``arc`` (the full circle unless a
+    subclass narrows it), zero elsewhere.  The arc is checked once, and
+    arcs() cuts it at the factor's breaks, so every kink and log point of
+    the factor is an arc end."""
 
-@dataclass(frozen=True)
-class CharacteristicArc(BoundaryFunction):
-    a: float
-    b: float
+    arc = (-_PI, _PI)
 
     def __post_init__(self):
-        _check_arc(self.a, self.b)
-
-    def __call__(self, theta):
-        t = np.asarray(theta, dtype=float)
-        return ((t >= self.a) & (t <= self.b)).astype(float)
+        _check_arc(*self.arc)
 
     def arcs(self):
-        return [BoundaryArc(self.a, self.b, lambda phi: np.ones(np.shape(phi)), ())]
+        angular = self.angular
+        return [BoundaryArc(lo, hi, angular, end)
+                for lo, hi, end in _split_at_breaks(angular, *self.arc)]
+
+
+class _AngularOnGivenArc(_AngularOnArc):
+    """An angular factor on the arc [a, b] given by the fields a and b."""
+
+    @property
+    def arc(self):
+        return self.a, self.b
 
     def to_config(self):
-        return {"type": "char_arc", "arc": [self.a, self.b]}
+        return {"type": self._kind, "arc": [self.a, self.b]}
 
 
 @dataclass(frozen=True)
-class AbsTheta(BoundaryFunction):
-    def __call__(self, theta):
-        return np.abs(np.asarray(theta, dtype=float))
+class CharacteristicArc(_AngularOnGivenArc):
+    a: float
+    b: float
+    angular = AngularOne()
+    _kind = "char_arc"
 
-    def arcs(self):
-        fn = lambda phi: np.abs(np.asarray(phi, dtype=float))
-        return [BoundaryArc(-_PI, 0.0, fn, ()), BoundaryArc(0.0, _PI, fn, ())]
+
+@dataclass(frozen=True)
+class AbsTheta(_AngularOnArc):
+    angular = AbsPhi()
 
     def to_config(self):
         return {"type": "abs_theta"}
 
 
 @dataclass(frozen=True)
-class ThetaSquaredOnArc(BoundaryFunction):
+class ThetaSquaredOnArc(_AngularOnGivenArc):
     a: float
     b: float
-
-    def __post_init__(self):
-        _check_arc(self.a, self.b)
-
-    def __call__(self, theta):
-        t = np.asarray(theta, dtype=float)
-        return np.where((t >= self.a) & (t <= self.b), t * t, 0.0)
-
-    def arcs(self):
-        return [BoundaryArc(self.a, self.b, lambda phi: np.asarray(phi) ** 2, ())]
-
-    def to_config(self):
-        return {"type": "theta_squared_on_arc", "arc": [self.a, self.b]}
+    angular = PhiSquared()
+    _kind = "theta_squared_on_arc"
 
 
 @dataclass(frozen=True)
-class SinOnArc(BoundaryFunction):
+class SinOnArc(_AngularOnGivenArc):
     a: float
     b: float
-
-    def __post_init__(self):
-        _check_arc(self.a, self.b)
-
-    def __call__(self, theta):
-        t = np.asarray(theta, dtype=float)
-        return np.where((t >= self.a) & (t <= self.b), np.sin(t), 0.0)
-
-    def arcs(self):
-        return [BoundaryArc(self.a, self.b, np.sin, ())]
-
-    def to_config(self):
-        return {"type": "sin_on_arc", "arc": [self.a, self.b]}
+    angular = AngularSin(1)
+    _kind = "sin_on_arc"
 
 
 @dataclass(frozen=True)
-class AbsLogAbsOnArc(BoundaryFunction):
+class AbsLogAbsOnArc(_AngularOnGivenArc):
     """|ln|theta|| on [a, b]; singular at 0, corner at |theta| = 1."""
 
     a: float
     b: float
-
-    def __post_init__(self):
-        _check_arc(self.a, self.b)
-
-    def __call__(self, theta):
-        t = np.asarray(theta, dtype=float)
-        with np.errstate(divide="ignore"):
-            vals = np.abs(np.log(np.abs(t)))
-        return np.where((t >= self.a) & (t <= self.b), vals, 0.0)
-
-    def arcs(self):
-        fn = AbsLogAbsPhi()
-        return [BoundaryArc(lo, hi, fn, (), end)
-                for lo, hi, end in _split_at_breaks(fn, self.a, self.b)]
-
-    def to_config(self):
-        return {"type": "abs_log_abs_on_arc", "arc": [self.a, self.b]}
+    angular = AbsLogAbsPhi()
+    _kind = "abs_log_abs_on_arc"
 
 
 @dataclass(frozen=True)
-class Cosine(BoundaryFunction):
+class Cosine(_AngularOnArc):
     """cos(n * theta) on the full circle."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 0:
-            raise SourceValidationError(f"cosine order must be >= 0, got {self.n}")
-
-    def __call__(self, theta):
-        return np.cos(self.n * np.asarray(theta, dtype=float))
-
-    def arcs(self):
-        return [BoundaryArc(-_PI, _PI, lambda phi: np.cos(self.n * np.asarray(phi)), ())]
+        super().__post_init__()
+        object.__setattr__(self, "angular", AngularCos(self.n))  # validates n
 
     def to_config(self):
         return {"type": "cos", "n": self.n}
 
 
 @dataclass(frozen=True)
-class ConstantOne(BoundaryFunction):
-    def __call__(self, theta):
-        return np.ones(np.shape(theta))
-
-    def arcs(self):
-        return [BoundaryArc(-_PI, _PI, lambda phi: np.ones(np.shape(phi)), ())]
+class ConstantOne(_AngularOnArc):
+    angular = AngularOne()
 
     def to_config(self):
         return {"type": "one"}
@@ -399,9 +365,6 @@ class BoundarySum(BoundaryFunction):
     def __post_init__(self):
         if not self.terms:
             raise SourceValidationError("weighted sum needs at least one term")
-
-    def __call__(self, theta):
-        return sum(c * f(theta) for c, f in self.terms)
 
     def arcs(self):
         return [replace(arc, fn=_scale_fn(coef, arc.fn))
@@ -591,8 +554,8 @@ def evaluate_source(source: SourceFunction, point: PolarPoint) -> float:
 # Config parsing / serialization
 # ---------------------------------------------------------------------------
 
-_RADIAL_KEYS = {"pow_one_minus_rho", "rho_power", "gaussian_bump"}
-_ANGULAR_KEYS = {"cos", "sin"}
+_ARC_TYPES = {cls._kind: cls for cls in
+              (CharacteristicArc, ThetaSquaredOnArc, SinOnArc, AbsLogAbsOnArc)}
 _ANGULAR_NAMES = {"abs_phi": AbsPhi, "phi_squared": PhiSquared,
                   "abs_log_abs_phi": AbsLogAbsPhi, "one": AngularOne}
 
@@ -680,25 +643,12 @@ def _parse_doc(doc, context="source"):
             _parse_angular(doc["angular"], f"{context}.angular"),
             _parse_rect(doc["rect"], f"{context}.rect"),
         )
-    if kind == "char_arc":
+    if kind in _ARC_TYPES:
         _require_keys(doc, ("type", "arc"), context)
-        a, b = _parse_pair(doc["arc"], f"{context}.arc")
-        return CharacteristicArc(a, b)
+        return _ARC_TYPES[kind](*_parse_pair(doc["arc"], f"{context}.arc"))
     if kind == "abs_theta":
         _require_keys(doc, ("type",), context)
         return AbsTheta()
-    if kind == "theta_squared_on_arc":
-        _require_keys(doc, ("type", "arc"), context)
-        a, b = _parse_pair(doc["arc"], f"{context}.arc")
-        return ThetaSquaredOnArc(a, b)
-    if kind == "sin_on_arc":
-        _require_keys(doc, ("type", "arc"), context)
-        a, b = _parse_pair(doc["arc"], f"{context}.arc")
-        return SinOnArc(a, b)
-    if kind == "abs_log_abs_on_arc":
-        _require_keys(doc, ("type", "arc"), context)
-        a, b = _parse_pair(doc["arc"], f"{context}.arc")
-        return AbsLogAbsOnArc(a, b)
     if kind == "cos":
         _require_keys(doc, ("type", "n"), context)
         return Cosine(int(doc["n"]))

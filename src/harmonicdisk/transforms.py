@@ -14,11 +14,12 @@ Two engines compute them, with no interpolation or smoothing in either.
 * The grid operators (``q_transform``, ``harmonic_rep`` and
   ``bergman_project``, one evaluator ``_q_field`` differing only in the
   prefactor and the constant subtracted; and ``poisson_integral``) take
-  the spectral path when every piece or arc of the source declares itself
-  smooth (``breaks`` is not None, no ``beta`` or ``log_end``).  Both
-  kernels have closed Fourier series, so the whole grid is a sum over
-  modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with the trig
-  moments C_k, S_k of each piece taken once on fixed Gauss-Legendre rules.
+  the spectral path when every piece or arc of the source is declared
+  smooth (no ``log_end``; for pieces, no ``beta`` and ``breaks`` is not
+  None).  Both kernels have closed Fourier series, so the whole grid is
+  a sum over modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with
+  the trig moments C_k, S_k of each piece taken once on fixed
+  Gauss-Legendre rules.
   The series is cut where its tail bound drops below 1e-16 of the
   source's absolute mass.  Each point's error estimate is that tail plus
   the difference between the moments of the main rule and a rule of half
@@ -279,16 +280,15 @@ def _mode_count(series: _Series, q: float):
 
 def _spectral_modes(series: _Series, parts, r_max: float):
     """Mode count per part (a SourcePiece or a BoundaryArc), or None when any
-    part must take the adaptive path: a declared singularity (``beta`` or
-    ``log_end``), no declared smoothness (``breaks is None``), or too many
-    modes."""
+    part must take the adaptive path: a declared singularity (``log_end``,
+    or a piece's ``beta``), a piece without declared smoothness (``breaks
+    is None``; an arc is always smooth inside), or too many modes."""
     modes = []
     for part in parts:
-        singular = getattr(part, "beta", None) is not None or part.log_end is not None
-        if singular or part.breaks is None:
+        piece = isinstance(part, SourcePiece)
+        if part.log_end is not None or (piece and (part.beta is not None or part.breaks is None)):
             return None
-        r_hi = part.rect.r_hi if isinstance(part, SourcePiece) else 1.0
-        modes.append(_mode_count(series, r_max * r_hi))
+        modes.append(_mode_count(series, r_max * (part.rect.r_hi if piece else 1.0)))
     return None if None in modes else modes
 
 
@@ -371,14 +371,14 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
     for part, K in zip(parts, modes):
         scales = (2, 1)  # main rule, then the coarse one
         if isinstance(part, SourcePiece):
-            coef, fn, rect = part.coef, part.fn, part.rect
+            coef, fn, rect, breaks = part.coef, part.fn, part.rect, part.breaks
             lo, hi, r_hi = rect.theta_lo, rect.theta_hi, rect.r_hi
             radial = [_radial_rule(rect, K, scale) for scale in scales]
-        else:  # a boundary arc: one radial node, rho = 1 with weight 1
-            coef, fn, r_hi = 1.0, lambda rho, phi, g=part.fn: g(phi), 1.0
+        else:  # a boundary arc: no breaks inside, one radial node rho = 1 of weight 1
+            coef, fn, r_hi, breaks = 1.0, lambda rho, phi, g=part.fn: g(phi), 1.0, ()
             lo, hi = part.lo, part.hi
             radial = [(np.ones(1), np.ones(1))] * len(scales)
-        panels = _angular_panels(lo, hi, part.breaks, K)
+        panels = _angular_panels(lo, hi, breaks, K)
         got = [_trig_moments(fn, rho, w_rho, panels, scale * _ANGULAR_NODES, K)
                for (rho, w_rho), scale in zip(radial, scales)]
         if None in got:

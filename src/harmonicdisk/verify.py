@@ -114,11 +114,13 @@ class HarmonicityReport:
 
 
 def _partition_cells(source: SourceFunction, r_cap: float):
-    """Cells on which the source is smooth, clipped to rho <= r_cap.
+    """(cell, graded_end) of the cells on which the source is smooth,
+    clipped to rho <= r_cap.
 
     Edges come from the pieces themselves, so rectangles with angle
     windows outside [-pi, pi] are covered too; cells intersecting no
-    piece are dropped.
+    piece are dropped.  ``graded_end`` is the declared ``log_end`` of a
+    piece holding the cell when it is an end of the cell, else None.
     """
     pieces = source.pieces()
     r_edges = set()
@@ -134,20 +136,23 @@ def _partition_cells(source: SourceFunction, r_cap: float):
     for r_lo, r_hi in zip(r_edges[:-1], r_edges[1:]):
         for t_lo, t_hi in zip(t_edges[:-1], t_edges[1:]):
             mid_r, mid_t = 0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi)
-            if any(p.rect.contains(mid_r, mid_t) for p in pieces):
-                cells.append(PolarRectangle(r_lo, r_hi, t_lo, t_hi))
+            holders = [p for p in pieces if p.rect.contains(mid_r, mid_t)]
+            if holders:
+                ends = [p.log_end for p in holders if p.log_end in (t_lo, t_hi)]
+                cells.append((PolarRectangle(r_lo, r_hi, t_lo, t_hi), ends[0] if ends else None))
     return cells
 
 
 def _source_norm_report(source, spec: NormSpec, quad: QuadratureSpec) -> NormReport:
     r_cap = spec.truncation_radius
     total = 0.0
-    for cell in _partition_cells(source, r_cap):
+    for cell, graded_end in _partition_cells(source, r_cap):
         res = integrate_polar(
             lambda rho, phi: np.abs(source.values(rho, phi)) ** spec.p
             * (1.0 - rho) ** spec.alpha,
             cell,
             quad,
+            graded_end=graded_end,
         )
         total += res.value
     # crude tail bound: sampled sup on the tail annulus times tail area
@@ -196,7 +201,8 @@ def circle_integral_of_square(u_of_theta, quad: QuadratureSpec | None = None) ->
 
 def _hardy_report(u, spec: NormSpec, quad: QuadratureSpec, radii=None) -> NormReport:
     if isinstance(u, Field):
-        radii = u.grid.radii if radii is None else np.asarray(radii)
+        if radii is not None:
+            raise DomainError("radii are taken from the field grid; pass None")
         d_theta = TWO_PI / u.grid.n_theta
         sup = max(float(np.sum(row**2) * d_theta) for row in u.values)
         return NormReport(sup, 0.0, float(u.grid.radii[-1]))

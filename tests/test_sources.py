@@ -19,9 +19,11 @@ from harmonicdisk.sources import (
     AbsTheta,
     BoundarySum,
     AngularCos,
+    AngularSin,
     CharacteristicArc,
     CharacteristicDisk,
     CharacteristicRect,
+    ConstantOne,
     Cosine,
     GaussianBump,
     PairedCase,
@@ -31,7 +33,9 @@ from harmonicdisk.sources import (
     KernelPlot,
     RhoPower,
     SeparableOnRect,
+    SinOnArc,
     SourceSum,
+    ThetaSquaredOnArc,
     catalog_q_sources,
     evaluate_source,
     figure_case,
@@ -216,6 +220,40 @@ class TestConfigParsing:
                 assert parse_source_config(serialize_config(obj)) == obj
 
 
+# One instance of every config type and its canonical JSON text, so that a
+# changed to_config shows even where a round trip would still hold.
+CONFIG_TEXTS = [
+    (CharacteristicArc(-0.5, 0.5), '{"arc": [-0.5, 0.5], "type": "char_arc"}'),
+    (AbsTheta(), '{"type": "abs_theta"}'),
+    (ThetaSquaredOnArc(-0.5, 0.5), '{"arc": [-0.5, 0.5], "type": "theta_squared_on_arc"}'),
+    (SinOnArc(0.0, 1.5), '{"arc": [0.0, 1.5], "type": "sin_on_arc"}'),
+    (AbsLogAbsOnArc(0.0, 2.0), '{"arc": [0.0, 2.0], "type": "abs_log_abs_on_arc"}'),
+    (Cosine(3), '{"n": 3, "type": "cos"}'),
+    (ConstantOne(), '{"type": "one"}'),
+    (CharacteristicDisk(0.25), '{"radius": 0.25, "type": "char_disk"}'),
+    (CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, 1.0)),
+     '{"r": [0.25, 0.5], "theta": [0.0, 1.0], "type": "char_rect"}'),
+    (SeparableOnRect(GaussianBump(10.0, 0.5, 10.0), AngularSin(2),
+                     PolarRectangle(0.3, 0.7, -1.0, 1.0)),
+     '{"angular": {"sin": 2}, "radial": {"gaussian_bump": {"amp": 10.0, "center": 0.5, '
+     '"width": 10.0}}, "rect": {"r": [0.3, 0.7], "theta": [-1.0, 1.0]}, "type": "separable"}'),
+    (SourceSum(((2.0, CharacteristicDisk(0.5)),
+                (-1.0, SeparableOnRect(PowerOfOneMinusRho(0.25), AbsLogAbsPhi(),
+                                       PolarRectangle(0.75, 1.0, 0.0, 3.0))))),
+     '{"terms": [{"coef": 2.0, "term": {"radius": 0.5, "type": "char_disk"}}, '
+     '{"coef": -1.0, "term": {"angular": "abs_log_abs_phi", "radial": {"pow_one_minus_rho": '
+     '0.25}, "rect": {"r": [0.75, 1.0], "theta": [0.0, 3.0]}, "type": "separable"}}], '
+     '"type": "weighted_sum"}'),
+]
+
+
+@pytest.mark.parametrize("obj, text", CONFIG_TEXTS,
+                         ids=[type(obj).__name__ for obj, _ in CONFIG_TEXTS])
+def test_config_text_is_pinned(obj, text):
+    assert serialize_config(obj) == text
+    assert parse_source_config(text) == obj
+
+
 class TestSquareIntegrability:
     @pytest.mark.parametrize("fig_id", sorted(catalog_q_sources()))
     def test_catalog_square_norms_finite(self, fig_id):
@@ -329,7 +367,6 @@ class TestDeclaredBreaks:
         assert [p.log_end for p in pieces] == [None, None, 0.0, 0.0, None]
         assert [p.coef for p in pieces] == [2.0, 1.0, 1.0, 1.0, 1.0]
         arcs = BoundarySum(((2.0, AbsTheta()), (1.0, AbsLogAbsOnArc(0.0, PI)))).arcs()
-        assert [arc.breaks for arc in arcs] == [(), (), (), ()]
         assert [arc.log_end for arc in arcs] == [None, None, 0.0, None]
 
     def test_log_arc_splits_at_declared_breaks(self):

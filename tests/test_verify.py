@@ -141,6 +141,15 @@ class TestNorms:
         assert report.tail_bound > 0.0
         assert report.truncation_radius == 0.999
 
+    def test_log_cell_is_graded_towards_its_log_end(self):
+        # figure 14's source rho |ln phi| on [0.9, 1] x [0, pi], truncated at
+        # 0.999: the integral of rho^3 ln^2 phi factors into closed forms
+        log_pi = math.log(PI)
+        exact = math.sqrt((0.999**4 - 0.9**4) / 4.0
+                          * PI * (log_pi**2 - 2.0 * log_pi + 2.0))
+        value = norm(figure_case(14).payload.q.source, NormSpec("harmonic_bergman_l2"))
+        assert value == pytest.approx(exact, rel=1e-12)
+
     def test_rect_outside_canonical_angle_window(self):
         # PolarRectangle allows angle windows beyond [-pi, pi]; the norm
         # partition must still cover them
@@ -183,6 +192,8 @@ class TestHardy:
         fld = Field(grid=grid, values=values, converged=np.ones_like(values, bool),
                     errors=np.zeros_like(values))
         assert hardy_norm(fld) == pytest.approx(PI, rel=1e-10)
+        with pytest.raises(DomainError):
+            hardy_norm(fld, radii=[0.5])
 
 
 class TestInvariantSuite:
