@@ -207,28 +207,6 @@ def source_mass(f: SourceFunction, spec: QuadratureSpec | None = None) -> float:
     return total
 
 
-def bergman_project_point(
-    f: SourceFunction,
-    r: float,
-    theta: float,
-    spec: QuadratureSpec | None = None,
-    allow_near_boundary: bool = False,
-    _mass: float | None = None,
-):
-    """Orthogonal projection onto square-integrable harmonic functions.
-
-    P f = (2/pi) * (area transform of f) - (1/pi) * (disk integral of f);
-    the subtraction makes P reproduce harmonic inputs exactly, including
-    those with a nonzero value at the origin.
-    """
-    spec = spec or QuadratureSpec()
-    mass = source_mass(f, spec) if _mass is None else _mass
-    value, err, converged = q_point(
-        f, r, theta, 2.0 / math.pi, spec, allow_near_boundary
-    )
-    return value - mass / math.pi, err, converged
-
-
 # ---------------------------------------------------------------------------
 # Spectral grid engine
 # ---------------------------------------------------------------------------
@@ -500,59 +478,6 @@ class CallableSource(SourceFunction):
         return {"type": "callable", "description": self._description}
 
 
-class GridResampledSource(SourceFunction):
-    """A Field re-read as a full-disk source.
-
-    Bilinear interpolation inside the field's radial range, periodic in
-    theta.  Radii beyond r_max are filled by harmonic continuation of
-    the outermost ring (Fourier coefficients of the ring propagated as
-    c_k (rho/r_max)^|k|), which is exact for harmonic fields up to ring
-    sampling error and degrades gracefully otherwise.
-    """
-
-    def __init__(self, source_field: Field):
-        self._field = source_field
-        grid = source_field.grid
-        self._r_max = float(grid.radii[-1])
-        ring = source_field.values[-1]
-        self._ring_coeffs = np.fft.rfft(ring) / grid.n_theta
-        self._theta0 = float(grid.angles[0])
-        self._ks = np.arange(self._ring_coeffs.size)
-
-    def _continue_outward(self, rho, phi):
-        growth = (rho[..., None] / self._r_max) ** self._ks
-        phases = np.exp(1j * self._ks * (phi[..., None] - self._theta0))
-        terms = (self._ring_coeffs * growth * phases).real
-        # rfft: interior modes appear once, so double all but k = 0 (and
-        # the Nyquist mode for even ring sizes)
-        weights = np.full(self._ks.size, 2.0)
-        weights[0] = 1.0
-        if self._field.grid.n_theta % 2 == 0:
-            weights[-1] = 1.0
-        return terms @ weights
-
-    def values(self, rho, phi):
-        rho_b, phi_b = np.broadcast_arrays(
-            np.asarray(rho, dtype=float), np.asarray(phi, dtype=float)
-        )
-        inner = self._field.interpolate(rho_b, phi_b)
-        outside = rho_b > self._r_max
-        if np.any(outside):
-            inner = np.where(
-                outside, self._continue_outward(rho_b, phi_b), inner
-            )
-        return inner
-
-    def pieces(self):
-        return [SourcePiece(1.0, PolarRectangle.full_disk(), self.values)]
-
-    def to_config(self):
-        return {
-            "type": "resampled_field",
-            "operator": self._field.meta.get("operator", "unknown"),
-        }
-
-
 def harmonic_rep(
     u_sampled,
     u_at_origin: float,
@@ -572,7 +497,12 @@ def harmonic_rep(
 def bergman_project(
     f: SourceFunction, grid: EvaluationGrid, spec: QuadratureSpec | None = None
 ) -> Field:
-    """Orthogonal projection of f onto harmonic square-integrable functions."""
+    """Orthogonal projection of f onto harmonic square-integrable functions.
+
+    P f = (2/pi) * (area transform of f) - (1/pi) * (disk integral of f);
+    the subtraction makes P reproduce harmonic inputs exactly, including
+    those with a nonzero value at the origin.
+    """
     spec = spec or QuadratureSpec()
     mean_term = source_mass(f, spec) / math.pi
     return _q_field(f, grid, 2.0 / math.pi, mean_term, spec,

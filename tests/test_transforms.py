@@ -29,13 +29,11 @@ from harmonicdisk.transforms import (
     _Q_SERIES,
     CallableSource,
     Field,
-    GridResampledSource,
     _angular_panels,
     _spectral_field,
     _spectral_modes,
     analytic_rep,
     bergman_project,
-    bergman_project_point,
     harmonic_rep,
     poisson_integral,
     poisson_point,
@@ -46,7 +44,6 @@ from harmonicdisk.transforms import (
 
 PI = math.pi
 TIGHT = QuadratureSpec(adaptive_tol=1e-12)
-LOOSE = QuadratureSpec(adaptive_tol=1e-4, max_depth=9)
 
 
 def small_grid(r_max=0.8, n_r=4, n_theta=8):
@@ -214,8 +211,8 @@ class TestBergmanProject:
 
     def test_rho_cos_phi(self):
         src = SeparableOnRect(RhoPower(1), AngularCos(1), PolarRectangle.full_disk())
-        v, _, _ = bergman_project_point(src, 0.6, 0.4, TIGHT)
-        assert v == pytest.approx(0.6 * math.cos(0.4), abs=1e-9)
+        fld = bergman_project(src, EvaluationGrid(np.array([0.6]), np.array([0.4])), TIGHT)
+        assert fld.values[0, 0] == pytest.approx(0.6 * math.cos(0.4), abs=1e-9)
 
 
 class TestAnalyticRep:
@@ -268,37 +265,11 @@ class TestGridAndField:
     def test_field_interpolation_roundtrip(self):
         grid = EvaluationGrid.regular(n_r=30, n_theta=64, r_max=0.9)
         values = grid.radii[:, None] * np.cos(grid.angles[None, :])
-        from harmonicdisk.transforms import Field
-
         fld = Field(grid=grid, values=values, converged=np.ones_like(values, bool),
                     errors=np.zeros_like(values))
         assert fld.interpolate(0.45, 0.3) == pytest.approx(0.45 * math.cos(0.3), abs=1e-3)
         # beyond r_max: nearest radial extension
         assert fld.interpolate(0.99, 0.0) == pytest.approx(0.9, abs=1e-3)
-
-    def test_resampled_source_matches_field(self):
-        grid = EvaluationGrid.regular(n_r=20, n_theta=48, r_max=0.9)
-        values = np.broadcast_to(grid.radii[:, None] ** 2, grid.shape).copy()
-        from harmonicdisk.transforms import Field
-
-        fld = Field(grid=grid, values=values, converged=np.ones_like(values, bool),
-                    errors=np.zeros_like(values))
-        src = GridResampledSource(fld)
-        assert src.values(0.5, 1.0) == pytest.approx(0.25, abs=1e-3)
-
-    def test_resampled_source_harmonic_tail(self):
-        # beyond the grid the resampler continues the outer ring
-        # harmonically: exact for r^n cos(n theta) fields
-        grid = EvaluationGrid.regular(n_r=20, n_theta=48, r_max=0.9)
-        values = grid.radii[:, None] ** 3 * np.cos(3 * grid.angles[None, :])
-        from harmonicdisk.transforms import Field
-
-        fld = Field(grid=grid, values=values, converged=np.ones_like(values, bool),
-                    errors=np.zeros_like(values))
-        src = GridResampledSource(fld)
-        assert src.values(0.98, 0.4) == pytest.approx(
-            0.98**3 * math.cos(1.2), abs=1e-12
-        )
 
 
 class TestGridMatchesPoint:
@@ -308,8 +279,9 @@ class TestGridMatchesPoint:
 
     GRID = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.85)
 
-    def assert_same(self, fld, point, grid=GRID):
+    def assert_same(self, fld, point):
         assert fld.meta["engine"] == "adaptive"
+        grid = self.GRID
         expected = [[point(float(r), float(t)) for t in grid.angles] for r in grid.radii]
         for k, got in enumerate((fld.values, fld.errors, fld.converged)):
             assert np.array_equal(got, np.array([[p[k] for p in row] for row in expected]))
@@ -324,11 +296,6 @@ class TestGridMatchesPoint:
         fld = q_transform(case.source, self.GRID, case.prefactor)
         self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor))
 
-    def test_bergman_project(self):
-        src = figure_case(7).payload.source
-        fld = bergman_project(src, self.GRID)
-        self.assert_same(fld, lambda r, t: bergman_project_point(src, r, t))
-
     def test_harmonic_rep(self):
         u = lambda rho, phi: 1.0 + rho * np.cos(phi)
         fld = harmonic_rep(u, 1.0, self.GRID)
@@ -339,25 +306,12 @@ class TestGridMatchesPoint:
 
         self.assert_same(fld, point)
 
-    def test_q_transform_resampled_source(self):
-        grid = EvaluationGrid.regular(n_r=2, n_theta=4, r_max=0.85)
-        src = GridResampledSource(_harmonic_field())
-        fld = q_transform(src, grid, 2.0 / PI, LOOSE)
-        self.assert_same(fld, lambda r, t: q_point(src, r, t, 2.0 / PI, LOOSE), grid)
-
     @pytest.mark.parametrize("fig_id", [14])
     def test_poisson_integral(self, fig_id):
         payload = figure_case(fig_id).payload
         boundary = getattr(payload, "poisson", payload).boundary
         fld = poisson_integral(boundary, self.GRID)
         self.assert_same(fld, lambda r, t: poisson_point(boundary, r, t))
-
-
-def _harmonic_field():
-    grid = EvaluationGrid.regular(n_r=6, n_theta=12, r_max=0.9)
-    values = grid.radii[:, None] * np.cos(grid.angles[None, :])
-    return Field(grid=grid, values=values, converged=np.ones_like(values, bool),
-                 errors=np.zeros_like(values))
 
 
 SPECTRAL_Q_FIGURES = (3, 4, 5, 9, 11, 12, 13, 15)
@@ -396,7 +350,6 @@ class TestSpectralDispatch:
     def test_undeclared_sources_take_adaptive_path(self):
         adaptive = [_q_case(fig_id).source for fig_id in (6, 7, 14)] + [
             CallableSource(lambda rho, phi: rho * np.cos(phi)),
-            GridResampledSource(_harmonic_field()),
             SeparableOnRect(RhoPower(0.5), AngularCos(1), PolarRectangle.full_disk()),
         ]
         for src in adaptive:
@@ -518,7 +471,13 @@ class TestSpectralMatchesPoint:
     def test_bergman_project(self):
         src = _q_case(5).source
         fld = bergman_project(src, self.GRID)
-        self.assert_agrees(fld, lambda r, t: bergman_project_point(src, r, t))
+        mean_term = source_mass(src) / PI
+
+        def point(r, t):
+            value, err, converged = q_point(src, r, t, 2.0 / PI)
+            return value - mean_term, err, converged
+
+        self.assert_agrees(fld, point)
 
 
 def test_spectral_memory_is_chunked():

@@ -14,12 +14,13 @@ from harmonicdisk.sources import (
     CharacteristicDisk,
     figure_case,
 )
-from harmonicdisk.transforms import Field, poisson_point, q_point
+from harmonicdisk.transforms import Field, poisson_integral, poisson_point, q_point
 from harmonicdisk import verify
 from harmonicdisk.verify import (
     NormSpec,
     SuiteConfig,
     bergman_norm,
+    circle_integral_of_square,
     hA2_norm,
     hardy_norm,
     laplacian_residual,
@@ -166,23 +167,22 @@ class TestHardy:
     def test_poisson_extension_bounded_and_monotone(self):
         arc = CharacteristicArc(-PI / 6, PI / 6)
         spec = QuadratureSpec(adaptive_tol=1e-10)
-
-        radii = np.linspace(0.0, 0.9, 7)
-        integrals = []
-        from harmonicdisk.verify import circle_integral_of_square
-
-        for r in radii:
-            integrals.append(
-                circle_integral_of_square(
-                    lambda t, r=r: np.array(
-                        [poisson_point(arc, float(r), float(ti), spec)[0]
-                         for ti in np.atleast_1d(t)]
-                    ),
-                    spec,
-                )
+        radii = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.95])
+        angles = np.linspace(-PI, PI, verify.HARDY_ANGLES, endpoint=False)
+        extension = poisson_integral(arc, EvaluationGrid(radii, angles), spec)
+        integrals = verify._ring_integrals_of_square(extension)
+        # the rectangle rule on the grid rings against the adaptive rule
+        # over point values
+        for i in (0, 2, 5):
+            reference = circle_integral_of_square(
+                lambda t, r=float(radii[i]): np.array(
+                    [poisson_point(arc, r, float(ti), spec)[0] for ti in np.atleast_1d(t)]
+                ),
+                spec,
             )
+            assert abs(integrals[i] - reference) <= 1e-12
         # non-decreasing towards the boundary, bounded by the boundary integral
-        assert all(integrals[i + 1] >= integrals[i] - 1e-8 for i in range(len(integrals) - 1))
+        assert np.all(np.diff(integrals) >= -1e-8)
         boundary_sq = norm(arc, NormSpec("circle_l2")) ** 2
         assert max(integrals) <= boundary_sq + 1e-6
 
@@ -196,11 +196,61 @@ class TestHardy:
             hardy_norm(fld, radii=[0.5])
 
 
+# (id, threshold, comparator, note) of every record of the default suite, in order
+SUITE_SHAPE = [
+    ("kernels.poisson.evenness", 1e-12, "<=", ""),
+    ("kernels.q.evenness", 1e-12, "<=", ""),
+    ("kernels.poisson.periodicity", 1e-10, "<=", "relative"),
+    ("kernels.q.periodicity", 1e-10, "<=", "relative"),
+    ("kernels.poisson.positivity", 0.0, ">=", "strictly positive on dense sample"),
+    ("kernels.q.sign_change", -1e-12, "<=", "min over psi must be negative for every s >= 0.8"),
+    ("kernels.poisson.series", 1e-10, "<=", ""),
+    ("kernels.q.peak_value", 1e-12, "<=", "Q(s, 0) = (1-s)^-2"),
+    ("kernels.q.peak_location", 1e-12, "<=", "|Q| peaks at psi = 0"),
+    ("quadrature.exactness", 1e-12, "<=", "rho^m cos(k phi), m,k <= 10"),
+    ("quadrature.additivity", 1e-12, "<=", ""),
+    ("quadrature.substitution_beta_zero_limit", 1e-06, "<=", ""),
+    ("quadrature.q_normalization", 1e-06, "<=",
+     "(1/pi) iint Q(r rho, theta - phi) rho = 1 for all r, theta"),
+    ("quadrature.oracle_agreement", 0.0, "<=",
+     "adaptive vs 2000x4000 midpoint within max(1e-6, 10*err) on regular catalog integrands"),
+    ("sources.roundtrip", 0.0, "<=", ""),
+    ("sources.catalog_complete", 0.0, "<=", ""),
+    ("sources.square_integrable", 20.0, "<=",
+     "largest truncated L2 norm across the catalog; must be finite"),
+    ("transforms.center_identity", 1e-08, "<=",
+     "transform value at the origin equals prefactor * source mass"),
+    ("transforms.mean_value", 1e-08, "<=", ""),
+    ("transforms.linearity", 1e-10, "<=", ""),
+    ("transforms.rotation_equivariance", 1e-08, "<=", ""),
+    ("transforms.reproducing", 1e-06, "<=", "harmonic polynomials up to degree 3"),
+    ("transforms.engine_agreement", 1.0, "<=",
+     "spectral grid vs adaptive points, fig 13 Q and Poisson on 3x8: "
+     "|gap| / (err_adaptive + err_spectral + 1e-12 max(1, |value|))"),
+    ("verify.stencil_convergence_low", 3.5, ">=", "halving h divides the residual by ~4"),
+    ("verify.stencil_convergence_high", 4.5, "<=", "upper side of the second-order window"),
+    ("verify.norm_alpha_monotonic", 1e-12, "<=",
+     "weighted norm non-increasing in alpha for bounded sources"),
+    ("verify.hardy_monotone", 1e-08, "<=",
+     "circle integrals of the harmonic extension increase with r"),
+    ("verify.hardy_bounded", 1e-06, "<=", "sup_r circle integral <= boundary integral"),
+    ("heat.dirichlet_accuracy", 0.001, "<=", "unit source vs (1-r^2)/4 at 128x256"),
+    ("heat.solver_order", 3.5, ">=", "doubling resolution divides the max error by >= 3.5"),
+    ("heat.robin_accuracy", 0.001, "<=", ""),
+    ("heat.max_principle", -1e-10, ">=", "non-negative source gives non-negative field"),
+    ("heat.linearity", 1e-08, "<=", ""),
+    ("heat.determinism", 0.0, "<=", "identical inputs give bitwise-identical fields"),
+]
+
+
 class TestInvariantSuite:
     def test_default_suite_passes(self):
-        report = run_invariant_suite(SuiteConfig(include_heat=False))
+        report = run_invariant_suite()
         failed = [r.id for r in report.records if not r.passed]
         assert report.all_passed, f"failed invariants: {failed}"
+        # no refactor may drop, reorder or re-threshold an invariant
+        shape = [(r.id, r.threshold, r.comparator, r.note) for r in report.records]
+        assert shape == SUITE_SHAPE
         # both sides of these identities use the same graded rule on the
         # log-singular figure 14, so they hold to roundoff
         by_id = {r.id: r for r in report.records}
