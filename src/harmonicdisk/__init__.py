@@ -37,7 +37,6 @@ from .quadrature import (
     QuadratureSpec,
     integrate_angular,
     integrate_polar,
-    integrate_singular_radial,
     midpoint_oracle,
 )
 from .sources import (
@@ -117,7 +116,6 @@ __all__ = [
     "harmonic_rep",
     "integrate_angular",
     "integrate_polar",
-    "integrate_singular_radial",
     "laplacian_residual",
     "midpoint_oracle",
     "norm",

@@ -5,7 +5,8 @@ Subcommands: kernel, figure, transform, poisson, project, norms, verify,
 conjecture.  All numeric flags default to the values used throughout the
 package (r-max 0.9, 40 x 128 grids, per-panel tolerance 1e-9).  Exit
 codes: 0 success, 1 verification failure, 2 usage/parse error,
-3 numerical failure.
+3 numerical failure, also when a written field has unconverged points
+(stderr names each such file).
 """
 
 from __future__ import annotations
@@ -219,6 +220,14 @@ def _profile_field(kernel_name, alpha, radii, n_theta) -> Field:
                  errors=np.zeros_like(values), meta=meta)
 
 
+def _require_converged(written):
+    """Raise NonConvergenceError naming each written file with unconverged points."""
+    bad = [f"{path}: {fld.meta['unconverged']} unconverged points"
+           for path, fld in written if fld.meta.get("unconverged", 0)]
+    if bad:
+        raise NonConvergenceError("; ".join(bad))
+
+
 def cmd_kernel(args) -> int:
     radii = sorted(set(args.radii))
     fld = _profile_field(args.kernel, args.alpha, radii, args.n_theta)
@@ -262,11 +271,12 @@ def cmd_figure(args) -> int:
     fields, case = _figure_fields(args.id, grid, spec)
     out_dir = Path(args.out)
     extra = {"figure": case.id, "description": case.description}
-    for name, fld in fields:
-        path = out_dir / f"fig{case.id:02d}_{name}.csv"
+    written = [(out_dir / f"fig{case.id:02d}_{name}.csv", fld) for name, fld in fields]
+    for path, fld in written:
         write_grid_file(fld, path, sidecar_extra=extra,
                         timestamp=args.timestamp, reload_check=args.reload)
         print(f"wrote {path}")
+    _require_converged(written)
     return EXIT_OK
 
 
@@ -299,6 +309,7 @@ def cmd_field(args) -> int:
         fld = q_transform(obj, grid, args.prefactor, spec)
     write_grid_file(fld, args.out, timestamp=args.timestamp, reload_check=args.reload)
     print(f"wrote {args.out}")
+    _require_converged([(args.out, fld)])
     return EXIT_OK
 
 
@@ -372,10 +383,12 @@ def cmd_conjecture(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "conjecture_report.json").write_text(report.to_json() + "\n")
-    write_grid_file(u_fd, out_dir / "steady_state.csv", timestamp=args.timestamp)
-    write_grid_file(u_q, out_dir / "transform.csv", timestamp=args.timestamp)
+    written = [(out_dir / "steady_state.csv", u_fd), (out_dir / "transform.csv", u_q)]
+    for path, fld in written:
+        write_grid_file(fld, path, timestamp=args.timestamp)
     print(f"wrote {out_dir}/conjecture_report.json")
     print(report.to_json())
+    _require_converged(written)
     return EXIT_OK
 
 

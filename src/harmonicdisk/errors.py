@@ -42,8 +42,4 @@ class StencilOutOfRangeError(HarmonicDiskError):
 
 
 class NonConvergenceError(HarmonicDiskError):
-    """An iterative solve failed to reach the requested residual."""
-
-    def __init__(self, message, achieved_residual=None):
-        super().__init__(message)
-        self.achieved_residual = achieved_residual
+    """A written field has points whose quadrature did not converge."""

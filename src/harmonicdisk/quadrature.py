@@ -1,4 +1,4 @@
-"""Adaptive Gauss-Legendre quadrature over polar rectangles and arcs.
+"""Adaptive Gauss quadrature over polar rectangles and arcs.
 
 One engine serves every entry point: a panel is a tuple of one interval
 (an arc, for circle integrals) or two intervals (a polar rectangle,
@@ -23,16 +23,17 @@ radius first), and the same adaptive loop refines both.
 Integrable endpoint singularities are declared by the source, never
 found by bisection:
 
-* radially, (1 - rho)^(-beta) at rho = 1 (``SourcePiece.beta``) is
-  handled by ``integrate_singular_radial`` through the substitution
-  t = (1 - rho)^(1 - beta), which makes the transformed integrand bounded;
+* radially, (1 - rho)^(-beta) at rho = 1 (``SourcePiece.beta``) is the
+  weight of the radial rule ``_map_nodes``, which both engines use: the
+  Gauss-Jacobi rule of that weight on a panel ending at rho = 1, exact
+  for the weight times any polynomial of degree 2n - 1;
 * angularly, a logarithmic singularity at one end e of the angular
   interval (``SourcePiece.log_end``, ``BoundaryArc.log_end``) is graded
   by every entry point's ``graded_end``: phi = e + (o - e) t^q on
   t in [0, 1], o the other end, with Jacobian |o - e| q t^(q - 1).  With
   q = GRADING_POWER = 4 the transformed integrand of ln|phi - e| is
   t^3 ln t up to smooth factors, which one Gauss-Legendre panel resolves
-  to roundoff.  The two substitutions act on different axes and compose.
+  to roundoff.  Weight and grading act on different axes and compose.
 """
 
 from __future__ import annotations
@@ -86,11 +87,32 @@ def _gauss_rule(n: int):
     return nodes, weights
 
 
-def _map_nodes(lo: float, hi: float, n: int):
-    nodes, weights = _gauss_rule(n)
+@lru_cache(maxsize=64)
+def _jacobi_rule(n: int, beta: float):
+    """The n-point Gauss rule of the weight (1 - x)^(-beta) on [-1, 1]: the
+    eigenvalues and first eigenvector components of its Jacobi matrix
+    (Golub & Welsch, Math. Comp. 23, 1969), the Jacobi exponents (a, 0)."""
+    a = -beta
+    k = np.arange(1, n)
+    s = 2.0 * k + a
+    diagonal = np.concatenate([[-a / (a + 2.0)], -a * a / (s * (s + 2.0))])
+    off = 2.0 * k * (k + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 ** (a + 1.0) / (a + 1.0) * vectors[0] ** 2  # weights sum to the mass
+
+
+def _map_nodes(lo: float, hi: float, n: int, beta: float | None = None):
+    """n nodes and weights on [lo, hi] of the weight (1 - rho)^(-beta), if
+    given: Gauss-Jacobi on a panel ending at rho = 1, where 1 - rho is
+    half (1 - x), and Gauss-Legendre times the weight on any other."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    return mid + half * nodes, half * weights
+    if beta is not None and hi == 1.0:
+        nodes, weights = _jacobi_rule(n, beta)
+        return mid + half * nodes, half ** (1.0 - beta) * weights
+    nodes, weights = _gauss_rule(n)
+    rho = mid + half * nodes
+    return rho, half * weights * (1.0 if beta is None else (1.0 - rho) ** -beta)
 
 
 def _finite_values(raw, shape, panel):
@@ -101,19 +123,18 @@ def _finite_values(raw, shape, panel):
     return values
 
 
-def _panel_rule(integrand, panel, counts, jacobian):
-    """One Gauss-Legendre evaluation over a panel of one or two intervals."""
-    x, w = _map_nodes(*panel[0], counts[0])
+def _panel_rule(integrand, panel, counts, beta):
+    """One Gauss rule over a panel of one interval (an angle) or two (a polar
+    rectangle, with the Jacobian rho and the radial weight of ``beta``)."""
+    x, w = _map_nodes(*panel[0], counts[0], beta)
     if len(panel) == 1:
         return float(w @ _finite_values(integrand(x), x.shape, panel))
     phi, w_p = _map_nodes(*panel[1], counts[1])
     values = _finite_values(integrand(x[:, None], phi[None, :]), (x.size, phi.size), panel)
-    if jacobian:
-        values = values * x[:, None]
-    return float(w @ values @ w_p)
+    return float(w @ (values * x[:, None]) @ w_p)
 
 
-def _adaptive(integrand, panel, spec, jacobian=False):
+def _adaptive(integrand, panel, spec, beta=None):
     """The adaptive bisection loop behind every public entry point.
 
     ``panel`` is ((phi_lo, phi_hi),) for a 1-D angular integral or
@@ -127,8 +148,8 @@ def _adaptive(integrand, panel, spec, jacobian=False):
     all_converged = True
     while stack:
         panel, depth = stack.pop()
-        coarse = _panel_rule(integrand, panel, counts, jacobian)
-        fine = _panel_rule(integrand, panel, fine_counts, jacobian)
+        coarse = _panel_rule(integrand, panel, counts, beta)
+        fine = _panel_rule(integrand, panel, fine_counts, beta)
         err = abs(fine - coarse)
         if err <= spec.adaptive_tol or depth >= spec.max_depth:
             values.append(fine)
@@ -143,8 +164,8 @@ def _adaptive(integrand, panel, spec, jacobian=False):
         axis = len(panel) - 1
         if axis == 1:
             n_r, n_p = counts
-            move_r = abs(_panel_rule(integrand, panel, (2 * n_r, n_p), jacobian) - coarse)
-            move_p = abs(_panel_rule(integrand, panel, (n_r, 2 * n_p), jacobian) - coarse)
+            move_r = abs(_panel_rule(integrand, panel, (2 * n_r, n_p), beta) - coarse)
+            move_p = abs(_panel_rule(integrand, panel, (n_r, 2 * n_p), beta) - coarse)
             if move_p < move_r:
                 axis = 0
         lo, hi = panel[axis]
@@ -188,45 +209,19 @@ def integrate_polar(
     region: PolarRectangle,
     spec: QuadratureSpec | None = None,
     graded_end: float | None = None,
+    beta: float | None = None,
 ):
     """Integrate g(rho, phi) * rho over a polar rectangle adaptively,
-    grading the angle towards ``graded_end`` (theta_lo or theta_hi) when
-    given."""
+    times (1 - rho)^(-beta) when ``beta`` in (0, 1) is given (then r_hi
+    must be 1), grading the angle towards ``graded_end`` (theta_lo or
+    theta_hi) when given."""
     spec = spec or QuadratureSpec()
-    integrand, angles = _graded(integrand, region.theta_lo, region.theta_hi, graded_end)
-    panel = ((region.r_lo, region.r_hi), angles)
-    return _adaptive(integrand, panel, spec, jacobian=True)
-
-
-def integrate_singular_radial(
-    integrand_regular,
-    beta: float,
-    region: PolarRectangle,
-    spec: QuadratureSpec | None = None,
-    graded_end: float | None = None,
-):
-    """Integrate g(rho, phi) * (1 - rho)^(-beta) * rho with r_hi = 1.
-
-    Substitutes t = (1 - rho)^(1 - beta), under which the singular factor
-    and the Jacobian of the change of variables combine into the constant
-    1/(1 - beta); the remaining integrand g(rho(t), phi) * rho(t) is
-    bounded.  ``graded_end`` grades the angle as in ``integrate_polar``.
-    """
-    spec = spec or QuadratureSpec()
-    if not 0.0 < beta < 1.0:
+    if beta is not None and not 0.0 < beta < 1.0:
         raise InvalidExponentError(f"beta must lie in (0, 1), got {beta}")
-    if region.r_hi != 1.0:
-        raise InvalidRegionError("singular radial integration requires r_hi = 1")
-    one_minus_beta = 1.0 - beta
-    power = 1.0 / one_minus_beta
-    t_hi = (1.0 - region.r_lo) ** one_minus_beta
-
-    def transformed(t, phi):
-        rho = 1.0 - t**power
-        return np.asarray(integrand_regular(rho, phi), dtype=float) * rho / one_minus_beta
-
-    transformed, angles = _graded(transformed, region.theta_lo, region.theta_hi, graded_end)
-    return _adaptive(transformed, ((0.0, t_hi), angles), spec)
+    if beta is not None and region.r_hi != 1.0:
+        raise InvalidRegionError("a radial weight (1 - rho)^(-beta) requires r_hi = 1")
+    integrand, angles = _graded(integrand, region.theta_lo, region.theta_hi, graded_end)
+    return _adaptive(integrand, ((region.r_lo, region.r_hi), angles), spec, beta)
 
 
 def integrate_angular(

@@ -6,7 +6,7 @@ weighted sum of pieces, each supported on one polar rectangle and smooth
 there except for an optional integrable radial factor (1 - rho)^(-beta)
 at the boundary.  Transforms consume sources through :meth:`pieces`,
 which hands the quadrature layer one smooth function per rectangle and
-the singular exponent separately.
+the singular exponent separately, as the radial rule's weight.
 
 A :class:`BoundaryFunction` is an angular factor on an arc of the unit
 circle (the full circle unless narrowed), zero elsewhere, or a weighted
@@ -19,7 +19,8 @@ Kinks and singular angles are declared once, by the factors themselves:
 an angular factor lists its ``breaks`` (angles where it is not smooth),
 says whether it is ``smooth`` between them, and lists among its breaks
 the ``log_points`` where it has an integrable logarithmic singularity; a
-radial factor says whether it is ``smooth`` on every rectangle.  A piece
+radial factor says whether it is ``smooth`` on every rectangle (the
+singular one is, as a weight, on a rectangle reaching the rim).  A piece
 whose factors are all smooth carries its interior breaks in ``breaks``
 (an empty tuple when there are none); ``breaks=None`` means nothing is
 declared, and the grid transforms then keep to adaptive quadrature.  An
@@ -482,16 +483,14 @@ class SeparableOnRect(SourceFunction):
         radial, angular, rect = self.radial, self.angular, self.rect
         lo, hi = rect.theta_lo, rect.theta_hi
         if isinstance(radial, PowerOfOneMinusRho) and rect.r_hi == 1.0:
-            # singular factor handled by substitution; fn keeps the rest
-            fn = lambda rho, phi: np.broadcast_to(
-                angular(phi), _shape_of(rho, phi)
-            ).astype(float)
-            beta, breaks = radial.beta, None
+            # the singular factor is the weight of the radial rule; fn keeps the rest
+            fn = lambda rho, phi: np.broadcast_to(angular(phi), _shape_of(rho, phi)).astype(float)
+            beta, smooth = radial.beta, True
         else:
             fn = lambda rho, phi: np.asarray(radial(rho)) * np.asarray(angular(phi))
-            beta, breaks = None, None
-            if radial.smooth and angular.smooth:
-                breaks = tuple(b for b in angular.breaks if lo < b < hi)
+            beta, smooth = None, radial.smooth
+        breaks = (tuple(b for b in angular.breaks if lo < b < hi)
+                  if smooth and angular.smooth else None)
         if not angular.log_points:
             return [SourcePiece(1.0, rect, fn, beta, breaks)]
         # cut at the breaks so that every log point is the end of a piece

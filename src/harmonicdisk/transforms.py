@@ -6,25 +6,25 @@ analytic representation.
 Two engines compute them, with no interpolation or smoothing in either.
 
 * The point evaluators (``q_point``, ``poisson_point``, ...) run adaptive
-  Gauss-Legendre quadrature of the kernel times the source at one point.
-  Each source piece is integrated by ``_integrate_piece``, which picks the
-  singular or the regular rule from the piece's declared ``beta`` and
-  grades the angle towards its declared ``log_end``; each boundary arc by
+  Gauss quadrature of the kernel times the source at one point.  Each
+  source piece is integrated by ``_integrate_piece``, which weights the
+  radius by the piece's declared (1 - rho)^(-beta) and grades the angle
+  towards its declared ``log_end``; each boundary arc by
   ``_integrate_arc``, which grades towards the arc's ``log_end``.
 * The grid operators (``q_transform``, ``harmonic_rep`` and
   ``bergman_project``, one evaluator ``_q_field`` differing only in the
   prefactor and the constant subtracted; and ``poisson_integral``) take
   the spectral path when every piece or arc of the source is declared
-  smooth (no ``log_end``; for pieces, no ``beta`` and ``breaks`` is not
-  None).  Both kernels have closed Fourier series, so the whole grid is
-  a sum over modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with
-  the trig moments C_k, S_k of each piece taken once on fixed
-  Gauss-Legendre rules.
+  smooth (no ``log_end``; for pieces, ``breaks`` is not None).  Both
+  kernels have closed Fourier series, so the whole grid is a sum over
+  modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with the trig
+  moments C_k, S_k of each piece taken once on fixed Gauss rules, whose
+  radial weight is the piece's (1 - rho)^(-beta) as above.
   The series is cut where its tail bound drops below 1e-16 of the
   source's absolute mass.  Each point's error estimate is that tail plus
   the difference between the moments of the main rule and a rule of half
   the nodes; if any estimate exceeds ``spec.adaptive_tol``, or the source
-  has a singular piece or end, no declared smoothness, or would need more
+  has a logarithmic end, no declared smoothness, or would need more
   modes than r_max * r_hi <= 0.99 allows, the grid is computed point by
   point with the point evaluators instead, bit for bit as they would.
 
@@ -55,7 +55,6 @@ from .quadrature import (
     _map_nodes,
     integrate_angular,
     integrate_polar,
-    integrate_singular_radial,
 )
 from .sources import BoundaryArc, BoundaryFunction, SourceFunction, SourcePiece
 
@@ -163,10 +162,8 @@ def _integrate_piece(piece: SourcePiece, integrand, spec):
     """Integrate ``integrand`` times the piece's declared radial singularity
     (if any) over the piece's rectangle, under the measure rho drho dphi,
     graded towards its declared logarithmic angular end (if any)."""
-    if piece.beta is None:
-        return integrate_polar(integrand, piece.rect, spec, graded_end=piece.log_end)
-    return integrate_singular_radial(integrand, piece.beta, piece.rect, spec,
-                                     graded_end=piece.log_end)
+    return integrate_polar(integrand, piece.rect, spec, graded_end=piece.log_end,
+                           beta=piece.beta)
 
 
 def _q_pieces_point(pieces, r, theta, prefactor, spec):
@@ -258,13 +255,13 @@ def _mode_count(series: _Series, q: float):
 
 def _spectral_modes(series: _Series, parts, r_max: float):
     """Mode count per part (a SourcePiece or a BoundaryArc), or None when any
-    part must take the adaptive path: a declared singularity (``log_end``,
-    or a piece's ``beta``), a piece without declared smoothness (``breaks
-    is None``; an arc is always smooth inside), or too many modes."""
+    part must take the adaptive path: a declared ``log_end``, a piece
+    without declared smoothness (``breaks is None``; an arc is always
+    smooth inside), or too many modes."""
     modes = []
     for part in parts:
         piece = isinstance(part, SourcePiece)
-        if part.log_end is not None or (piece and (part.beta is not None or part.breaks is None)):
+        if part.log_end is not None or (piece and part.breaks is None):
             return None
         modes.append(_mode_count(series, r_max * (part.rect.r_hi if piece else 1.0)))
     return None if None in modes else modes
@@ -283,14 +280,14 @@ def _angular_panels(lo, hi, breaks, n_modes):
     return out
 
 
-def _radial_rule(rect, n_modes, scale):
-    """``scale`` times the coarse Gauss-Legendre rule on [r_lo, r_hi], with
-    the Jacobian rho in the weights.  rho^K on an interval of half-width h
-    and midpoint c needs about 3 sqrt(K h / c) nodes; _RADIAL_NODES more
-    are left for the source's own radial shape."""
+def _radial_rule(rect, n_modes, scale, beta):
+    """``scale`` times the coarse rule on [r_lo, r_hi] of the weight
+    (1 - rho)^(-beta), with the Jacobian rho.  rho^K on an interval of
+    half-width h and midpoint c needs about 3 sqrt(K h / c) nodes;
+    _RADIAL_NODES more are left for the source's own radial shape."""
     spread = (rect.r_hi - rect.r_lo) / (rect.r_hi + rect.r_lo)
     n = _RADIAL_NODES + math.ceil(3.0 * math.sqrt(n_modes * spread))
-    rho, w = _map_nodes(rect.r_lo, rect.r_hi, scale * n)
+    rho, w = _map_nodes(rect.r_lo, rect.r_hi, scale * n, beta)
     return rho, w * rho
 
 
@@ -351,7 +348,7 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
         if isinstance(part, SourcePiece):
             coef, fn, rect, breaks = part.coef, part.fn, part.rect, part.breaks
             lo, hi, r_hi = rect.theta_lo, rect.theta_hi, rect.r_hi
-            radial = [_radial_rule(rect, K, scale) for scale in scales]
+            radial = [_radial_rule(rect, K, scale, part.beta) for scale in scales]
         else:  # a boundary arc: no breaks inside, one radial node rho = 1 of weight 1
             coef, fn, r_hi, breaks = 1.0, lambda rho, phi, g=part.fn: g(phi), 1.0, ()
             lo, hi = part.lo, part.hi

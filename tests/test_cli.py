@@ -160,6 +160,26 @@ class TestCLI:
                      "--n-r", "16", "--n-theta", "16", "--out", str(tmp_path)])
         assert code == 3
 
+    def test_unconverged_field_is_written_and_exits_3(self, tmp_path, capsys):
+        src = tmp_path / "b.json"
+        src.write_text(json.dumps({"type": "abs_theta"}))
+        out = tmp_path / "p.csv"
+        argv = ["poisson", "--source-file", str(src), "--n-r", "2", "--n-theta", "2",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(sidecar_path(out).read_text())["unconverged"] == 0
+        assert main(argv + ["--tol", "1e-300"]) == 3
+        assert json.loads(sidecar_path(out).read_text())["unconverged"] == 2
+        assert f"{out}: 2 unconverged points" in capsys.readouterr().err
+
+    def test_unconverged_figure_exits_3(self, tmp_path, capsys):
+        argv = ["figure", "8", "--n-r", "2", "--n-theta", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert main(argv + ["--tol", "1e-300"]) == 3
+        path = tmp_path / "fig08_poisson.csv"
+        assert read_grid_file(path).converged.sum() == 2
+        assert f"{path}: 2 unconverged points" in capsys.readouterr().err
+
     def test_conjecture_command(self, tmp_path):
         code = main(["conjecture", "--figure", "4", "--n-r", "32",
                      "--n-theta", "64", "--out", str(tmp_path)])

@@ -13,9 +13,11 @@ from harmonicdisk.geometry import PolarRectangle
 from harmonicdisk.kernels import q_kernel
 from harmonicdisk.quadrature import (
     QuadratureSpec,
+    _gauss_rule,
+    _jacobi_rule,
+    _map_nodes,
     integrate_angular,
     integrate_polar,
-    integrate_singular_radial,
     midpoint_oracle,
 )
 
@@ -94,19 +96,19 @@ class TestIntegratePolar:
 class TestSingularRadial:
     def test_one_dimensional_self_test(self):
         # int_0^1 rho (1 - rho)^(-1/2) drho = 2 - 2/3 over a unit angle
-        res = integrate_singular_radial(ones, 0.5, PolarRectangle(0.0, 1.0, 0.0, 1.0))
+        res = integrate_polar(ones, PolarRectangle(0.0, 1.0, 0.0, 1.0), beta=0.5)
         assert res.value == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_with_jacobian_closed_form(self):
         # int_{3/4}^1 rho (1-rho)^(-1/4) drho via u = 1-rho
         expected = (4.0 / 3.0) * 0.25**0.75 - (4.0 / 7.0) * 0.25**1.75
-        res = integrate_singular_radial(ones, 0.25, PolarRectangle(0.75, 1.0, 0.0, 1.0))
+        res = integrate_polar(ones, PolarRectangle(0.75, 1.0, 0.0, 1.0), beta=0.25)
         assert res.value == pytest.approx(expected, abs=1e-9)
 
     def test_beta_to_zero_matches_regular(self):
         region = PolarRectangle(0.5, 1.0, -0.4, 0.9)
         f = lambda rho, phi: np.cos(phi) * np.broadcast_to(rho, np.broadcast_shapes(np.shape(rho), np.shape(phi))) ** 2
-        sub = integrate_singular_radial(f, 1e-6, region).value
+        sub = integrate_polar(f, region, beta=1e-6).value
         plain = integrate_polar(f, region).value
         assert sub == pytest.approx(plain, abs=1e-6)
 
@@ -116,13 +118,14 @@ class TestSingularRadial:
         region = PolarRectangle(0.75, 1.0, -PI / 6, PI / 6)
         radial = (4.0 / 3.0) * 0.25**0.75 - (4.0 / 7.0) * 0.25**1.75
         expected = radial * (2.0 * math.sin(PI / 6.0))
-        res = integrate_singular_radial(
+        res = integrate_polar(
             lambda rho, phi: np.broadcast_to(np.cos(phi), np.broadcast_shapes(np.shape(rho), np.shape(phi))),
-            0.25,
             region,
+            beta=0.25,
         )
         assert res.value == pytest.approx(expected, abs=1e-9)
-        # brute-force midpoint in the substituted variable (independent rule)
+        # brute-force midpoint in the substituted variable
+        # t = (1 - rho)^(1 - beta), an independent rule
         beta = 0.25
         n_t, n_p = 4000, 250
         t_hi = 0.25 ** (1 - beta)
@@ -139,13 +142,50 @@ class TestSingularRadial:
     def test_invalid_exponent(self):
         region = PolarRectangle(0.5, 1.0, 0.0, 1.0)
         with pytest.raises(InvalidExponentError):
-            integrate_singular_radial(ones, 1.2, region)
+            integrate_polar(ones, region, beta=1.2)
         with pytest.raises(InvalidExponentError):
-            integrate_singular_radial(ones, 0.0, region)
+            integrate_polar(ones, region, beta=0.0)
 
     def test_region_must_touch_boundary(self):
         with pytest.raises(InvalidRegionError):
-            integrate_singular_radial(ones, 0.25, PolarRectangle(0.5, 0.9, 0.0, 1.0))
+            integrate_polar(ones, PolarRectangle(0.5, 0.9, 0.0, 1.0), beta=0.25)
+
+
+class TestJacobiRule:
+    """The Gauss-Jacobi rule of the weight (1 - x)^(-beta) on [-1, 1]."""
+
+    @staticmethod
+    def moment(beta, m):
+        # integral of (1 - x)^(-beta) (1 + x)^m over [-1, 1]
+        return math.exp((m + 1 - beta) * math.log(2.0) + math.lgamma(1.0 - beta)
+                        + math.lgamma(m + 1.0) - math.lgamma(m + 2.0 - beta))
+
+    # 0.75 is the exponent 2 beta of |f|^2 for the fig 7 piece
+    @pytest.mark.parametrize("beta", [1e-6, 0.25, 0.375, 0.5, 0.75])
+    def test_exact_to_degree_2n_minus_1(self, beta):
+        for n in (1, 2, 5, 16, 32):
+            x, w = _jacobi_rule(n, beta)
+            for m in range(2 * n):
+                assert float(w @ (1.0 + x) ** m) == pytest.approx(self.moment(beta, m),
+                                                                 rel=2e-13)
+
+    @pytest.mark.parametrize("n", [1, 4, 32, 64])
+    def test_beta_to_zero_is_gauss_legendre(self, n):
+        x, w = _jacobi_rule(n, 1e-15)
+        nodes, weights = _gauss_rule(n)
+        assert np.max(np.abs(x - nodes)) <= 1e-14
+        assert np.max(np.abs(w - weights)) <= 1e-14
+
+    def test_split_panels_agree_with_one_jacobi_panel(self):
+        # a panel away from rho = 1 takes Gauss-Legendre times the weight
+        g = lambda rho: rho**3 * np.cos(rho)
+        panels = [(0.5, 1.0), (0.5, 0.75), (0.75, 1.0)]
+        whole, left, right = (w @ g(x) for x, w in (_map_nodes(lo, hi, 16, 0.375)
+                                                    for lo, hi in panels))
+        assert left + right == pytest.approx(whole, abs=1e-15)
+        # one node carries the whole weight: 0.25^(1 - beta) / (1 - beta)
+        _, w = _map_nodes(0.75, 1.0, 1, 0.375)
+        assert float(w[0]) == pytest.approx(0.25**0.625 / 0.625, abs=1e-15)
 
 
 class TestMidpointOracle:
@@ -243,8 +283,8 @@ class TestGradedEnd:
         # rho (1 - rho)^(-1/2) over [0, 1] is 4/3; |ln phi| over [-1, 0] is 1
         region = PolarRectangle(0.0, 1.0, -1.0, 0.0)
         spec = QuadratureSpec(adaptive_tol=1e-13)
-        res = integrate_singular_radial(lambda rho, phi: abs_log(phi), 0.5,
-                                        region, spec, graded_end=0.0)
+        res = integrate_polar(lambda rho, phi: abs_log(phi), region, spec,
+                              graded_end=0.0, beta=0.5)
         assert res.converged
         assert res.value == pytest.approx(4.0 / 3.0, abs=1e-13)
 

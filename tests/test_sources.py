@@ -11,7 +11,7 @@ from harmonicdisk.errors import (
     UnknownFigureError,
 )
 from harmonicdisk.geometry import PolarPoint, PolarRectangle
-from harmonicdisk.quadrature import integrate_polar, integrate_singular_radial
+from harmonicdisk.quadrature import integrate_polar
 from harmonicdisk.sources import (
     AbsLogAbsOnArc,
     AbsLogAbsPhi,
@@ -260,27 +260,22 @@ class TestSquareIntegrability:
         source = catalog_q_sources()[fig_id].source
         total = 0.0
         for piece in source.pieces():
-            if piece.beta is not None:
-                # |f|^2 carries (1 - rho)^(-2 beta); 2 beta < 1 keeps it integrable
-                res = integrate_singular_radial(
-                    lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2,
-                    2.0 * piece.beta,
-                    piece.rect,
-                )
-            else:
-                res = integrate_polar(
-                    lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, piece.rect
-                )
+            # |f|^2 carries (1 - rho)^(-2 beta); 2 beta < 1 keeps it integrable
+            res = integrate_polar(
+                lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, piece.rect,
+                beta=None if piece.beta is None else 2.0 * piece.beta,
+            )
             total += piece.coef**2 * res.value
         assert math.isfinite(total)
         assert total > 0.0
 
     def test_singular_square_matches_substituted_midpoint(self):
-        # independent midpoint rule on the substituted integrand
+        # independent midpoint rule on the integrand substituted by
+        # t = (1 - rho)^(1 - 2 beta)
         piece = figure_case(6).payload.source.pieces()[0]
         beta_sq = 2.0 * piece.beta
-        res = integrate_singular_radial(
-            lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, beta_sq, piece.rect
+        res = integrate_polar(
+            lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, piece.rect, beta=beta_sq
         )
         n_t, n_p = 4000, 200
         one_minus = 1.0 - beta_sq
@@ -356,8 +351,8 @@ class TestDeclaredBreaks:
         rect = PolarRectangle(0.75, 1.0, 0.0, PI)
         pieces = SeparableOnRect(PowerOfOneMinusRho(0.25), AbsLogAbsPhi(), rect).pieces()
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(0.0, 1.0), (1.0, PI)]
-        assert [(p.beta, p.log_end, p.breaks) for p in pieces] == [(0.25, 0.0, None),
-                                                                  (0.25, None, None)]
+        assert [(p.beta, p.log_end, p.breaks) for p in pieces] == [(0.25, 0.0, ()),
+                                                                  (0.25, None, ())]
 
     def test_sum_keeps_breaks(self):
         a = SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS)

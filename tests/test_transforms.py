@@ -281,15 +281,19 @@ class TestGridMatchesPoint:
 
     def assert_same(self, fld, point):
         assert fld.meta["engine"] == "adaptive"
-        grid = self.GRID
+        grid = fld.grid
         expected = [[point(float(r), float(t)) for t in grid.angles] for r in grid.radii]
         for k, got in enumerate((fld.values, fld.errors, fld.converged)):
             assert np.array_equal(got, np.array([[p[k] for p in row] for row in expected]))
 
     def test_q_transform_singular_sum(self):
+        # above the mode cap the singular pieces of fig 7 take the adaptive
+        # grid, which must give the point evaluator's bits
         case = figure_case(7).payload
-        fld = q_transform(case.source, self.GRID, case.prefactor)
-        self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor))
+        grid = EvaluationGrid.regular(n_r=2, n_theta=4, r_max=0.995, allow_near_boundary=True)
+        fld = q_transform(case.source, grid, case.prefactor)
+        self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor,
+                                                   allow_near_boundary=True))
 
     def test_q_transform_graded_log_ends(self):
         case = _q_case(14)
@@ -314,7 +318,7 @@ class TestGridMatchesPoint:
         self.assert_same(fld, lambda r, t: poisson_point(boundary, r, t))
 
 
-SPECTRAL_Q_FIGURES = (3, 4, 5, 9, 11, 12, 13, 15)
+SPECTRAL_Q_FIGURES = (3, 4, 5, 6, 7, 9, 11, 12, 13, 15)
 SPECTRAL_POISSON_FIGURES = (3, 8, 10, 12, 13)
 
 
@@ -348,7 +352,7 @@ class TestSpectralDispatch:
         assert fld.meta["unconverged"] == 0 and fld.converged.all()
 
     def test_undeclared_sources_take_adaptive_path(self):
-        adaptive = [_q_case(fig_id).source for fig_id in (6, 7, 14)] + [
+        adaptive = [_q_case(14).source] + [
             CallableSource(lambda rho, phi: rho * np.cos(phi)),
             SeparableOnRect(RhoPower(0.5), AngularCos(1), PolarRectangle.full_disk()),
         ]
@@ -429,15 +433,17 @@ class TestGradedLogEnd:
         assert parts_times_points <= fld.meta["panels"] <= 1.1 * parts_times_points
 
     def test_graded_end_composes_with_singular_radial(self):
-        # (1 - rho)^(-1/4) |ln phi| on [3/4, 1] x [0, pi]: both substitutions
+        # (1 - rho)^(-1/4) |ln phi| on [3/4, 1] x [0, pi]: the Gauss-Jacobi
+        # weight and the angular grading compose
         source = SeparableOnRect(PowerOfOneMinusRho(0.25), AbsLogAbsPhi(),
                                  PolarRectangle(0.75, 1.0, 0.0, PI))
         u = 0.25  # 1 - r_lo; radial integral of rho (1 - rho)^(-1/4)
         radial = u**0.75 / 0.75 - u**1.75 / 1.75
         expected = radial * (2.0 + PI * (math.log(PI) - 1.0))
-        # the radial substitution, not the grading, needs the tight tolerance
-        assert source_mass(source, TIGHT) == pytest.approx(expected, abs=1e-13)
-        value, _, converged = q_point(source, 0.0, 0.3, 1.0, TIGHT)
+        # the weight is exact in the Gauss-Jacobi rule, so the default
+        # tolerance suffices
+        assert source_mass(source) == pytest.approx(expected, abs=1e-13)
+        value, _, converged = q_point(source, 0.0, 0.3, 1.0)
         assert converged and value == pytest.approx(expected, abs=1e-13)
 
 
@@ -478,6 +484,65 @@ class TestSpectralMatchesPoint:
             return value - mean_term, err, converged
 
         self.assert_agrees(fld, point)
+
+
+def _rim_cos_series(pieces, radii, angles, n_modes):
+    """Q of a sum of cos(phi) (1 - rho)^(-beta) pieces on [a, 1] x [lo, hi],
+    sum_k (k+1) r^k I_{k+1} (C_k cos k theta + S_k sin k theta), from closed
+    forms: I_m = int_a^1 rho^m (1 - rho)^(-beta) drho by its stable forward
+    recurrence, and C_k, S_k = int cos(phi) (cos, sin)(k phi) dphi."""
+    k = np.arange(n_modes + 1)
+    cos_moments = np.zeros(k.size)
+    sin_moments = np.zeros(k.size)
+    for piece in pieces:
+        a, beta = piece.rect.r_lo, piece.beta
+        lo, hi = piece.rect.theta_lo, piece.rect.theta_hi
+        rim = (1.0 - a) ** (1.0 - beta)
+        radial = [rim / (1.0 - beta)]
+        for m in range(1, n_modes + 2):
+            radial.append((m * radial[-1] + a**m * rim) / (m + 1.0 - beta))
+        # int cos(j phi) and int sin(j phi) over [lo, hi]
+        j = np.stack([k - 1.0, k + 1.0])
+        safe = np.where(j == 0.0, 1.0, j)
+        int_cos = np.where(j == 0.0, hi - lo, (np.sin(j * hi) - np.sin(j * lo)) / safe)
+        int_sin = np.where(j == 0.0, 0.0, (np.cos(j * lo) - np.cos(j * hi)) / safe)
+        cos_moments += piece.coef * np.array(radial[1:]) * 0.5 * int_cos.sum(axis=0)
+        sin_moments += piece.coef * np.array(radial[1:]) * 0.5 * int_sin.sum(axis=0)
+    w = (k + 1.0) * np.asarray(radii, dtype=float)[:, None] ** k
+    kt = np.outer(k, angles)
+    return (w * cos_moments) @ np.cos(kt) + (w * sin_moments) @ np.sin(kt)
+
+
+class TestRimSingularOracle:
+    """Figs 6 and 7, cos(phi) (1 - rho)^(-beta) near the rim, against their
+    Fourier series with closed-form moments, an oracle that shares no
+    quadrature with the engines."""
+
+    @pytest.mark.parametrize("fig_id", [6, 7])
+    def test_spectral_grid(self, fig_id):
+        case = _q_case(fig_id)
+        grid = EvaluationGrid.regular(n_r=20, n_theta=64, r_max=0.9)
+        fld = q_transform(case.source, grid, case.prefactor)
+        # at r = 0.9 the dropped terms beyond k = 800 are below 1e-30
+        exact = case.prefactor * _rim_cos_series(case.source.pieces(), grid.radii,
+                                                 grid.angles, 800)
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        assert fld.meta["engine"] == "spectral"
+        assert np.max(np.abs(fld.values - exact)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("fig_id", [6, 7])
+    def test_point_near_rim(self, fig_id):
+        case = _q_case(fig_id)
+        pieces = case.source.pieces()
+        for r in (0.95, 0.99, 0.999):
+            for theta in (0.0, 0.3, 2.9):
+                value, err, converged = q_point(case.source, r, theta, case.prefactor,
+                                                allow_near_boundary=True)
+                # (k+1) r^k I_{k+1} decays like k^beta r^k: 60000 modes reach
+                # below 1e-20 at r = 0.999
+                exact = case.prefactor * _rim_cos_series(pieces, [r], [theta], 60000)[0, 0]
+                assert converged
+                assert abs(value - exact) <= err + 1e-13 * max(1.0, abs(exact))
 
 
 def test_spectral_memory_is_chunked():
