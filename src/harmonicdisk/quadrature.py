@@ -21,19 +21,20 @@ radius first), and the same adaptive loop refines both.
   scheduled.
 
 Integrable endpoint singularities are declared by the source, never
-found by bisection:
+found by bisection.  Both engines give a panel ending at one its own rule:
 
 * radially, (1 - rho)^(-beta) at rho = 1 (``SourcePiece.beta``) is the
-  weight of the radial rule ``_map_nodes``, which both engines use: the
-  Gauss-Jacobi rule of that weight on a panel ending at rho = 1, exact
-  for the weight times any polynomial of degree 2n - 1;
+  weight of ``_map_nodes``: Gauss-Jacobi on a panel ending at rho = 1,
+  exact for the weight times any polynomial of degree 2n - 1;
 * angularly, a logarithmic singularity at one end e of the angular
-  interval (``SourcePiece.log_end``, ``BoundaryArc.log_end``) is graded
-  by every entry point's ``graded_end``: phi = e + (o - e) t^q on
-  t in [0, 1], o the other end, with Jacobian |o - e| q t^(q - 1).  With
-  q = GRADING_POWER = 4 the transformed integrand of ln|phi - e| is
-  t^3 ln t up to smooth factors, which one Gauss-Legendre panel resolves
-  to roundoff.  Weight and grading act on different axes and compose.
+  interval (``SourcePiece.log_end``, ``BoundaryArc.log_end``, every entry
+  point's ``graded_end``) is graded by ``_angular_rule`` on a panel
+  ending at e: phi = e + (o - e) t^q on t in [0, 1], o the other end,
+  with Jacobian |o - e| q t^(q - 1).  With q = GRADING_POWER = 4 the
+  transformed integrand of ln|phi - e| is t^3 ln t up to smooth factors,
+  which one Gauss-Legendre panel resolves to roundoff.  A bisected panel
+  that still ends at e stays graded, the other half plain.  Weight and
+  grading act on different axes and compose.
 """
 
 from __future__ import annotations
@@ -115,6 +116,25 @@ def _map_nodes(lo: float, hi: float, n: int, beta: float | None = None):
     return rho, half * weights * (1.0 if beta is None else (1.0 - rho) ** -beta)
 
 
+def _graded_rule(span: float, n: int):
+    """n offsets from a log point e, and their weights, on the panel from e
+    to e + span (span of either sign): span t^q on the Gauss-Legendre
+    nodes t of [0, 1], with the Jacobian |span| q t^(q - 1)."""
+    nodes, weights = _gauss_rule(n)
+    t = 0.5 + 0.5 * nodes
+    slope = t ** (GRADING_POWER - 1)
+    return span * (slope * t), 0.5 * abs(span) * GRADING_POWER * slope * weights
+
+
+def _angular_rule(lo: float, hi: float, n: int, end: float | None):
+    """n angles and weights on [lo, hi]: graded towards ``end`` on a panel
+    that ends there, Gauss-Legendre on any other."""
+    if end not in (lo, hi):
+        return _map_nodes(lo, hi, n)
+    offsets, weights = _graded_rule((hi if end == lo else lo) - end, n)
+    return end + offsets, weights
+
+
 def _finite_values(raw, shape, panel):
     values = np.broadcast_to(np.asarray(raw, dtype=float), shape)
     if not np.all(np.isfinite(values)):
@@ -123,23 +143,28 @@ def _finite_values(raw, shape, panel):
     return values
 
 
-def _panel_rule(integrand, panel, counts, beta):
+def _panel_rule(integrand, panel, counts, beta, end):
     """One Gauss rule over a panel of one interval (an angle) or two (a polar
-    rectangle, with the Jacobian rho and the radial weight of ``beta``)."""
-    x, w = _map_nodes(*panel[0], counts[0], beta)
+    rectangle, with the Jacobian rho and the radial weight of ``beta``),
+    the angle graded towards ``end`` on a panel that ends there."""
+    phi, w_p = _angular_rule(*panel[-1], counts[-1], end)
     if len(panel) == 1:
-        return float(w @ _finite_values(integrand(x), x.shape, panel))
-    phi, w_p = _map_nodes(*panel[1], counts[1])
+        return float(w_p @ _finite_values(integrand(phi), phi.shape, panel))
+    x, w = _map_nodes(*panel[0], counts[0], beta)
     values = _finite_values(integrand(x[:, None], phi[None, :]), (x.size, phi.size), panel)
     return float(w @ (values * x[:, None]) @ w_p)
 
 
-def _adaptive(integrand, panel, spec, beta=None):
+def _adaptive(integrand, panel, spec, beta=None, end=None):
     """The adaptive bisection loop behind every public entry point.
 
     ``panel`` is ((phi_lo, phi_hi),) for a 1-D angular integral or
-    ((r_lo, r_hi), (phi_lo, phi_hi)) for a polar rectangle.
+    ((r_lo, r_hi), (phi_lo, phi_hi)) for a polar rectangle.  ``end``, when
+    given, must be phi_lo or phi_hi; every panel that ends there is graded.
     """
+    lo, hi = panel[-1]
+    if end is not None and end not in (lo, hi):
+        raise InvalidRegionError(f"graded end {end} is not an end of [{lo}, {hi}]")
     counts = (spec.nodes_radial, spec.nodes_angular)[-len(panel):]
     fine_counts = tuple(2 * n for n in counts)
     stack = [(panel, 0)]
@@ -148,8 +173,8 @@ def _adaptive(integrand, panel, spec, beta=None):
     all_converged = True
     while stack:
         panel, depth = stack.pop()
-        coarse = _panel_rule(integrand, panel, counts, beta)
-        fine = _panel_rule(integrand, panel, fine_counts, beta)
+        coarse = _panel_rule(integrand, panel, counts, beta, end)
+        fine = _panel_rule(integrand, panel, fine_counts, beta, end)
         err = abs(fine - coarse)
         if err <= spec.adaptive_tol or depth >= spec.max_depth:
             values.append(fine)
@@ -164,8 +189,8 @@ def _adaptive(integrand, panel, spec, beta=None):
         axis = len(panel) - 1
         if axis == 1:
             n_r, n_p = counts
-            move_r = abs(_panel_rule(integrand, panel, (2 * n_r, n_p), beta) - coarse)
-            move_p = abs(_panel_rule(integrand, panel, (n_r, 2 * n_p), beta) - coarse)
+            move_r = abs(_panel_rule(integrand, panel, (2 * n_r, n_p), beta, end) - coarse)
+            move_p = abs(_panel_rule(integrand, panel, (n_r, 2 * n_p), beta, end) - coarse)
             if move_p < move_r:
                 axis = 0
         lo, hi = panel[axis]
@@ -178,30 +203,6 @@ def _adaptive(integrand, panel, spec, beta=None):
         panels_used=len(values),
         converged=all_converged,
     )
-
-
-def _graded(integrand, lo: float, hi: float, end: float | None):
-    """(integrand, interval) of the angular integral over [lo, hi], with the
-    angle (the integrand's last argument) graded towards ``end``.
-
-    ``end`` None leaves both unchanged.  Otherwise it must be lo or hi, and
-    the angle becomes phi = end + (other - end) t^q on t in [0, 1], the
-    Jacobian |other - end| q t^(q - 1) folded into the integrand.
-    """
-    if end is None:
-        return integrand, (lo, hi)
-    if end not in (lo, hi):
-        raise InvalidRegionError(f"graded end {end} is not an end of [{lo}, {hi}]")
-    span = (hi if end == lo else lo) - end
-    scale = (hi - lo) * GRADING_POWER
-
-    def graded(*args):
-        *head, t = args
-        slope = t ** (GRADING_POWER - 1)
-        phi = end + span * (slope * t)
-        return np.asarray(integrand(*head, phi), dtype=float) * (scale * slope)
-
-    return graded, (0.0, 1.0)
 
 
 def integrate_polar(
@@ -220,8 +221,8 @@ def integrate_polar(
         raise InvalidExponentError(f"beta must lie in (0, 1), got {beta}")
     if beta is not None and region.r_hi != 1.0:
         raise InvalidRegionError("a radial weight (1 - rho)^(-beta) requires r_hi = 1")
-    integrand, angles = _graded(integrand, region.theta_lo, region.theta_hi, graded_end)
-    return _adaptive(integrand, ((region.r_lo, region.r_hi), angles), spec, beta)
+    return _adaptive(integrand, ((region.r_lo, region.r_hi), (region.theta_lo, region.theta_hi)),
+                     spec, beta, graded_end)
 
 
 def integrate_angular(
@@ -237,8 +238,7 @@ def integrate_angular(
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise InvalidRegionError(f"need lo < hi, got [{lo}, {hi}]")
-    integrand, interval = _graded(integrand, lo, hi, graded_end)
-    return _adaptive(integrand, (interval,), spec)
+    return _adaptive(integrand, ((lo, hi),), spec, end=graded_end)
 
 
 def midpoint_oracle(

@@ -13,21 +13,20 @@ circle (the full circle unless narrowed), zero elsewhere, or a weighted
 sum of such: the boundary data |theta|, theta^2, sin theta, cos n theta,
 |ln|theta|| and 1 are the very factors that multiply area sources.  It
 is consumed through :meth:`arcs`, which cuts its arc at the factor's
-breaks so adaptive panels see clean endpoints.
+breaks so the panels of both engines see clean endpoints.
 
 Kinks and singular angles are declared once, by the factors themselves:
 an angular factor lists its ``breaks`` (angles where it is not smooth),
 says whether it is ``smooth`` between them, and lists among its breaks
 the ``log_points`` where it has an integrable logarithmic singularity; a
 radial factor says whether it is ``smooth`` on every rectangle (the
-singular one is, as a weight, on a rectangle reaching the rim).  A piece
-whose factors are all smooth carries its interior breaks in ``breaks``
-(an empty tuple when there are none); ``breaks=None`` means nothing is
-declared, and the grid transforms then keep to adaptive quadrature.  An
-arc has no interior breaks, having been cut at all of them.  A factor
-with log points is split at its breaks, so each log point becomes an end
-of a piece or arc, recorded in ``log_end``; the quadrature grades the
-angle towards that end.
+singular one is, as a weight, on a rectangle reaching the rim).  Pieces
+and arcs alike are cut at every break of their angular factor, so no
+kink or log point lies inside one.  A piece is ``smooth`` when its
+factors are (an arc always is), and the grid transforms keep the others
+to adaptive quadrature.  A log point becomes an end of a piece or arc,
+recorded in ``log_end``; the quadrature grades the angle towards that
+end.
 
 Everything is immutable after construction and serializes to a small
 JSON document (see :func:`parse_source_config`).
@@ -399,18 +398,17 @@ def _split_at_breaks(angular, lo, hi):
 class SourcePiece:
     """One rectangle of a source: value = coef * fn(rho, phi) * (1-rho)^(-beta).
 
-    ``fn`` is the smooth part; ``beta`` is None when the piece is regular.
-    ``breaks`` lists the angles strictly inside the rectangle where fn has
-    a kink, when fn is declared smooth between them; None declares nothing.
-    ``log_end`` is the angular end (theta_lo or theta_hi) where fn has a
-    logarithmic singularity, or None.
+    ``fn`` is the regular part; ``beta`` is None when the piece is regular.
+    ``smooth`` declares fn smooth on the rectangle, except at ``log_end``:
+    the angular end (theta_lo or theta_hi) where fn has a logarithmic
+    singularity, or None.
     """
 
     coef: float
     rect: PolarRectangle
     fn: object  # callable(rho, phi) -> array (broadcasting)
     beta: float | None = None
-    breaks: tuple | None = None
+    smooth: bool = False
     log_end: float | None = None
 
 
@@ -443,7 +441,7 @@ class CharacteristicDisk(SourceFunction):
 
     def pieces(self):
         rect = PolarRectangle(0.0, self.radius, -_PI, _PI)
-        return [SourcePiece(1.0, rect, _ones_like, breaks=())]
+        return [SourcePiece(1.0, rect, _ones_like, smooth=True)]
 
     def to_config(self):
         return {"type": "char_disk", "radius": self.radius}
@@ -457,7 +455,7 @@ class CharacteristicRect(SourceFunction):
         return self.rect.contains(rho, phi).astype(float)
 
     def pieces(self):
-        return [SourcePiece(1.0, self.rect, _ones_like, breaks=())]
+        return [SourcePiece(1.0, self.rect, _ones_like, smooth=True)]
 
     def to_config(self):
         return {
@@ -481,7 +479,6 @@ class SeparableOnRect(SourceFunction):
 
     def pieces(self):
         radial, angular, rect = self.radial, self.angular, self.rect
-        lo, hi = rect.theta_lo, rect.theta_hi
         if isinstance(radial, PowerOfOneMinusRho) and rect.r_hi == 1.0:
             # the singular factor is the weight of the radial rule; fn keeps the rest
             fn = lambda rho, phi: np.broadcast_to(angular(phi), _shape_of(rho, phi)).astype(float)
@@ -489,14 +486,9 @@ class SeparableOnRect(SourceFunction):
         else:
             fn = lambda rho, phi: np.asarray(radial(rho)) * np.asarray(angular(phi))
             beta, smooth = None, radial.smooth
-        breaks = (tuple(b for b in angular.breaks if lo < b < hi)
-                  if smooth and angular.smooth else None)
-        if not angular.log_points:
-            return [SourcePiece(1.0, rect, fn, beta, breaks)]
-        # cut at the breaks so that every log point is the end of a piece
         return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), fn, beta,
-                            None if breaks is None else (), end)
-                for a, b, end in _split_at_breaks(angular, lo, hi)]
+                            smooth and angular.smooth, end)
+                for a, b, end in _split_at_breaks(angular, rect.theta_lo, rect.theta_hi)]
 
     def to_config(self):
         return {

@@ -14,19 +14,21 @@ Two engines compute them, with no interpolation or smoothing in either.
 * The grid operators (``q_transform``, ``harmonic_rep`` and
   ``bergman_project``, one evaluator ``_q_field`` differing only in the
   prefactor and the constant subtracted; and ``poisson_integral``) take
-  the spectral path when every piece or arc of the source is declared
-  smooth (no ``log_end``; for pieces, ``breaks`` is not None).  Both
-  kernels have closed Fourier series, so the whole grid is a sum over
-  modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with the trig
-  moments C_k, S_k of each piece taken once on fixed Gauss rules, whose
-  radial weight is the piece's (1 - rho)^(-beta) as above.
+  the spectral path when every piece of the source is declared
+  ``smooth`` (arcs always are).  Both kernels have closed Fourier
+  series, so the whole grid is a sum over modes k of
+  w_k(r) [C_k cos k theta + S_k sin k theta], with the trig moments
+  C_k, S_k of each piece taken once on fixed Gauss rules: the radial
+  rule weighted by the piece's (1 - rho)^(-beta), and the angular panel
+  that ends at a ``log_end`` graded towards it, as above.
   The series is cut where its tail bound drops below 1e-16 of the
   source's absolute mass.  Each point's error estimate is that tail plus
   the difference between the moments of the main rule and a rule of half
   the nodes; if any estimate exceeds ``spec.adaptive_tol``, or the source
-  has a logarithmic end, no declared smoothness, or would need more
-  modes than r_max * r_hi <= 0.99 allows, the grid is computed point by
-  point with the point evaluators instead, bit for bit as they would.
+  has no declared smoothness, would need more modes than
+  r_max * r_hi <= 0.99 allows, or has fewer grid points than K^2 / 1e4
+  for K modes, the grid is computed point by point with the point
+  evaluators instead, bit for bit as they would.
 
 Field metadata records which engine ran (``engine``), the mode count of
 the spectral path (``modes``), the accepted adaptive panels summed over
@@ -52,6 +54,7 @@ from .kernels import poisson_kernel, q_kernel
 from .quadrature import (
     QuadratureSpec,
     _gauss_rule,
+    _graded_rule,
     _map_nodes,
     integrate_angular,
     integrate_polar,
@@ -76,9 +79,6 @@ class Field:
     converged: np.ndarray
     errors: np.ndarray
     meta: dict = dataclass_field(default_factory=dict)
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
     def interpolate(self, r, theta):
         """Bilinear interpolation, periodic in theta, nearest beyond r_max."""
@@ -235,6 +235,7 @@ _POISSON_SERIES = _Series(
 
 _TAIL_TOL = 1e-16  # truncation tail per unit absolute mass of the source
 _MAX_RATIO = 0.99  # r_max * r_hi above this needs over ~5k modes: adaptive path
+_MODES_SQ_PER_POINT = 1e4  # moments of K modes cost ~K^2 / 1e4 adaptive points
 _ANGULAR_NODES = 32  # coarse Gauss-Legendre rule per angular panel (main: 64)
 _CHUNK = 2 * _ANGULAR_NODES  # angles per block of source values or trig tables
 _RADIAL_NODES = 8  # coarse radial nodes beyond those rho^K needs
@@ -255,29 +256,33 @@ def _mode_count(series: _Series, q: float):
 
 def _spectral_modes(series: _Series, parts, r_max: float):
     """Mode count per part (a SourcePiece or a BoundaryArc), or None when any
-    part must take the adaptive path: a declared ``log_end``, a piece
-    without declared smoothness (``breaks is None``; an arc is always
-    smooth inside), or too many modes."""
+    part must take the adaptive path: a piece not declared ``smooth`` (an
+    arc always is), or too many modes."""
     modes = []
     for part in parts:
         piece = isinstance(part, SourcePiece)
-        if part.log_end is not None or (piece and part.breaks is None):
+        if piece and not part.smooth:
             return None
         modes.append(_mode_count(series, r_max * (part.rect.r_hi if piece else 1.0)))
     return None if None in modes else modes
 
 
-def _angular_panels(lo, hi, breaks, n_modes):
-    """(half-width, midpoints) of the angular panels of [lo, hi]: a panel
-    edge at every break, and panels narrow enough that cos(K phi) turns
-    through at most 2 * _PANEL_PHASE radians in each."""
-    edges = [lo, *breaks, hi]
-    out = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        m = max(1, math.ceil(n_modes * (b - a) / (2.0 * _PANEL_PHASE)))
-        half = 0.5 * (b - a) / m
-        out.append((half, a + half * (2.0 * np.arange(m) + 1.0)))
-    return out
+def _angular_panels(lo, hi, n_modes, n, log_end):
+    """(offsets, weights, mids) groups of the n-point angular rules on the
+    panels of [lo, hi], the nodes of a panel at mid + offsets.  The panels
+    are narrow enough that cos(K phi) turns through at most
+    2 * _PANEL_PHASE radians in each; the one that ends at ``log_end``
+    takes the rule graded towards it, the others Gauss-Legendre."""
+    m = max(1, math.ceil(n_modes * (hi - lo) / (2.0 * _PANEL_PHASE)))
+    half = 0.5 * (hi - lo) / m
+    mids = lo + half * (2.0 * np.arange(m) + 1.0)
+    t, w = _gauss_rule(n)
+    if log_end is None:
+        return [(half * t, half * w, mids)]
+    first = log_end == lo
+    offsets, w_end = _graded_rule(2.0 * half if first else -2.0 * half, n)
+    rest = mids[1:] if first else mids[:-1]
+    return [(half * t, half * w, rest), (offsets, w_end, np.array([log_end]))]
 
 
 def _radial_rule(rect, n_modes, scale, beta):
@@ -291,30 +296,29 @@ def _radial_rule(rect, n_modes, scale, beta):
     return rho, w * rho
 
 
-def _trig_moments(fn, rho, w_rho, panels, n, n_modes):
+def _trig_moments(fn, rho, w_rho, panels, n_modes):
     """(C_k, S_k) for k <= n_modes, and the absolute mass, of
-    sum_ij w_rho_i w_j fn(rho_i, phi_j) rho_i^k (cos, sin)(k phi_j) over an
-    n-point Gauss-Legendre rule on each angular panel, or None when fn is
-    not finite at a node.
+    sum_ij w_rho_i w_j fn(rho_i, phi_j) rho_i^k (cos, sin)(k phi_j) over the
+    angular rules of ``panels`` (see ``_angular_panels``), or None when fn
+    is not finite at a node.
 
     One panel of source values is held at a time.  Its nodes are
-    mid + half * t_j, so cos and sin of k phi_j come from one table of
-    k half t_j per panel width and the angle-addition formulas."""
-    t, w = _gauss_rule(n)
+    mid + offsets, so cos and sin of k phi_j come from one table of
+    k offsets per group of panels and the angle-addition formulas."""
     k = np.arange(n_modes + 1)
     powers = rho[:, None] ** k  # n_rho x (K+1), reused by every panel
     powers *= w_rho[:, None]
     moments = np.zeros((2, k.size))
     mass = 0.0
-    for half, mids in panels:
-        kt = np.outer(half * t, k)
+    for offsets, weights, mids in panels:
+        kt = np.outer(offsets, k)
         cos_t = np.cos(kt)
         sin_t = np.sin(kt, out=kt)
-        cos_t *= (half * w)[:, None]
-        sin_t *= (half * w)[:, None]
+        cos_t *= weights[:, None]
+        sin_t *= weights[:, None]
         for mid in mids.tolist():
-            f = np.broadcast_to(np.asarray(fn(rho[:, None], mid + half * t), dtype=float),
-                                (rho.size, n))
+            f = np.broadcast_to(np.asarray(fn(rho[:, None], mid + offsets), dtype=float),
+                                (rho.size, offsets.size))
             if not np.all(np.isfinite(f)):
                 return None
             h = f.T @ powers
@@ -323,7 +327,7 @@ def _trig_moments(fn, rho, w_rho, panels, n, n_modes):
             cos_m, sin_m = np.cos(k * mid), np.sin(k * mid)
             moments[0] += cos_m * a - sin_m * b
             moments[1] += sin_m * a + cos_m * b
-            mass += half * float(np.abs(w_rho) @ np.abs(f) @ w)
+            mass += float(np.abs(w_rho) @ np.abs(f) @ weights)
     return moments, mass
 
 
@@ -346,15 +350,15 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
     for part, K in zip(parts, modes):
         scales = (2, 1)  # main rule, then the coarse one
         if isinstance(part, SourcePiece):
-            coef, fn, rect, breaks = part.coef, part.fn, part.rect, part.breaks
+            coef, fn, rect = part.coef, part.fn, part.rect
             lo, hi, r_hi = rect.theta_lo, rect.theta_hi, rect.r_hi
             radial = [_radial_rule(rect, K, scale, part.beta) for scale in scales]
-        else:  # a boundary arc: no breaks inside, one radial node rho = 1 of weight 1
-            coef, fn, r_hi, breaks = 1.0, lambda rho, phi, g=part.fn: g(phi), 1.0, ()
+        else:  # a boundary arc: one radial node rho = 1 of weight 1
+            coef, fn, r_hi = 1.0, lambda rho, phi, g=part.fn: g(phi), 1.0
             lo, hi = part.lo, part.hi
             radial = [(np.ones(1), np.ones(1))] * len(scales)
-        panels = _angular_panels(lo, hi, breaks, K)
-        got = [_trig_moments(fn, rho, w_rho, panels, scale * _ANGULAR_NODES, K)
+        got = [_trig_moments(fn, rho, w_rho,
+                             _angular_panels(lo, hi, K, scale * _ANGULAR_NODES, part.log_end), K)
                for (rho, w_rho), scale in zip(radial, scales)]
         if None in got:
             return None
@@ -387,9 +391,11 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
 def _grid_eval(point, series, parts, grid: EvaluationGrid, prefactor, offset,
                spec, meta: dict) -> Field:
     """The field of prefactor * transform - offset: spectral when every part
-    declares itself smooth and the error estimates hold, else ``point`` at
-    every grid point."""
+    declares itself smooth, the grid pays for the moments and the error
+    estimates hold, else ``point`` at every grid point."""
     modes = _spectral_modes(series, parts, float(grid.radii[-1]))
+    if modes and grid.n_r * grid.n_theta * _MODES_SQ_PER_POINT < max(modes) ** 2:
+        modes = None  # too few points to pay for the moments
     spectral = modes and _spectral_field(series, parts, modes, grid, prefactor, offset, spec)
     if spectral:
         values, errors, n_modes = spectral

@@ -13,6 +13,7 @@ from harmonicdisk.geometry import PolarRectangle
 from harmonicdisk.kernels import q_kernel
 from harmonicdisk.quadrature import (
     QuadratureSpec,
+    _angular_rule,
     _gauss_rule,
     _jacobi_rule,
     _map_nodes,
@@ -287,6 +288,29 @@ class TestGradedEnd:
                               graded_end=0.0, beta=0.5)
         assert res.converged
         assert res.value == pytest.approx(4.0 / 3.0, abs=1e-13)
+
+    # 128 nodes: the fine rule of the default QuadratureSpec
+    def test_graded_rule_integrates_log_moments(self):
+        # integral of x^m ln x over [0, 1] is -1/(m+1)^2, graded towards
+        # either end of the panel
+        for lo, hi, end in ((0.0, 1.0, 0.0), (-1.0, 0.0, 0.0)):
+            x, w = _angular_rule(lo, hi, 128, end)
+            for m in range(8):
+                assert abs(w @ (np.abs(x)**m * np.log(np.abs(x))) + 1.0 / (m + 1) ** 2) <= 1e-14
+
+    def test_graded_rule_is_additive_across_a_bisection(self):
+        # the half that still ends at e stays graded; the other is plain
+        g = lambda x: np.log(x) * np.cos(3.0 * x)
+        x, w = _angular_rule(0.0, 1.0, 128, 0.0)
+        halves = sum(w @ g(x) for x, w in (_angular_rule(0.0, 0.5, 128, 0.0),
+                                            _angular_rule(0.5, 1.0, 128, 0.0)))
+        assert abs(halves - w @ g(x)) <= 1e-14
+
+    def test_graded_rule_only_on_a_panel_ending_at_end(self):
+        plain = _map_nodes(0.5, 1.0, 16)
+        for end in (None, 0.0, 0.75):
+            graded = _angular_rule(0.5, 1.0, 16, end)
+            assert all(np.array_equal(a, b) for a, b in zip(graded, plain))
 
     def test_graded_end_must_be_an_end(self):
         with pytest.raises(InvalidRegionError):

@@ -314,53 +314,58 @@ class TestVectorizedValues:
 
 
 class TestDeclaredBreaks:
-    """Kinks are declared by the factors and reach the pieces and arcs."""
+    """Kinks are declared by the factors, and pieces and arcs are cut at
+    them."""
 
     ANNULUS = PolarRectangle(0.9, 1.0, -PI, PI)
 
     def test_smooth_pieces_declare_no_breaks(self):
-        assert CharacteristicDisk(0.5).pieces()[0].breaks == ()
-        assert CharacteristicRect(self.ANNULUS).pieces()[0].breaks == ()
-        piece = SeparableOnRect(GaussianBump(1.0, 0.5, 10.0), AngularCos(2), self.ANNULUS)
-        assert piece.pieces()[0].breaks == ()
+        assert CharacteristicDisk(0.5).pieces()[0].smooth
+        assert CharacteristicRect(self.ANNULUS).pieces()[0].smooth
+        (piece,) = SeparableOnRect(GaussianBump(1.0, 0.5, 10.0), AngularCos(2),
+                                   self.ANNULUS).pieces()
+        assert (piece.rect, piece.smooth) == (self.ANNULUS, True)
 
     def test_abs_phi_break_only_inside_the_rectangle(self):
-        assert SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS).pieces()[0].breaks == (0.0,)
+        pieces = SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS).pieces()
+        assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(-PI, 0.0), (0.0, PI)]
+        assert all(p.smooth and p.log_end is None for p in pieces)
         right = PolarRectangle(0.9, 1.0, 0.0, PI)
-        assert SeparableOnRect(RhoPower(1), AbsPhi(), right).pieces()[0].breaks == ()
+        (piece,) = SeparableOnRect(RhoPower(1), AbsPhi(), right).pieces()
+        assert (piece.rect, piece.smooth) == (right, True)
 
     def test_undeclared_factors(self):
         for radial, angular in ((RhoPower(0.5), AngularCos(1)),
                                 (PowerOfOneMinusRho(0.25), AngularCos(1))):
             rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
-            assert SeparableOnRect(radial, angular, rect).pieces()[0].breaks is None
+            assert not SeparableOnRect(radial, angular, rect).pieces()[0].smooth
 
     def test_log_point_becomes_a_piece_end(self):
         rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
         pieces = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), rect).pieces()
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(-1.0, 0.0), (0.0, 1.0)]
-        assert [(p.breaks, p.log_end, p.beta) for p in pieces] == [((), 0.0, None)] * 2
+        assert [(p.smooth, p.log_end, p.beta) for p in pieces] == [(True, 0.0, None)] * 2
         assert all(p.rect.r_lo == 0.5 and p.rect.r_hi == 0.9 for p in pieces)
 
     def test_log_factor_away_from_its_log_point_is_one_smooth_piece(self):
         rect = PolarRectangle(0.5, 0.9, 2.0, 3.0)
         (piece,) = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), rect).pieces()
-        assert (piece.rect, piece.breaks, piece.log_end) == (rect, (), None)
+        assert (piece.rect, piece.smooth, piece.log_end) == (rect, True, None)
 
     def test_log_end_composes_with_singular_radial(self):
         rect = PolarRectangle(0.75, 1.0, 0.0, PI)
         pieces = SeparableOnRect(PowerOfOneMinusRho(0.25), AbsLogAbsPhi(), rect).pieces()
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(0.0, 1.0), (1.0, PI)]
-        assert [(p.beta, p.log_end, p.breaks) for p in pieces] == [(0.25, 0.0, ()),
-                                                                  (0.25, None, ())]
+        assert [(p.beta, p.log_end, p.smooth) for p in pieces] == [(0.25, 0.0, True),
+                                                                  (0.25, None, True)]
 
     def test_sum_keeps_breaks(self):
         a = SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS)
         b = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), self.ANNULUS)
         pieces = SourceSum(((2.0, a), (1.0, b))).pieces()
-        assert [p.breaks for p in pieces] == [(0.0,), (), (), (), ()]
-        assert [p.log_end for p in pieces] == [None, None, 0.0, 0.0, None]
-        assert [p.coef for p in pieces] == [2.0, 1.0, 1.0, 1.0, 1.0]
+        assert [p.rect.theta_lo for p in pieces] == [-PI, 0.0, -PI, -1.0, 0.0, 1.0]
+        assert [p.log_end for p in pieces] == [None, None, None, 0.0, 0.0, None]
+        assert [p.coef for p in pieces] == [2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
         arcs = BoundarySum(((2.0, AbsTheta()), (1.0, AbsLogAbsOnArc(0.0, PI)))).arcs()
         assert [arc.log_end for arc in arcs] == [None, None, 0.0, None]
 

@@ -60,7 +60,7 @@ coefs = st.floats(-2.0, 2.0)
 
 @dataclass(frozen=True)
 class Rotated(SourceFunction):
-    """source(rho, phi - delta): every piece, rectangle and break turned by delta."""
+    """source(rho, phi - delta): every piece and its rectangle turned by delta."""
 
     source: SourceFunction
     delta: float
@@ -73,7 +73,7 @@ class Rotated(SourceFunction):
                 PolarRectangle(p.rect.r_lo, p.rect.r_hi, p.rect.theta_lo + d, p.rect.theta_hi + d),
                 lambda rho, phi, fn=p.fn: fn(rho, phi - d),
                 p.beta,
-                None if p.breaks is None else tuple(b + d for b in p.breaks),
+                p.smooth,
             )
             for p in self.source.pieces()
         ]

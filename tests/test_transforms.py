@@ -30,6 +30,8 @@ from harmonicdisk.transforms import (
     CallableSource,
     Field,
     _angular_panels,
+    _poisson_arcs_point,
+    _q_pieces_point,
     _spectral_field,
     _spectral_modes,
     analytic_rep,
@@ -278,6 +280,7 @@ class TestGridMatchesPoint:
     flag, at every point."""
 
     GRID = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.85)
+    NEAR_RIM = EvaluationGrid.regular(n_r=2, n_theta=4, r_max=0.995, allow_near_boundary=True)
 
     def assert_same(self, fld, point):
         assert fld.meta["engine"] == "adaptive"
@@ -290,15 +293,16 @@ class TestGridMatchesPoint:
         # above the mode cap the singular pieces of fig 7 take the adaptive
         # grid, which must give the point evaluator's bits
         case = figure_case(7).payload
-        grid = EvaluationGrid.regular(n_r=2, n_theta=4, r_max=0.995, allow_near_boundary=True)
-        fld = q_transform(case.source, grid, case.prefactor)
+        fld = q_transform(case.source, self.NEAR_RIM, case.prefactor)
         self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor,
                                                    allow_near_boundary=True))
 
     def test_q_transform_graded_log_ends(self):
+        # above the mode cap fig 14 takes the adaptive grid
         case = _q_case(14)
-        fld = q_transform(case.source, self.GRID, case.prefactor)
-        self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor))
+        fld = q_transform(case.source, self.NEAR_RIM, case.prefactor)
+        self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor,
+                                                   allow_near_boundary=True))
 
     def test_harmonic_rep(self):
         u = lambda rho, phi: 1.0 + rho * np.cos(phi)
@@ -312,14 +316,14 @@ class TestGridMatchesPoint:
 
     @pytest.mark.parametrize("fig_id", [14])
     def test_poisson_integral(self, fig_id):
-        payload = figure_case(fig_id).payload
-        boundary = getattr(payload, "poisson", payload).boundary
-        fld = poisson_integral(boundary, self.GRID)
-        self.assert_same(fld, lambda r, t: poisson_point(boundary, r, t))
+        boundary = _boundary(fig_id)
+        fld = poisson_integral(boundary, self.NEAR_RIM)
+        self.assert_same(fld, lambda r, t: poisson_point(boundary, r, t,
+                                                         allow_near_boundary=True))
 
 
-SPECTRAL_Q_FIGURES = (3, 4, 5, 6, 7, 9, 11, 12, 13, 15)
-SPECTRAL_POISSON_FIGURES = (3, 8, 10, 12, 13)
+SPECTRAL_Q_FIGURES = (3, 4, 5, 6, 7, 9, 11, 12, 13, 14, 15)
+SPECTRAL_POISSON_FIGURES = (3, 8, 10, 12, 13, 14)
 
 
 def _q_case(fig_id):
@@ -352,13 +356,12 @@ class TestSpectralDispatch:
         assert fld.meta["unconverged"] == 0 and fld.converged.all()
 
     def test_undeclared_sources_take_adaptive_path(self):
-        adaptive = [_q_case(14).source] + [
+        adaptive = [
             CallableSource(lambda rho, phi: rho * np.cos(phi)),
             SeparableOnRect(RhoPower(0.5), AngularCos(1), PolarRectangle.full_disk()),
         ]
         for src in adaptive:
             assert _spectral_modes(_Q_SERIES, src.pieces(), 0.9) is None
-        assert _spectral_modes(_POISSON_SERIES, _boundary(14).arcs(), 0.9) is None
 
     def test_mode_cap(self):
         grid = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.995, allow_near_boundary=True)
@@ -372,6 +375,17 @@ class TestSpectralDispatch:
         below = _spectral_modes(_Q_SERIES, full.pieces(), 0.99)
         assert below is not None and below[0] < 5000
 
+    def test_small_grid_takes_adaptive_path(self):
+        # K modes cost about K^2 / 1e4 adaptive points: at r_max 0.9
+        # (K = 429) 8 points go point by point and 24 take the moments;
+        # near the cap (K = 4,972) 24 points go point by point
+        case = _q_case(14)
+        for grid in (EvaluationGrid.regular(n_r=2, n_theta=4, r_max=0.9),
+                     EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.99)):
+            assert q_transform(case.source, grid, case.prefactor).meta["engine"] == "adaptive"
+            assert poisson_integral(_boundary(14), grid).meta["engine"] == "adaptive"
+        assert q_transform(case.source, self.GRID, case.prefactor).meta["engine"] == "spectral"
+
     def test_error_estimate_above_tol_falls_back(self):
         case = _q_case(4)
         pieces = case.source.pieces()
@@ -383,13 +397,15 @@ class TestSpectralDispatch:
         assert np.all(errors <= 1e-9) and np.all(errors > 0)
 
     def test_kink_is_a_panel_edge(self):
-        piece = _q_case(11).source.pieces()[0]
-        assert piece.breaks == (0.0,)
-        panels = _angular_panels(piece.rect.theta_lo, piece.rect.theta_hi, piece.breaks, 400)
-        edges = np.concatenate([np.concatenate([mids - half, mids + half])
-                                for half, mids in panels])
-        assert np.any(edges == 0.0)
-        assert np.min(np.abs(edges)) == 0.0
+        pieces = _q_case(11).source.pieces()
+        assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(-PI, 0.0), (0.0, PI)]
+        assert all(p.smooth for p in pieces)
+        for piece in pieces:
+            lo, hi = piece.rect.theta_lo, piece.rect.theta_hi
+            ((offsets, weights, mids),) = _angular_panels(lo, hi, 400, 64, None)
+            nodes = mids[:, None] + offsets
+            assert lo < nodes.min() and nodes.max() < hi
+            assert mids.size * weights.sum() == pytest.approx(hi - lo, rel=1e-14)
 
     def test_adaptive_meta_counts_unconverged(self):
         # |ln|phi|| as a callable declares no log point, so the adaptive
@@ -404,33 +420,54 @@ class TestSpectralDispatch:
 
 
 class TestGradedLogEnd:
-    """Figure 14's declared log point is a graded piece or arc end: every
-    point converges in about one panel per part, on the adaptive engine."""
+    """Figure 14's declared log point is a graded piece or arc end: its grids
+    are spectral, and each point evaluation converges in about one panel
+    per part."""
 
     GRID = EvaluationGrid.regular(n_r=8, n_theta=16, r_max=0.9)
 
-    def test_declared_log_end_takes_adaptive_path(self):
+    def test_declared_log_end_takes_spectral_path(self):
         pieces = _q_case(14).source.pieces()
         arcs = _boundary(14).arcs()
         assert [p.log_end for p in pieces] == [0.0, None]
         assert [a.log_end for a in arcs] == [0.0, None]
-        assert all(p.breaks == () for p in pieces)
-        assert _spectral_modes(_Q_SERIES, pieces, 0.9) is None
-        assert _spectral_modes(_POISSON_SERIES, arcs, 0.9) is None
-        # the smooth part alone would be spectral
-        assert _spectral_modes(_Q_SERIES, pieces[1:], 0.9) is not None
+        assert all(p.smooth for p in pieces)
+        assert _spectral_modes(_Q_SERIES, pieces, 0.9) is not None
+        assert _spectral_modes(_POISSON_SERIES, arcs, 0.9) is not None
+
+    @staticmethod
+    def point_evaluator(kind, spec):
+        """(value, error, converged, panels) of fig 14's q or Poisson field at
+        one point, from the point evaluators."""
+        if kind == "q":
+            case = _q_case(14)
+            pieces = case.source.pieces()
+            return lambda r, t: _q_pieces_point(pieces, float(r), float(t), case.prefactor, spec)
+        arcs = _boundary(14).arcs()
+        return lambda r, t: _poisson_arcs_point(arcs, float(r), float(t), spec)
 
     @pytest.mark.parametrize("kind", ["q", "poisson"])
     def test_fig14_converges_in_few_panels(self, kind):
+        point = self.point_evaluator(kind, QuadratureSpec())
+        got = [point(r, t) for r in self.GRID.radii for t in self.GRID.angles]
+        assert all(converged for _, _, converged, _ in got)
+        panels = sum(n for *_, n in got)
+        parts_times_points = 2 * len(got)
+        assert parts_times_points <= panels <= 1.1 * parts_times_points
+
+    @pytest.mark.parametrize("kind", ["q", "poisson"])
+    def test_spectral_grid_matches_tight_point_evaluators(self, kind):
+        # each log-ended part against adaptive quadrature at tol 1e-13
         if kind == "q":
             case = _q_case(14)
             fld = q_transform(case.source, self.GRID, case.prefactor)
         else:
             fld = poisson_integral(_boundary(14), self.GRID)
-        assert fld.meta["engine"] == "adaptive"
-        assert fld.meta["unconverged"] == 0 and fld.converged.all()
-        parts_times_points = 2 * self.GRID.radii.size * self.GRID.angles.size
-        assert parts_times_points <= fld.meta["panels"] <= 1.1 * parts_times_points
+        point = self.point_evaluator(kind, QuadratureSpec(adaptive_tol=1e-13))
+        expected = np.array([[point(r, t)[0] for t in self.GRID.angles] for r in self.GRID.radii])
+        assert fld.meta["engine"] == "spectral"
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(fld.values - expected)) <= 1e-13 * scale
 
     def test_graded_end_composes_with_singular_radial(self):
         # (1 - rho)^(-1/4) |ln phi| on [3/4, 1] x [0, pi]: the Gauss-Jacobi
