@@ -37,12 +37,7 @@ from .kernels import analytic_bergman_kernel, poisson_kernel, q_kernel
 from .quadrature import QuadratureSpec
 from .sources import (
     BoundaryFunction,
-    CROSS_PAIRED_FIGURES,
-    KernelPlot,
-    PoissonCase,
-    QCase,
     SourceFunction,
-    catalog_q_sources,
     figure_case,
     parse_source_config,
 )
@@ -236,39 +231,29 @@ def cmd_kernel(args) -> int:
     return EXIT_OK
 
 
-def _figure_fields(fig_id, grid, spec):
-    """(name, Field) pairs for one figure id, including companions."""
-    case = figure_case(fig_id)
-    payload = case.payload
+def _figure_fields(case, grid, spec):
+    """(name, Field) pairs of one catalog figure: its kernel profiles, or the
+    Poisson integral of its boundary data, the area transform of its source
+    and, when it has both, their pointwise ratio."""
+    if case.kernel is not None:
+        return [("kernel", _profile_field(case.kernel.tag, case.kernel.alpha or 0.0,
+                                          list(case.radii), grid.n_theta))]
     out = []
-    if isinstance(payload, KernelPlot):
-        out.append(("kernel", _profile_field(payload.kernel.tag, payload.kernel.alpha or 0.0,
-                                             list(payload.radii), grid.n_theta)))
-        return out, case
-    if isinstance(payload, PoissonCase):
-        out.append(("poisson", poisson_integral(payload.boundary, grid, spec)))
-        return out, case
-    if isinstance(payload, QCase):
-        q_fld = q_transform(payload.source, grid, payload.prefactor, spec)
-        out.append(("q", q_fld))
-        companion = CROSS_PAIRED_FIGURES.get(fig_id)
-        if companion is not None:
-            p_case = figure_case(companion).payload
-            p_fld = poisson_integral(p_case.boundary, grid, spec)
-            out.append(("poisson", p_fld))
-            out.append(("ratio", ratio_field(q_fld, p_fld)))
-        return out, case
-    # paired case: both fields plus the pointwise ratio
-    p_fld = poisson_integral(payload.poisson.boundary, grid, spec)
-    q_fld = q_transform(payload.q.source, grid, payload.q.prefactor, spec)
-    out.extend([("poisson", p_fld), ("q", q_fld), ("ratio", ratio_field(q_fld, p_fld))])
-    return out, case
+    if case.boundary is not None:
+        out.append(("poisson", poisson_integral(case.boundary, grid, spec)))
+    if case.source is not None:
+        out.append(("q", q_transform(case.source, grid, case.prefactor, spec)))
+    if len(out) == 2:
+        (_, p_fld), (_, q_fld) = out
+        out.append(("ratio", ratio_field(q_fld, p_fld)))
+    return out
 
 
 def cmd_figure(args) -> int:
     grid = _grid_from_args(args)
     spec = _spec_from_args(args)
-    fields, case = _figure_fields(args.id, grid, spec)
+    case = figure_case(args.id)
+    fields = _figure_fields(case, grid, spec)
     out_dir = Path(args.out)
     extra = {"figure": case.id, "description": case.description}
     written = [(out_dir / f"fig{case.id:02d}_{name}.csv", fld) for name, fld in fields]
@@ -360,13 +345,11 @@ def cmd_conjecture(args) -> int:
     if bool(args.source_file) == bool(args.figure):
         raise SourceParseError("pass exactly one of --source-file or --figure")
     if args.figure:
-        q_case = catalog_q_sources().get(args.figure)
-        if q_case is None:
-            figure_case(args.figure)  # an unknown id raises UnknownFigureError
+        source = figure_case(args.figure).source
+        if source is None:
             raise SourceValidationError(
                 f"figure {args.figure} has no disk source to feed the solver"
             )
-        source = q_case.source
     else:
         source = _require_source(_load_source(args.source_file), args.source_file)
     boundary = (

@@ -16,17 +16,19 @@ is consumed through :meth:`arcs`, which cuts its arc at the factor's
 breaks so the panels of both engines see clean endpoints.
 
 Kinks and singular angles are declared once, by the factors themselves:
-an angular factor lists its ``breaks`` (angles where it is not smooth),
-says whether it is ``smooth`` between them, and lists among its breaks
-the ``log_points`` where it has an integrable logarithmic singularity; a
-radial factor says whether it is ``smooth`` on every rectangle (the
-singular one is, as a weight, on a rectangle reaching the rim).  Pieces
-and arcs alike are cut at every break of their angular factor, so no
-kink or log point lies inside one.  A piece is ``smooth`` when its
-factors are (an arc always is), and the grid transforms keep the others
-to adaptive quadrature.  A log point becomes an end of a piece or arc,
-recorded in ``log_end``; the quadrature grades the angle towards that
-end.
+an angular factor lists its ``breaks`` (angles where it is not smooth)
+and, among them, the ``log_points`` where it has an integrable
+logarithmic singularity; a radial factor says whether it is ``smooth``
+on every rectangle (the singular one is, as a weight, on a rectangle
+reaching the rim).  Pieces and arcs alike are cut at every break of
+their angular factor, so each is smooth in angle.  A piece is ``smooth``
+when its radial factor is (an arc always is), and the grid transforms
+keep the others to adaptive quadrature.  A log point becomes an end of a
+piece or arc, recorded in ``log_end``; the quadrature grades the angle
+towards that end.
+
+Pieces and arcs are weighted alike: each carries the ``coef`` of its
+term in a sum, and its ``fn`` stays the unscaled factor.
 
 Everything is immutable after construction and serializes to a small
 JSON document (see :func:`parse_source_config`).
@@ -145,7 +147,6 @@ class RadialOne:
 @dataclass(frozen=True)
 class AngularCos:
     n: int
-    smooth = True
     breaks = ()
     log_points = ()
 
@@ -163,7 +164,6 @@ class AngularCos:
 @dataclass(frozen=True)
 class AngularSin:
     n: int
-    smooth = True
     breaks = ()
     log_points = ()
 
@@ -180,7 +180,6 @@ class AngularSin:
 
 @dataclass(frozen=True)
 class AbsPhi:
-    smooth = True
     breaks = (0.0,)
     log_points = ()
 
@@ -193,7 +192,6 @@ class AbsPhi:
 
 @dataclass(frozen=True)
 class PhiSquared:
-    smooth = True
     breaks = ()
     log_points = ()
 
@@ -208,7 +206,6 @@ class PhiSquared:
 class AbsLogAbsPhi:
     """|ln|phi||; integrable singularity at phi = 0, corners at phi = -1, 1."""
 
-    smooth = True
     breaks = (-1.0, 0.0, 1.0)
     log_points = (0.0,)
 
@@ -223,7 +220,6 @@ class AbsLogAbsPhi:
 
 @dataclass(frozen=True)
 class AngularOne:
-    smooth = True
     breaks = ()
     log_points = ()
 
@@ -241,13 +237,13 @@ class AngularOne:
 
 @dataclass(frozen=True)
 class BoundaryArc:
-    """One piece of a boundary function: fn on [lo, hi], 0 elsewhere.
+    """One piece of a boundary function: coef * fn on [lo, hi], 0 elsewhere.
 
-    fn is an angular factor, or a multiple of one, smooth on [lo, hi]
-    except at ``log_end``: the end (lo or hi) where it has a logarithmic
-    singularity, or None.
+    fn is an angular factor, smooth on [lo, hi] except at ``log_end``: the
+    end (lo or hi) where it has a logarithmic singularity, or None.
     """
 
+    coef: float
     lo: float
     hi: float
     fn: object  # callable(phi) -> array
@@ -279,7 +275,7 @@ class _AngularOnArc(BoundaryFunction):
 
     def arcs(self):
         angular = self.angular
-        return [BoundaryArc(lo, hi, angular, end)
+        return [BoundaryArc(1.0, lo, hi, angular, end)
                 for lo, hi, end in _split_at_breaks(angular, *self.arc)]
 
 
@@ -367,7 +363,7 @@ class BoundarySum(BoundaryFunction):
             raise SourceValidationError("weighted sum needs at least one term")
 
     def arcs(self):
-        return [replace(arc, fn=_scale_fn(coef, arc.fn))
+        return [replace(arc, coef=coef * arc.coef)
                 for coef, f in self.terms for arc in f.arcs()]
 
     def to_config(self):
@@ -375,10 +371,6 @@ class BoundarySum(BoundaryFunction):
             "type": "weighted_sum",
             "terms": [{"coef": c, "term": f.to_config()} for c, f in self.terms],
         }
-
-
-def _scale_fn(coef, fn):
-    return lambda *args: coef * fn(*args)
 
 
 def _split_at_breaks(angular, lo, hi):
@@ -486,8 +478,7 @@ class SeparableOnRect(SourceFunction):
         else:
             fn = lambda rho, phi: np.asarray(radial(rho)) * np.asarray(angular(phi))
             beta, smooth = None, radial.smooth
-        return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), fn, beta,
-                            smooth and angular.smooth, end)
+        return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), fn, beta, smooth, end)
                 for a, b, end in _split_at_breaks(angular, rect.theta_lo, rect.theta_hi)]
 
     def to_config(self):
@@ -698,34 +689,23 @@ def serialize_config(obj) -> str:
 
 
 @dataclass(frozen=True)
-class KernelPlot:
-    kernel: KernelId
-    radii: tuple
-
-
-@dataclass(frozen=True)
-class PoissonCase:
-    boundary: BoundaryFunction
-    arc: tuple  # angular support (lo, hi) of the boundary data
-
-
-@dataclass(frozen=True)
-class QCase:
-    source: SourceFunction
-    prefactor: float
-
-
-@dataclass(frozen=True)
-class PairedCase:
-    poisson: PoissonCase
-    q: QCase
-
-
-@dataclass(frozen=True)
 class FigureCase:
+    """One catalog figure and the data it is computed from.
+
+    A figure with a ``boundary`` writes its Poisson integral (``poisson``),
+    one with a ``source`` writes ``prefactor`` times its area transform
+    (``q``), and one with both writes their pointwise ratio (``ratio``)
+    too.  A kernel figure has neither; it plots the profiles of
+    ``kernel`` at the ``radii``.
+    """
+
     id: int
     description: str
-    payload: object
+    boundary: BoundaryFunction | None = None
+    source: SourceFunction | None = None
+    prefactor: float = 1.0
+    kernel: KernelId | None = None
+    radii: tuple = ()
 
 
 TWO_OVER_PI = 2.0 / _PI
@@ -746,132 +726,69 @@ def _build_catalog():
     )
     rect_a = CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, _PI / 4))
     rect_b = CharacteristicRect(PolarRectangle(0.6, 0.8, 5 * _PI / 6, _PI))
+    # figures 9 and 11 compare their boundary-layer sources with the boundary
+    # data of figures 8 and 10
+    fig8_boundary = CharacteristicArc(-_PI / 6, _PI / 6)
+    fig10_boundary = AbsTheta()
 
-    cases = {
-        1: FigureCase(
-            1,
-            "boundary kernel profiles at r = 0.5, 0.75, 0.85",
-            KernelPlot(KernelId("poisson"), (0.5, 0.75, 0.85)),
-        ),
-        2: FigureCase(
-            2,
-            "area kernel profiles at r = 0.5, 0.75",
-            KernelPlot(KernelId("q"), (0.5, 0.75)),
-        ),
-        3: FigureCase(
-            3,
-            "matched reconstructions of r^2 cos(2 theta) from boundary and area data",
-            PairedCase(
-                PoissonCase(Cosine(2), (-_PI, _PI)),
-                QCase(
-                    SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle.full_disk()),
-                    TWO_OVER_PI,
-                ),
-            ),
-        ),
-        4: FigureCase(
-            4,
-            "area transform of the characteristic function of the disk r <= 1/4",
-            QCase(CharacteristicDisk(0.25), 1.0),
-        ),
-        5: FigureCase(
-            5,
-            "area transform of the sum of two polar-rectangle indicators",
-            QCase(SourceSum(((1.0, rect_a), (1.0, rect_b))), 1.0),
-        ),
-        6: FigureCase(
-            6,
-            "area transform of cos(phi)/(1-rho)^(1/4) on [3/4,1]x[-pi/6,pi/6]",
-            QCase(fig6_source, 1.0),
-        ),
-        7: FigureCase(
-            7,
-            "area transform combining the previous source with an opposite-side "
-            "cos(phi)/(1-rho)^(3/8) term on [7/8,1]x[5pi/6,pi]",
-            QCase(SourceSum(((1.0, fig6_source), (1.0, fig7_second))), 1.0),
-        ),
-        8: FigureCase(
-            8,
-            "harmonic measure of the arc [-pi/6, pi/6]",
-            PoissonCase(CharacteristicArc(-_PI / 6, _PI / 6), (-_PI / 6, _PI / 6)),
-        ),
-        9: FigureCase(
-            9,
-            "area transform of the indicator of the boundary layer "
-            "[0.9,1]x[-pi/6,pi/6], scaled by 2/pi",
-            QCase(CharacteristicRect(_annulus_rect(-_PI / 6, _PI / 6)), TWO_OVER_PI),
-        ),
-        10: FigureCase(
-            10,
-            "boundary integral of |theta|",
-            PoissonCase(AbsTheta(), (-_PI, _PI)),
-        ),
-        11: FigureCase(
-            11,
-            "area transform of |phi| rho on the boundary layer [0.9,1]x[-pi,pi]",
-            QCase(
-                SeparableOnRect(RhoPower(1), AbsPhi(), _annulus_rect(-_PI, _PI)),
-                TWO_OVER_PI,
-            ),
-        ),
-        12: FigureCase(
-            12,
-            "theta^2 boundary data on [-pi/6,pi/6] vs the matching boundary-layer "
-            "area transform",
-            PairedCase(
-                PoissonCase(ThetaSquaredOnArc(-_PI / 6, _PI / 6), (-_PI / 6, _PI / 6)),
-                QCase(
-                    SeparableOnRect(RhoPower(1), PhiSquared(), _annulus_rect(-_PI / 6, _PI / 6)),
-                    TWO_OVER_PI,
-                ),
-            ),
-        ),
-        13: FigureCase(
-            13,
-            "sin(theta) boundary data on [0,pi] vs the matching boundary-layer "
-            "area transform",
-            PairedCase(
-                PoissonCase(SinOnArc(0.0, _PI), (0.0, _PI)),
-                QCase(
-                    SeparableOnRect(RhoPower(1), AngularSin(1), _annulus_rect(0.0, _PI)),
-                    TWO_OVER_PI,
-                ),
-            ),
-        ),
-        14: FigureCase(
-            14,
-            "|ln|theta|| boundary data on [0,pi] vs the matching boundary-layer "
-            "area transform",
-            PairedCase(
-                PoissonCase(AbsLogAbsOnArc(0.0, _PI), (0.0, _PI)),
-                QCase(
-                    SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), _annulus_rect(0.0, _PI)),
-                    TWO_OVER_PI,
-                ),
-            ),
-        ),
-        15: FigureCase(
-            15,
-            "area transform of the interior bump 10 exp(-10 (rho-1/2)^2) cos(phi) "
-            "on [0.3,0.7]x[-pi/6,pi/6]",
-            QCase(
-                SeparableOnRect(
-                    GaussianBump(10.0, 0.5, 10.0),
-                    AngularCos(1),
-                    PolarRectangle(0.3, 0.7, -_PI / 6, _PI / 6),
-                ),
-                1.0,
-            ),
-        ),
-    }
-    return cases
+    cases = [
+        FigureCase(1, "boundary kernel profiles at r = 0.5, 0.75, 0.85",
+                   kernel=KernelId("poisson"),
+                   radii=(0.5, 0.75, 0.85)),
+        FigureCase(2, "area kernel profiles at r = 0.5, 0.75",
+                   kernel=KernelId("q"),
+                   radii=(0.5, 0.75)),
+        FigureCase(3, "matched reconstructions of r^2 cos(2 theta) from boundary and area data",
+                   boundary=Cosine(2),
+                   source=SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle.full_disk()),
+                   prefactor=TWO_OVER_PI),
+        FigureCase(4, "area transform of the characteristic function of the disk r <= 1/4",
+                   source=CharacteristicDisk(0.25)),
+        FigureCase(5, "area transform of the sum of two polar-rectangle indicators",
+                   source=SourceSum(((1.0, rect_a), (1.0, rect_b)))),
+        FigureCase(6, "area transform of cos(phi)/(1-rho)^(1/4) on [3/4,1]x[-pi/6,pi/6]",
+                   source=fig6_source),
+        FigureCase(7, "area transform combining the previous source with an opposite-side "
+                   "cos(phi)/(1-rho)^(3/8) term on [7/8,1]x[5pi/6,pi]",
+                   source=SourceSum(((1.0, fig6_source), (1.0, fig7_second)))),
+        FigureCase(8, "harmonic measure of the arc [-pi/6, pi/6]",
+                   boundary=fig8_boundary),
+        FigureCase(9, "area transform of the indicator of the boundary layer "
+                   "[0.9,1]x[-pi/6,pi/6], scaled by 2/pi",
+                   boundary=fig8_boundary,
+                   source=CharacteristicRect(_annulus_rect(-_PI / 6, _PI / 6)),
+                   prefactor=TWO_OVER_PI),
+        FigureCase(10, "boundary integral of |theta|",
+                   boundary=fig10_boundary),
+        FigureCase(11, "area transform of |phi| rho on the boundary layer [0.9,1]x[-pi,pi]",
+                   boundary=fig10_boundary,
+                   source=SeparableOnRect(RhoPower(1), AbsPhi(), _annulus_rect(-_PI, _PI)),
+                   prefactor=TWO_OVER_PI),
+        FigureCase(12, "theta^2 boundary data on [-pi/6,pi/6] vs the matching boundary-layer "
+                   "area transform",
+                   boundary=ThetaSquaredOnArc(-_PI / 6, _PI / 6),
+                   source=SeparableOnRect(RhoPower(1), PhiSquared(),
+                                          _annulus_rect(-_PI / 6, _PI / 6)),
+                   prefactor=TWO_OVER_PI),
+        FigureCase(13, "sin(theta) boundary data on [0,pi] vs the matching boundary-layer "
+                   "area transform",
+                   boundary=SinOnArc(0.0, _PI),
+                   source=SeparableOnRect(RhoPower(1), AngularSin(1), _annulus_rect(0.0, _PI)),
+                   prefactor=TWO_OVER_PI),
+        FigureCase(14, "|ln|theta|| boundary data on [0,pi] vs the matching boundary-layer "
+                   "area transform",
+                   boundary=AbsLogAbsOnArc(0.0, _PI),
+                   source=SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), _annulus_rect(0.0, _PI)),
+                   prefactor=TWO_OVER_PI),
+        FigureCase(15, "area transform of the interior bump 10 exp(-10 (rho-1/2)^2) cos(phi) "
+                   "on [0.3,0.7]x[-pi/6,pi/6]",
+                   source=SeparableOnRect(GaussianBump(10.0, 0.5, 10.0), AngularCos(1),
+                                          PolarRectangle(0.3, 0.7, -_PI / 6, _PI / 6))),
+    ]
+    return {case.id: case for case in cases}
 
 
 _CATALOG = _build_catalog()
-
-# Figures whose area-transform field is compared against another figure's
-# boundary-integral field (pointwise ratio output).
-CROSS_PAIRED_FIGURES = {9: 8, 11: 10}
 
 
 def figure_case(fig_id: int) -> FigureCase:
@@ -881,23 +798,11 @@ def figure_case(fig_id: int) -> FigureCase:
     return _CATALOG[fig_id]
 
 
-def catalog_q_sources() -> dict[int, QCase]:
-    """All area-transform cases in the catalog, keyed by figure id."""
-    out = {}
-    for fig_id, case in _CATALOG.items():
-        if isinstance(case.payload, QCase):
-            out[fig_id] = case.payload
-        elif isinstance(case.payload, PairedCase):
-            out[fig_id] = case.payload.q
-    return out
+def catalog_q_sources() -> dict[int, FigureCase]:
+    """The catalog figures with a disk source, keyed by figure id."""
+    return {i: case for i, case in _CATALOG.items() if case.source is not None}
 
 
-def catalog_boundary_functions() -> dict[int, PoissonCase]:
-    """All boundary-integral cases in the catalog, keyed by figure id."""
-    out = {}
-    for fig_id, case in _CATALOG.items():
-        if isinstance(case.payload, PoissonCase):
-            out[fig_id] = case.payload
-        elif isinstance(case.payload, PairedCase):
-            out[fig_id] = case.payload.poisson
-    return out
+def catalog_boundary_functions() -> dict[int, FigureCase]:
+    """The catalog figures with boundary data, keyed by figure id."""
+    return {i: case for i, case in _CATALOG.items() if case.boundary is not None}

@@ -139,8 +139,8 @@ def _poisson_arcs_point(arcs, r, theta, spec):
         res = _integrate_arc(
             arc, lambda phi, fn=arc.fn: fn(phi) * poisson_kernel(r, theta - phi), spec
         )
-        total += res.value
-        err += res.error_estimate
+        total += arc.coef * res.value
+        err += abs(arc.coef) * res.error_estimate
         converged &= res.converged
         panels += res.panels_used
     return total / TWO_PI, err / TWO_PI, converged, panels
@@ -350,11 +350,11 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
     for part, K in zip(parts, modes):
         scales = (2, 1)  # main rule, then the coarse one
         if isinstance(part, SourcePiece):
-            coef, fn, rect = part.coef, part.fn, part.rect
+            fn, rect = part.fn, part.rect
             lo, hi, r_hi = rect.theta_lo, rect.theta_hi, rect.r_hi
             radial = [_radial_rule(rect, K, scale, part.beta) for scale in scales]
         else:  # a boundary arc: one radial node rho = 1 of weight 1
-            coef, fn, r_hi = 1.0, lambda rho, phi, g=part.fn: g(phi), 1.0
+            fn, r_hi = lambda rho, phi, g=part.fn: g(phi), 1.0
             lo, hi = part.lo, part.hi
             radial = [(np.ones(1), np.ones(1))] * len(scales)
         got = [_trig_moments(fn, rho, w_rho,
@@ -363,9 +363,9 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
         if None in got:
             return None
         (main, mass), (coarse, _) = got
-        total[:, :K + 1] += coef * main
-        diff[:, :K + 1] += coef * (main - coarse)
-        tail += abs(coef) * mass * series.tail(radii * r_hi, K)
+        total[:, :K + 1] += part.coef * main
+        diff[:, :K + 1] += part.coef * (main - coarse)
+        tail += abs(part.coef) * mass * series.tail(radii * r_hi, K)
 
     k = np.arange(n_modes + 1)
     w = series.weights(radii[:, None], k)

@@ -45,6 +45,7 @@ from .quadrature import (
 from .sources import (
     BoundaryFunction,
     CharacteristicDisk,
+    CharacteristicRect,
     SourceFunction,
     SourceSum,
     catalog_boundary_functions,
@@ -54,6 +55,7 @@ from .sources import (
     serialize_config,
 )
 from .transforms import (
+    CallableSource,
     Field,
     _integrate_arc,
     poisson_integral,
@@ -188,10 +190,24 @@ def _field_norm_report(fld: Field, spec: NormSpec) -> NormReport:
 
 
 def _circle_l2_report(f: BoundaryFunction, quad: QuadratureSpec) -> NormReport:
+    """The circle is cut at every arc end, as ``_partition_cells`` cuts the
+    disk, so arcs that overlap are summed before they are squared; a cell
+    is graded towards a declared log end of an arc holding it when that is
+    a cell end."""
+    arcs = f.arcs()
+    edges = sorted({x for arc in arcs for x in (arc.lo, arc.hi)})
     total = 0.0
-    for arc in f.arcs():
-        res = _integrate_arc(arc, lambda phi, fn=arc.fn: np.asarray(fn(phi)) ** 2, quad)
-        total += res.value
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        holders = [arc for arc in arcs if arc.lo < 0.5 * (lo + hi) < arc.hi]
+        if not holders:
+            continue
+        ends = [arc.log_end for arc in holders if arc.log_end in (lo, hi)]
+
+        def square(phi, holders=holders):
+            return sum(arc.coef * np.asarray(arc.fn(phi)) for arc in holders) ** 2
+
+        total += integrate_angular(square, lo, hi, quad,
+                                   graded_end=ends[0] if ends else None).value
     return NormReport(math.sqrt(total), 0.0, 1.0)
 
 
@@ -311,54 +327,40 @@ def laplacian_residual(
         raise StencilOutOfRangeError(
             f"stencil would cross the origin: need r_min >= 2*h_r, got {r_min} < {2*h_r}"
         )
-    radii = np.linspace(r_min, r_max, n_r)
-    angles = np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
-    rr = radii[:, None]
-    tt = angles[None, :]
-    center = np.asarray(u(rr, tt), dtype=float)
-    r_plus = np.asarray(u(rr + h_r, tt), dtype=float)
-    r_minus = np.asarray(u(rr - h_r, tt), dtype=float)
-    t_plus = np.asarray(u(rr, tt + h_t), dtype=float)
-    t_minus = np.asarray(u(rr, tt - h_t), dtype=float)
+    rr = np.linspace(r_min, r_max, n_r)[:, None]
+    tt = np.linspace(-math.pi, math.pi, n_theta, endpoint=False)[None, :]
+    points = ((rr, tt), (rr + h_r, tt), (rr - h_r, tt), (rr, tt + h_t), (rr, tt - h_t))
+    values = [np.asarray(u(r, t), dtype=float) for r, t in points]
+    return _stencil_report(*values, rr, h_r, h_t, annulus)
+
+
+def _field_laplacian(fld: Field, annulus) -> HarmonicityReport:
+    radii = fld.grid.radii
+    dr = np.diff(radii)
+    dt = np.diff(fld.grid.angles)
+    if np.ptp(dr) > 1e-12 * dr[0] or np.ptp(dt) > 1e-12 * dt[0]:
+        raise DomainError("field-based residuals require a uniform grid")
+    # stencil centers: the interior grid radii inside the annulus
+    rows = 1 + np.flatnonzero((radii[1:-1] >= annulus[0]) & (radii[1:-1] <= annulus[1]))
+    if not rows.size:
+        raise StencilOutOfRangeError("no interior grid radii inside the annulus")
+    v = fld.values
+    center = v[rows]
+    return _stencil_report(center, v[rows + 1], v[rows - 1], np.roll(center, -1, axis=1),
+                           np.roll(center, 1, axis=1), radii[rows][:, None],
+                           float(dr[0]), float(dt[0]), annulus)
+
+
+def _stencil_report(center, r_plus, r_minus, t_plus, t_minus, rr, h_r, h_t,
+                    annulus) -> HarmonicityReport:
+    """Five-point polar Laplacian at stencil centers of radii ``rr``, from
+    the values there and one step h_r out and in, h_t forward and back."""
     residual = (
         (r_plus - 2.0 * center + r_minus) / h_r**2
         + (r_plus - r_minus) / (2.0 * h_r * rr)
         + (t_plus - 2.0 * center + t_minus) / (h_t**2 * rr**2)
     )
     scale = float(np.max(np.abs(center)))
-    max_res = float(np.max(np.abs(residual)))
-    return HarmonicityReport(
-        max_abs_residual=max_res,
-        normalized_max_residual=max_res / scale if scale > 0 else max_res,
-        residual_grid=residual,
-        annulus=annulus,
-        stencil_spacing=(h_r, h_t),
-    )
-
-
-def _field_laplacian(fld: Field, annulus) -> HarmonicityReport:
-    radii = fld.grid.radii
-    angles = fld.grid.angles
-    dr = np.diff(radii)
-    dt = np.diff(angles)
-    if np.ptp(dr) > 1e-12 * dr[0] or np.ptp(dt) > 1e-12 * dt[0]:
-        raise DomainError("field-based residuals require a uniform grid")
-    h_r, h_t = float(dr[0]), float(dt[0])
-    v = fld.values
-    inner = slice(1, -1)
-    rr = radii[inner][:, None]
-    t_plus = np.roll(v, -1, axis=1)[inner]
-    t_minus = np.roll(v, 1, axis=1)[inner]
-    residual = (
-        (v[2:] - 2.0 * v[inner] + v[:-2]) / h_r**2
-        + (v[2:] - v[:-2]) / (2.0 * h_r * rr)
-        + (t_plus - 2.0 * v[inner] + t_minus) / (h_t**2 * rr**2)
-    )
-    mask = (radii[inner] >= annulus[0]) & (radii[inner] <= annulus[1])
-    if not np.any(mask):
-        raise StencilOutOfRangeError("no interior grid radii inside the annulus")
-    residual = residual[mask]
-    scale = float(np.max(np.abs(v[inner][mask])))
     max_res = float(np.max(np.abs(residual)))
     return HarmonicityReport(
         max_abs_residual=max_res,
@@ -545,8 +547,8 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     mismatches = 0
     for fig_id in range(1, 16):
         case = figure_case(fig_id)
-        for obj in _catalog_objects(case):
-            if parse_source_config(serialize_config(obj)) != obj:
+        for obj in (case.boundary, case.source):
+            if obj is not None and parse_source_config(serialize_config(obj)) != obj:
                 mismatches += 1
     _record(records, "sources.roundtrip", mismatches, 0.0)
 
@@ -577,12 +579,11 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     for p_case in catalog_boundary_functions().values():
         v, _, _ = poisson_point(p_case.boundary, 0.0, 0.0, quad)
         average = sum(
-            _integrate_arc(arc, arc.fn, quad).value for arc in p_case.boundary.arcs()
+            arc.coef * _integrate_arc(arc, arc.fn, quad).value
+            for arc in p_case.boundary.arcs()
         ) / TWO_PI
         worst = max(worst, abs(v - average))
     _record(records, "transforms.mean_value", worst, 1e-8)
-
-    from .sources import CharacteristicRect, SourceSum  # local names for the checks
 
     rect_a = CharacteristicRect(PolarRectangle(0.3, 0.6, -0.4, 0.9))
     rect_b = CharacteristicRect(PolarRectangle(0.1, 0.8, 1.2, 2.0))
@@ -604,8 +605,6 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
         worst = max(worst, abs(v_rot - v_orig))
     _record(records, "transforms.rotation_equivariance", worst, 1e-8)
 
-    from .transforms import CallableSource
-
     worst = 0.0
     for n in range(1, REPRODUCING_DEGREE + 1):
         for trig, name in ((np.cos, "cos"), (np.sin, "sin")):
@@ -617,7 +616,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
             note=f"harmonic polynomials up to degree {REPRODUCING_DEGREE}")
 
     _record(records, "transforms.engine_agreement",
-            _engine_disagreement(figure_case(13).payload, cfg.r_max, quad), 1.0,
+            _engine_disagreement(figure_case(13), cfg.r_max, quad), 1.0,
             note="spectral grid vs adaptive points, fig 13 Q and Poisson on 3x8: "
                  "|gap| / (err_adaptive + err_spectral + 1e-12 max(1, |value|))")
 
@@ -632,7 +631,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
             note="upper side of the second-order window")
 
     worst = 0.0
-    fig4_source = figure_case(4).payload.source
+    fig4_source = figure_case(4).source
     prev = None
     for alpha in (0.0, 0.5, 1.0):
         val = norm(fig4_source, NormSpec("bergman_weighted", 2.0, alpha, 0.999), quad)
@@ -642,7 +641,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     _record(records, "verify.norm_alpha_monotonic", worst, 1e-12,
             note="weighted norm non-increasing in alpha for bounded sources")
 
-    boundary = figure_case(8).payload.boundary
+    boundary = figure_case(8).boundary
     rings = EvaluationGrid.regular(n_r=9, n_theta=HARDY_ANGLES, r_max=0.95)
     integrals = _ring_integrals_of_square(poisson_integral(boundary, rings, quad)).tolist()
     mono_violation = max(
@@ -710,10 +709,10 @@ def _engine_disagreement(case, r_max: float, quad: QuadratureSpec) -> float:
     the adaptive point evaluators, in units of their joint error bound;
     inf when a grid does not take the spectral path."""
     grid = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=r_max)
-    q_case, boundary = case.q, case.poisson.boundary
+    source, prefactor, boundary = case.source, case.prefactor, case.boundary
     pairs = (
-        (q_transform(q_case.source, grid, q_case.prefactor, quad),
-         lambda r, t: q_point(q_case.source, r, t, q_case.prefactor, quad)),
+        (q_transform(source, grid, prefactor, quad),
+         lambda r, t: q_point(source, r, t, prefactor, quad)),
         (poisson_integral(boundary, grid, quad),
          lambda r, t: poisson_point(boundary, r, t, quad)),
     )
@@ -727,19 +726,6 @@ def _engine_disagreement(case, r_max: float, quad: QuadratureSpec) -> float:
                 bound = err + fld.errors[i, j] + 1e-12 * max(1.0, abs(value))
                 worst = max(worst, abs(fld.values[i, j] - value) / bound)
     return worst
-
-
-def _catalog_objects(case):
-    from .sources import PairedCase, PoissonCase, QCase
-
-    payload = case.payload
-    if isinstance(payload, QCase):
-        return [payload.source]
-    if isinstance(payload, PoissonCase):
-        return [payload.boundary]
-    if isinstance(payload, PairedCase):
-        return [payload.poisson.boundary, payload.q.source]
-    return []
 
 
 def oracle_disagreement(source: SourceFunction, r: float, theta: float,

@@ -116,7 +116,7 @@ def test_criterion_04_two_rectangle_peaks():
     rect_only = q_transform(
         CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, PI / 4)), grid, 1.0, spec
     )
-    case5 = figure_case(5).payload
+    case5 = figure_case(5)
     summed = q_transform(case5.source, grid, case5.prefactor, spec)
     m1 = float(np.max(rect_only.values))
     m2 = float(np.max(summed.values))
@@ -160,7 +160,6 @@ _COMPARISON_ARCS = {
     12: [(-PI / 6, PI / 6)],
     13: [(0.0, PI)],
 }
-_POISSON_COMPANION = {11: 10, 12: 12, 13: 13}
 
 
 def test_criterion_06_half_ratio_pattern():
@@ -174,17 +173,14 @@ def test_criterion_06_half_ratio_pattern():
     total_in, total_pts = 0, 0
     details = []
     for fig_id, arcs in _COMPARISON_ARCS.items():
-        case = figure_case(fig_id).payload
-        q_case = case.q if hasattr(case, "q") else case
-        p_case = figure_case(_POISSON_COMPANION[fig_id]).payload
-        boundary = p_case.poisson.boundary if hasattr(p_case, "poisson") else p_case.boundary
+        case = figure_case(fig_id)
         in_window, n_pts = 0, 0
         for r in radii:
             for theta in angles:
                 if min(_circular_distance_to_arc(float(theta), a) for a in arcs) <= PI / 3:
                     continue
-                q_val, _, _ = q_point(q_case.source, r, float(theta), q_case.prefactor, spec)
-                p_val, _, _ = poisson_point(boundary, r, float(theta), spec)
+                q_val, _, _ = q_point(case.source, r, float(theta), case.prefactor, spec)
+                p_val, _, _ = poisson_point(case.boundary, r, float(theta), spec)
                 n_pts += 1
                 if abs(p_val) > 1e-12 and 0.35 <= q_val / p_val <= 0.65:
                     in_window += 1
@@ -294,7 +290,7 @@ def test_criterion_08_projection_contraction_and_idempotence():
     probe = EvaluationGrid.regular(n_r=3, n_theta=6, r_min=0.2, r_max=0.8)
     loose = QuadratureSpec(adaptive_tol=1e-4, max_depth=9)
     for fig_id in (4, 5, 15):
-        source = figure_case(fig_id).payload.source
+        source = figure_case(fig_id).source
         pf = _harmonic_continuation(bergman_project(source, ring, spec))
         twice = bergman_project(pf, probe, loose).values
         once = bergman_project(source, probe, spec).values
@@ -346,7 +342,7 @@ def test_criterion_10_heat_solver_and_conjecture_reports():
     lines = []
     reports_ok = True
     for fig_id in (4, 15):
-        source = figure_case(fig_id).payload.source
+        source = figure_case(fig_id).source
         for boundary in (dirichlet, BoundaryCondition("robin", 1.0)):
             rep = conjecture_run(source, boundary, mesh=(64, 128),
                                  comparison_grid=(8, 16))[0]

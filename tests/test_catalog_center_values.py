@@ -13,7 +13,7 @@ import math
 import pytest
 
 from harmonicdisk.quadrature import QuadratureSpec
-from harmonicdisk.sources import PairedCase, figure_case
+from harmonicdisk.sources import figure_case
 from harmonicdisk.transforms import poisson_point, q_point
 
 PI = math.pi
@@ -54,8 +54,7 @@ CENTER_VALUES = {
 
 @pytest.mark.parametrize("fig_id", sorted(CENTER_VALUES))
 def test_center_value_closed_form(fig_id):
-    case = figure_case(fig_id).payload
-    q_case = case.q if isinstance(case, PairedCase) else case
+    q_case = figure_case(fig_id)
     value, _, converged = q_point(q_case.source, 0.0, 0.77, q_case.prefactor, SPEC)
     assert converged
     assert value == pytest.approx(CENTER_VALUES[fig_id], abs=ATOL)
@@ -63,7 +62,7 @@ def test_center_value_closed_form(fig_id):
 
 def test_log_boundary_center_value():
     """Figure 14's |ln|theta|| boundary data: mean over the circle."""
-    boundary = figure_case(14).payload.poisson.boundary
+    boundary = figure_case(14).boundary
     value, _, converged = poisson_point(boundary, 0.0, 0.77, SPEC)
     assert converged
     assert value == pytest.approx(LOG_MASS / (2 * PI), abs=ATOL)

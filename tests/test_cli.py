@@ -135,6 +135,14 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(math.sqrt(PI / 3.0), abs=1e-10)
 
+    def test_norms_command_sums_overlapping_arcs(self, tmp_path, capsys):
+        arc = {"type": "char_arc", "arc": [-1.0, 1.0]}
+        src = tmp_path / "b.json"
+        src.write_text(json.dumps({"type": "weighted_sum", "terms": [
+            {"coef": 1.0, "term": arc}, {"coef": -1.0, "term": arc}]}))
+        assert main(["norms", "--source-file", str(src), "--kind", "circle_l2"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
     def test_usage_errors_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

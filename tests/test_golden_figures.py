@@ -18,6 +18,7 @@ from harmonicdisk.cli import _figure_fields
 from harmonicdisk.geometry import EvaluationGrid
 from harmonicdisk.gridio import read_grid_file
 from harmonicdisk.quadrature import QuadratureSpec
+from harmonicdisk.sources import figure_case
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -25,10 +26,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 @pytest.mark.parametrize("fig_id", range(1, 16))
 def test_figure_matches_golden(fig_id):
     grid = EvaluationGrid.regular(n_r=4, n_theta=8, r_max=0.8)
-    fields, case = _figure_fields(fig_id, grid, QuadratureSpec())
+    fields = _figure_fields(figure_case(fig_id), grid, QuadratureSpec())
+    # every field written has a golden, and every golden is still written
+    goldens = sorted(p.stem[6:] for p in GOLDEN_DIR.glob(f"fig{fig_id:02d}_*.csv"))
+    assert sorted(name for name, _ in fields) == goldens
     for name, fld in fields:
         path = GOLDEN_DIR / f"fig{fig_id:02d}_{name}.csv"
-        assert path.exists(), f"missing golden {path.name}"
         golden = read_grid_file(path)
         scale = max(np.nanmax(np.abs(golden.values)), 1.0)
         mask = golden.converged

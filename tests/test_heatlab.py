@@ -66,7 +66,7 @@ class TestSolver:
     @pytest.mark.parametrize("boundary", [DIRICHLET, ROBIN], ids=["dirichlet", "robin"])
     @pytest.mark.parametrize("n_theta", [16, 17])
     def test_matches_dense_reference(self, boundary, n_theta):
-        problem = HeatProblem(figure_case(15).payload.source, 1.5, boundary, 16, n_theta)
+        problem = HeatProblem(figure_case(15).source, 1.5, boundary, 16, n_theta)
         fld = solve_steady_state(problem)
         ref = dense_reference(problem)
         scale = np.max(np.abs(ref))
@@ -76,7 +76,7 @@ class TestSolver:
             assert fld.meta["rim_values_mean"] == pytest.approx(ref[-1].mean(), abs=1e-12 * scale)
 
     def test_robin_residual_at_benchmark_mesh(self):
-        src = figure_case(4).payload.source
+        src = figure_case(4).source
         fld = solve_steady_state(HeatProblem(src, 1.0, ROBIN, 192, 384))
         assert fld.meta["solver"]["method"] == "fft_tridiagonal"
         assert fld.meta["solver"]["residual"] <= 1e-10
@@ -84,7 +84,7 @@ class TestSolver:
     def test_dirichlet_residual_at_fine_mesh(self):
         # a backward error stays at roundoff as the mesh is refined;
         # ||rhs - A u|| / ||rhs|| alone reads 1.9e-10 on this solve
-        src = figure_case(15).payload.source
+        src = figure_case(15).source
         fld = solve_steady_state(HeatProblem(src, 1.0, DIRICHLET, 1024, 2048))
         assert fld.meta["solver"]["residual"] <= 1e-10
 
@@ -145,7 +145,7 @@ class TestSolver:
 
     def test_singular_source_robin_rejected(self):
         # Robin samples the source on the rim, where this one blows up
-        src = figure_case(6).payload.source
+        src = figure_case(6).source
         with pytest.raises(NonFiniteError):
             solve_steady_state(HeatProblem(src, 1.0, BoundaryCondition("robin", 1.0), 32, 64))
 
@@ -175,7 +175,7 @@ class TestConjectureHarness:
         assert report.residual_rms < 1.0
 
     def test_interior_bump_both_boundaries(self):
-        src = figure_case(15).payload.source
+        src = figure_case(15).source
         for boundary in (DIRICHLET, BoundaryCondition("robin", 1.0)):
             report = conjecture_run(
                 src, boundary, mesh=(64, 128), comparison_grid=(6, 12)

@@ -210,8 +210,7 @@ class TestMidpointOracle:
         from harmonicdisk.sources import figure_case
 
         for fig_id, r, theta in ((4, 0.6, 0.5), (9, 0.85, -0.2), (15, 0.7, 0.1)):
-            case = figure_case(fig_id).payload
-            q_case = case.q if hasattr(case, "q") else case
+            q_case = figure_case(fig_id)
             total_adaptive, total_err = 0.0, 0.0
             total_brute = 0.0
             for piece in q_case.source.pieces():

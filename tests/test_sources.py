@@ -26,11 +26,7 @@ from harmonicdisk.sources import (
     ConstantOne,
     Cosine,
     GaussianBump,
-    PairedCase,
-    PoissonCase,
     PowerOfOneMinusRho,
-    QCase,
-    KernelPlot,
     RhoPower,
     SeparableOnRect,
     SinOnArc,
@@ -53,11 +49,11 @@ class TestEvaluateSource:
         assert evaluate_source(disk, PolarPoint(0.3, 2.0)) == 0.0
 
     def test_gaussian_bump_peak(self):
-        src = figure_case(15).payload.source
+        src = figure_case(15).source
         assert evaluate_source(src, PolarPoint(0.5, 0.0)) == pytest.approx(10.0, abs=1e-12)
 
     def test_singular_point_raises(self):
-        src = figure_case(6).payload.source
+        src = figure_case(6).source
         with pytest.raises(NonFiniteError):
             evaluate_source(src, PolarPoint(1.0, 0.0))
 
@@ -104,47 +100,48 @@ class TestFigureCatalog:
                 figure_case(bad)
 
     def test_figure_4_payload(self):
-        payload = figure_case(4).payload
-        assert isinstance(payload, QCase)
-        assert payload.source == CharacteristicDisk(0.25)
-        assert payload.prefactor == 1.0
+        case = figure_case(4)
+        assert (case.boundary, case.kernel) == (None, None)
+        assert case.source == CharacteristicDisk(0.25)
+        assert case.prefactor == 1.0
 
     def test_figure_9_payload(self):
-        payload = figure_case(9).payload
-        assert isinstance(payload, QCase)
-        assert payload.source == CharacteristicRect(PolarRectangle(0.9, 1.0, -PI / 6, PI / 6))
-        assert payload.prefactor == pytest.approx(2.0 / PI)
+        case = figure_case(9)
+        assert case.source == CharacteristicRect(PolarRectangle(0.9, 1.0, -PI / 6, PI / 6))
+        assert case.prefactor == pytest.approx(2.0 / PI)
+        assert case.boundary == figure_case(8).boundary
 
     def test_figure_8_payload(self):
-        payload = figure_case(8).payload
-        assert isinstance(payload, PoissonCase)
-        assert payload.boundary == CharacteristicArc(-PI / 6, PI / 6)
+        case = figure_case(8)
+        assert case.source is None
+        assert case.boundary == CharacteristicArc(-PI / 6, PI / 6)
 
     def test_kernel_figures(self):
-        assert isinstance(figure_case(1).payload, KernelPlot)
-        assert figure_case(1).payload.radii == (0.5, 0.75, 0.85)
-        assert figure_case(2).payload.radii == (0.5, 0.75)
+        for fig_id in (1, 2):
+            case = figure_case(fig_id)
+            assert (case.boundary, case.source) == (None, None)
+        assert (figure_case(1).kernel.tag, figure_case(1).radii) == ("poisson", (0.5, 0.75, 0.85))
+        assert (figure_case(2).kernel.tag, figure_case(2).radii) == ("q", (0.5, 0.75))
 
     def test_paired_figures(self):
-        for fig_id in (3, 12, 13, 14):
-            assert isinstance(figure_case(fig_id).payload, PairedCase)
+        both = {i for i in range(1, 16)
+                if figure_case(i).boundary is not None and figure_case(i).source is not None}
+        assert both == {3, 9, 11, 12, 13, 14}
+        assert figure_case(11).boundary == figure_case(10).boundary == AbsTheta()
 
     def test_figure_6_is_singular(self):
-        pieces = figure_case(6).payload.source.pieces()
+        pieces = figure_case(6).source.pieces()
         assert len(pieces) == 1
         assert pieces[0].beta == 0.25
 
     def test_figure_7_combines_two_layers(self):
-        pieces = figure_case(7).payload.source.pieces()
+        pieces = figure_case(7).source.pieces()
         assert [p.beta for p in pieces] == [0.25, 0.375]
 
     def test_boundary_layer_figures_carry_extra_rho(self):
         # the 11..14 integrands include the displayed rho beyond the Jacobian
         for fig_id in (11, 12, 13, 14):
-            case = figure_case(fig_id).payload
-            q_case = case.q if isinstance(case, PairedCase) else case
-            assert isinstance(q_case.source.radial, RhoPower)
-            assert q_case.source.radial.k == 1
+            assert figure_case(fig_id).source.radial == RhoPower(1)
 
 
 class TestConfigParsing:
@@ -160,7 +157,7 @@ class TestConfigParsing:
             "angular": {"cos": 1},
             "rect": {"r": [0.75, 1.0], "theta": [-PI / 6, PI / 6]},
         }
-        assert parse_source_config(doc) == figure_case(6).payload.source
+        assert parse_source_config(doc) == figure_case(6).source
 
     def test_inverted_bounds_rejected(self):
         doc = {"type": "char_rect", "r": [0.5, 0.25], "theta": [0.0, 1.0]}
@@ -208,16 +205,10 @@ class TestConfigParsing:
 
     def test_round_trip_whole_catalog(self):
         for fig_id in range(1, 16):
-            payload = figure_case(fig_id).payload
-            objs = []
-            if isinstance(payload, QCase):
-                objs = [payload.source]
-            elif isinstance(payload, PoissonCase):
-                objs = [payload.boundary]
-            elif isinstance(payload, PairedCase):
-                objs = [payload.poisson.boundary, payload.q.source]
-            for obj in objs:
-                assert parse_source_config(serialize_config(obj)) == obj
+            case = figure_case(fig_id)
+            for obj in (case.boundary, case.source):
+                if obj is not None:
+                    assert parse_source_config(serialize_config(obj)) == obj
 
 
 # One instance of every config type and its canonical JSON text, so that a
@@ -272,7 +263,7 @@ class TestSquareIntegrability:
     def test_singular_square_matches_substituted_midpoint(self):
         # independent midpoint rule on the integrand substituted by
         # t = (1 - rho)^(1 - 2 beta)
-        piece = figure_case(6).payload.source.pieces()[0]
+        piece = figure_case(6).source.pieces()[0]
         beta_sq = 2.0 * piece.beta
         res = integrate_polar(
             lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, piece.rect, beta=beta_sq
@@ -366,8 +357,10 @@ class TestDeclaredBreaks:
         assert [p.rect.theta_lo for p in pieces] == [-PI, 0.0, -PI, -1.0, 0.0, 1.0]
         assert [p.log_end for p in pieces] == [None, None, None, 0.0, 0.0, None]
         assert [p.coef for p in pieces] == [2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
-        arcs = BoundarySum(((2.0, AbsTheta()), (1.0, AbsLogAbsOnArc(0.0, PI)))).arcs()
+        arcs = BoundarySum(((2.0, AbsTheta()), (-0.5, AbsLogAbsOnArc(0.0, PI)))).arcs()
         assert [arc.log_end for arc in arcs] == [None, None, 0.0, None]
+        assert [arc.coef for arc in arcs] == [2.0, 2.0, -0.5, -0.5]
+        assert [arc.fn for arc in arcs] == [AbsPhi(), AbsPhi(), AbsLogAbsPhi(), AbsLogAbsPhi()]
 
     def test_log_arc_splits_at_declared_breaks(self):
         arcs = AbsLogAbsOnArc(-2.0, 2.0).arcs()

@@ -11,6 +11,7 @@ from harmonicdisk.sources import (
     AbsLogAbsPhi,
     AbsTheta,
     AngularCos,
+    BoundarySum,
     CharacteristicArc,
     CharacteristicDisk,
     CharacteristicRect,
@@ -98,6 +99,18 @@ class TestPoissonIntegral:
         )
         assert v > 0.9
 
+    def test_linearity(self):
+        # the weights of a sum ride on its arcs, in both engines
+        a, b = CharacteristicArc(-PI / 6, PI / 6), AbsTheta()
+        combo = BoundarySum(((0.7, a), (-1.3, b)))
+        grids = [poisson_integral(f, small_grid(), TIGHT) for f in (combo, a, b)]
+        assert [fld.meta["engine"] for fld in grids] == ["spectral"] * 3
+        gap = grids[0].values - (0.7 * grids[1].values - 1.3 * grids[2].values)
+        assert np.max(np.abs(gap)) < 1e-12
+        for r, theta in ((0.5, 0.3), (0.85, -2.2)):
+            v_sum, v_a, v_b = (poisson_point(f, r, theta, TIGHT)[0] for f in (combo, a, b))
+            assert v_sum == pytest.approx(0.7 * v_a - 1.3 * v_b, abs=1e-12)
+
 
 class TestQTransform:
     def test_characteristic_disk_plateau(self):
@@ -119,15 +132,14 @@ class TestQTransform:
 
     def test_center_matches_source_mass_for_catalog(self):
         for fig_id in (5, 9, 15):
-            case = figure_case(fig_id).payload
-            q_case = case.q if hasattr(case, "q") else case
+            q_case = figure_case(fig_id)
             mass = source_mass(q_case.source, TIGHT)
             v, _, _ = q_point(q_case.source, 0.0, 0.0, q_case.prefactor, TIGHT)
             assert v == pytest.approx(q_case.prefactor * mass, abs=1e-10)
 
     def test_fig15_center_closed_form(self):
         # radial integral has an erf closed form; angular integral is 1
-        src = figure_case(15).payload.source
+        src = figure_case(15).source
         expected = 5.0 * math.sqrt(PI / 10.0) * (
             math.erf(0.2 * math.sqrt(10.0))
         )
@@ -292,7 +304,7 @@ class TestGridMatchesPoint:
     def test_q_transform_singular_sum(self):
         # above the mode cap the singular pieces of fig 7 take the adaptive
         # grid, which must give the point evaluator's bits
-        case = figure_case(7).payload
+        case = figure_case(7)
         fld = q_transform(case.source, self.NEAR_RIM, case.prefactor)
         self.assert_same(fld, lambda r, t: q_point(case.source, r, t, case.prefactor,
                                                    allow_near_boundary=True))

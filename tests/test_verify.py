@@ -10,6 +10,8 @@ from harmonicdisk.kernels import q_kernel
 from harmonicdisk.quadrature import QuadratureSpec
 from harmonicdisk.sources import (
     AbsLogAbsOnArc,
+    AbsTheta,
+    BoundarySum,
     CharacteristicArc,
     CharacteristicDisk,
     figure_case,
@@ -72,7 +74,7 @@ class TestLaplacianResidual:
 
     def test_transform_output_is_harmonic(self):
         # figure-5 source: the transform output must be harmonic inside
-        case = figure_case(5).payload
+        case = figure_case(5)
         spec = QuadratureSpec(adaptive_tol=1e-11)
 
         def u(rr, tt):
@@ -107,6 +109,23 @@ class TestNorms:
         assert value == pytest.approx(math.sqrt(PI * (log_pi**2 - 2.0 * log_pi + 2.0)),
                                       abs=1e-14)
 
+    def test_circle_l2_of_a_sum_squares_overlapping_arcs_together(self):
+        arc = CharacteristicArc(-1.0, 1.0)
+        assert norm(BoundarySum(((1.0, arc), (-1.0, arc))), NormSpec("circle_l2")) == 0.0
+        value = norm(BoundarySum(((1.0, arc), (1.0, arc))), NormSpec("circle_l2"))
+        assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-14)
+        # partial overlap: (1 + |theta|)^2 on [-1, 1], theta^2 on the rest
+        value = norm(BoundarySum(((1.0, arc), (1.0, AbsTheta()))), NormSpec("circle_l2"))
+        assert value == pytest.approx(math.sqrt((12.0 + 2.0 * PI**3) / 3.0), abs=1e-13)
+
+    def test_circle_l2_of_a_sum_grades_the_shared_log_end(self):
+        # (|ln theta| + 2)^2 on [0, 1/2], ln^2 theta on [1/2, pi]
+        log_pi = math.log(PI)
+        f = BoundarySum(((1.0, AbsLogAbsOnArc(0.0, PI)), (2.0, CharacteristicArc(0.0, 0.5))))
+        exact = (PI * (log_pi**2 - 2.0 * log_pi + 2.0)
+                 + 4.0 * (0.5 + 0.5 * math.log(2.0)) + 2.0)
+        assert norm(f, NormSpec("circle_l2")) == pytest.approx(math.sqrt(exact), abs=1e-13)
+
     def test_incompatible_kinds(self):
         with pytest.raises(IncompatibleKindError):
             norm(CharacteristicDisk(0.5), NormSpec("circle_l2"))
@@ -124,7 +143,7 @@ class TestNorms:
             NormSpec("bergman_weighted", truncation_radius=1.0)
 
     def test_alpha_monotonicity(self):
-        source = figure_case(4).payload.source
+        source = figure_case(4).source
         values = [bergman_norm(source, 2.0, alpha) for alpha in (0.0, 0.5, 1.0, 2.0)]
         assert all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
@@ -148,7 +167,7 @@ class TestNorms:
         log_pi = math.log(PI)
         exact = math.sqrt((0.999**4 - 0.9**4) / 4.0
                           * PI * (log_pi**2 - 2.0 * log_pi + 2.0))
-        value = norm(figure_case(14).payload.q.source, NormSpec("harmonic_bergman_l2"))
+        value = norm(figure_case(14).source, NormSpec("harmonic_bergman_l2"))
         assert value == pytest.approx(exact, rel=1e-12)
 
     def test_rect_outside_canonical_angle_window(self):
@@ -276,7 +295,7 @@ class TestInvariantSuite:
         assert not by_id["quadrature.q_normalization"].passed
 
     def test_engine_agreement_holds(self):
-        worst = verify._engine_disagreement(figure_case(13).payload, 0.9, QuadratureSpec())
+        worst = verify._engine_disagreement(figure_case(13), 0.9, QuadratureSpec())
         assert 0.0 < worst <= 1.0
 
     @pytest.mark.parametrize("change", ["shift", "adaptive"])
@@ -294,7 +313,7 @@ class TestInvariantSuite:
             return fld
 
         monkeypatch.setattr(verify, "q_transform", corrupted)
-        worst = verify._engine_disagreement(figure_case(13).payload, 0.9, QuadratureSpec())
+        worst = verify._engine_disagreement(figure_case(13), 0.9, QuadratureSpec())
         assert worst > 1.0
 
     def test_report_serializes(self):
