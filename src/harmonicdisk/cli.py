@@ -337,14 +337,15 @@ def cmd_verify(args) -> int:
     for record in report.records:
         status = "PASS" if record.passed else "FAIL"
         print(f"{status} {record.id}: measured={record.measured:.3e} "
-              f"{record.comparator} {record.threshold:.3e}", file=sys.stderr)
+              f"{record.comparator} {record.threshold:.3e} ({record.seconds:.3f} s)",
+              file=sys.stderr)
     return EXIT_OK if report.all_passed else EXIT_VERIFY_FAILED
 
 
 def cmd_conjecture(args) -> int:
-    if bool(args.source_file) == bool(args.figure):
+    if (args.source_file is None) == (args.figure is None):
         raise SourceParseError("pass exactly one of --source-file or --figure")
-    if args.figure:
+    if args.figure is not None:
         source = figure_case(args.figure).source
         if source is None:
             raise SourceValidationError(

@@ -241,27 +241,25 @@ def integrate_angular(
     return _adaptive(integrand, ((lo, hi),), spec, end=graded_end)
 
 
-def midpoint_oracle(
-    integrand,
-    region: PolarRectangle,
-    n_radial: int,
-    n_angular: int,
-    chunk: int = 256,
-):
+_ORACLE_BLOCK = 2**18  # midpoint nodes per block of integrand values
+
+
+def midpoint_oracle(integrand, region: PolarRectangle, n_radial: int, n_angular: int):
     """Plain midpoint tensor rule including the Jacobian rho.
 
     Intentionally simple and slow; the independent oracle used by tests.
-    Radial rows are processed in chunks to bound memory at large node
-    counts.
+    Radial rows are processed in blocks of about _ORACLE_BLOCK nodes, which
+    bounds memory at large node counts and keeps the temporaries in cache.
     """
     if n_radial < 1 or n_angular < 1:
         raise InvalidRegionError("node counts must be positive")
     dr = (region.r_hi - region.r_lo) / n_radial
     dp = (region.theta_hi - region.theta_lo) / n_angular
     phi = region.theta_lo + (np.arange(n_angular) + 0.5) * dp
+    rows = max(1, _ORACLE_BLOCK // n_angular)
     total = 0.0
-    for start in range(0, n_radial, chunk):
-        stop = min(start + chunk, n_radial)
+    for start in range(0, n_radial, rows):
+        stop = min(start + rows, n_radial)
         rho = region.r_lo + (np.arange(start, stop) + 0.5) * dr
         values = np.asarray(integrand(rho[:, None], phi[None, :]), dtype=float)
         values = np.broadcast_to(values, (rho.size, n_angular))

@@ -21,11 +21,14 @@ and, among them, the ``log_points`` where it has an integrable
 logarithmic singularity; a radial factor says whether it is ``smooth``
 on every rectangle (the singular one is, as a weight, on a rectangle
 reaching the rim).  Pieces and arcs alike are cut at every break of
-their angular factor, so each is smooth in angle.  A piece is ``smooth``
-when its radial factor is (an arc always is), and the grid transforms
-keep the others to adaptive quadrature.  A log point becomes an end of a
-piece or arc, recorded in ``log_end``; the quadrature grades the angle
-towards that end.
+their angular factor, so each is smooth in angle.  A piece declares the
+``factors`` (radial, angular) it is the product of when its radial
+factor is smooth, and None otherwise; an arc's ``fn`` is its angular
+factor.  The grid transforms take the trig moments of a piece as one
+radial moment times one angular moment per mode, so a piece without
+factors (a fractional ``rho_power``, a callable) stays with adaptive
+quadrature.  A log point becomes an end of a piece or arc, recorded in
+``log_end``; the quadrature grades the angle towards that end.
 
 Pieces and arcs are weighted alike: each carries the ``coef`` of its
 term in a sum, and its ``fn`` stays the unscaled factor.
@@ -230,6 +233,9 @@ class AngularOne:
         return "one"
 
 
+_INDICATOR = (RadialOne(), AngularOne())  # the factors of a disk or rectangle indicator
+
+
 # ---------------------------------------------------------------------------
 # Boundary functions on the circle
 # ---------------------------------------------------------------------------
@@ -391,16 +397,17 @@ class SourcePiece:
     """One rectangle of a source: value = coef * fn(rho, phi) * (1-rho)^(-beta).
 
     ``fn`` is the regular part; ``beta`` is None when the piece is regular.
-    ``smooth`` declares fn smooth on the rectangle, except at ``log_end``:
-    the angular end (theta_lo or theta_hi) where fn has a logarithmic
-    singularity, or None.
+    ``factors``, when given, is the (radial, angular) pair of smooth
+    factors whose product fn is, each a callable of one variable; the
+    angular one may have a logarithmic singularity at ``log_end``: the
+    angular end (theta_lo or theta_hi) where it is singular, or None.
     """
 
     coef: float
     rect: PolarRectangle
     fn: object  # callable(rho, phi) -> array (broadcasting)
     beta: float | None = None
-    smooth: bool = False
+    factors: tuple | None = None  # (radial(rho), angular(phi)), or None: adaptive only
     log_end: float | None = None
 
 
@@ -433,7 +440,7 @@ class CharacteristicDisk(SourceFunction):
 
     def pieces(self):
         rect = PolarRectangle(0.0, self.radius, -_PI, _PI)
-        return [SourcePiece(1.0, rect, _ones_like, smooth=True)]
+        return [SourcePiece(1.0, rect, _ones_like, factors=_INDICATOR)]
 
     def to_config(self):
         return {"type": "char_disk", "radius": self.radius}
@@ -447,7 +454,7 @@ class CharacteristicRect(SourceFunction):
         return self.rect.contains(rho, phi).astype(float)
 
     def pieces(self):
-        return [SourcePiece(1.0, self.rect, _ones_like, smooth=True)]
+        return [SourcePiece(1.0, self.rect, _ones_like, factors=_INDICATOR)]
 
     def to_config(self):
         return {
@@ -474,11 +481,11 @@ class SeparableOnRect(SourceFunction):
         if isinstance(radial, PowerOfOneMinusRho) and rect.r_hi == 1.0:
             # the singular factor is the weight of the radial rule; fn keeps the rest
             fn = lambda rho, phi: np.broadcast_to(angular(phi), _shape_of(rho, phi)).astype(float)
-            beta, smooth = radial.beta, True
+            beta, factors = radial.beta, (RadialOne(), angular)
         else:
             fn = lambda rho, phi: np.asarray(radial(rho)) * np.asarray(angular(phi))
-            beta, smooth = None, radial.smooth
-        return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), fn, beta, smooth, end)
+            beta, factors = None, (radial, angular) if radial.smooth else None
+        return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), fn, beta, factors, end)
                 for a, b, end in _split_at_breaks(angular, rect.theta_lo, rect.theta_hi)]
 
     def to_config(self):

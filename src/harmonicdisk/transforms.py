@@ -14,18 +14,20 @@ Two engines compute them, with no interpolation or smoothing in either.
 * The grid operators (``q_transform``, ``harmonic_rep`` and
   ``bergman_project``, one evaluator ``_q_field`` differing only in the
   prefactor and the constant subtracted; and ``poisson_integral``) take
-  the spectral path when every piece of the source is declared
-  ``smooth`` (arcs always are).  Both kernels have closed Fourier
-  series, so the whole grid is a sum over modes k of
-  w_k(r) [C_k cos k theta + S_k sin k theta], with the trig moments
-  C_k, S_k of each piece taken once on fixed Gauss rules: the radial
-  rule weighted by the piece's (1 - rho)^(-beta), and the angular panel
-  that ends at a ``log_end`` graded towards it, as above.
+  the spectral path when every piece of the source declares its
+  ``factors`` (arcs always do: their ``fn`` is the angular factor).
+  Both kernels have closed Fourier series, so the whole grid is a sum
+  over modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with the
+  trig moments C_k, S_k of each piece taken once on fixed Gauss rules:
+  a piece R(rho) A(phi) has C_k = (sum_i w_i R(rho_i) rho_i^k) *
+  (sum_j w_j A(phi_j) cos k phi_j), and S_k likewise, on the radial rule
+  weighted by the piece's (1 - rho)^(-beta) and the angular panels, the
+  one that ends at a ``log_end`` graded towards it, as above.
   The series is cut where its tail bound drops below 1e-16 of the
   source's absolute mass.  Each point's error estimate is that tail plus
   the difference between the moments of the main rule and a rule of half
   the nodes; if any estimate exceeds ``spec.adaptive_tol``, or the source
-  has no declared smoothness, would need more modes than
+  declares no factors, would need more modes than
   r_max * r_hi <= 0.99 allows, or has fewer grid points than K^2 / 1e4
   for K modes, the grid is computed point by point with the point
   evaluators instead, bit for bit as they would.
@@ -59,7 +61,7 @@ from .quadrature import (
     integrate_angular,
     integrate_polar,
 )
-from .sources import BoundaryArc, BoundaryFunction, SourceFunction, SourcePiece
+from .sources import BoundaryArc, BoundaryFunction, RadialOne, SourceFunction, SourcePiece
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,7 +239,8 @@ _TAIL_TOL = 1e-16  # truncation tail per unit absolute mass of the source
 _MAX_RATIO = 0.99  # r_max * r_hi above this needs over ~5k modes: adaptive path
 _MODES_SQ_PER_POINT = 1e4  # moments of K modes cost ~K^2 / 1e4 adaptive points
 _ANGULAR_NODES = 32  # coarse Gauss-Legendre rule per angular panel (main: 64)
-_CHUNK = 2 * _ANGULAR_NODES  # angles per block of source values or trig tables
+_CHUNK = 2 * _ANGULAR_NODES  # grid angles per block of trig tables
+_BLOCK = 2**15  # panels x modes per block of panel phases and angular moments
 _RADIAL_NODES = 8  # coarse radial nodes beyond those rho^K needs
 _PANEL_PHASE = 24.0  # K * (panel half-width): the phase cos(k phi) turns through
 
@@ -256,12 +259,12 @@ def _mode_count(series: _Series, q: float):
 
 def _spectral_modes(series: _Series, parts, r_max: float):
     """Mode count per part (a SourcePiece or a BoundaryArc), or None when any
-    part must take the adaptive path: a piece not declared ``smooth`` (an
-    arc always is), or too many modes."""
+    part must take the adaptive path: a piece that declares no ``factors``
+    (an arc always has its angular factor), or too many modes."""
     modes = []
     for part in parts:
         piece = isinstance(part, SourcePiece)
-        if piece and not part.smooth:
+        if piece and part.factors is None:
             return None
         modes.append(_mode_count(series, r_max * (part.rect.r_hi if piece else 1.0)))
     return None if None in modes else modes
@@ -296,39 +299,48 @@ def _radial_rule(rect, n_modes, scale, beta):
     return rho, w * rho
 
 
-def _trig_moments(fn, rho, w_rho, panels, n_modes):
-    """(C_k, S_k) for k <= n_modes, and the absolute mass, of
-    sum_ij w_rho_i w_j fn(rho_i, phi_j) rho_i^k (cos, sin)(k phi_j) over the
-    angular rules of ``panels`` (see ``_angular_panels``), or None when fn
-    is not finite at a node.
+def _trig_moments(radial, angular, rho, w_rho, panels, n_modes):
+    """(C_k, S_k) for k <= n_modes, and the absolute mass, of the piece
+    radial(rho) * angular(phi): the radial moment
+    sum_i w_rho_i radial(rho_i) rho_i^k times the angular moments
+    sum_j w_j angular(phi_j) (cos, sin)(k phi_j) over the angular rules of
+    ``panels`` (see ``_angular_panels``), or None when a factor is not
+    finite at a node.  The absolute mass is the product of the two sums of
+    |w f| over the nodes.
 
-    One panel of source values is held at a time.  Its nodes are
-    mid + offsets, so cos and sin of k phi_j come from one table of
-    k offsets per group of panels and the angle-addition formulas."""
+    The nodes of a panel are mid + offsets, so cos and sin of k phi_j come
+    from one table of k offsets per group of panels and the angle-addition
+    formulas, over blocks of panels of at most _BLOCK phases; the radial
+    powers are taken in blocks of at most _BLOCK too."""
     k = np.arange(n_modes + 1)
-    powers = rho[:, None] ** k  # n_rho x (K+1), reused by every panel
-    powers *= w_rho[:, None]
-    moments = np.zeros((2, k.size))
-    mass = 0.0
+    r_vals = w_rho * radial(rho)
+    if not np.all(np.isfinite(r_vals)):
+        return None
+    angular_moments = np.zeros((2, k.size))
+    angular_mass = 0.0
+    step = max(1, _BLOCK // k.size)
     for offsets, weights, mids in panels:
         kt = np.outer(offsets, k)
         cos_t = np.cos(kt)
         sin_t = np.sin(kt, out=kt)
-        cos_t *= weights[:, None]
-        sin_t *= weights[:, None]
-        for mid in mids.tolist():
-            f = np.broadcast_to(np.asarray(fn(rho[:, None], mid + offsets), dtype=float),
-                                (rho.size, offsets.size))
-            if not np.all(np.isfinite(f)):
+        for start in range(0, mids.size, step):
+            mid = mids[start:start + step]
+            a_vals = np.broadcast_to(np.asarray(angular(mid[:, None] + offsets), dtype=float),
+                                     (mid.size, offsets.size))
+            if not np.all(np.isfinite(a_vals)):
                 return None
-            h = f.T @ powers
-            a = np.einsum("jk,jk->k", cos_t, h)
-            b = np.einsum("jk,jk->k", sin_t, h)
-            cos_m, sin_m = np.cos(k * mid), np.sin(k * mid)
-            moments[0] += cos_m * a - sin_m * b
-            moments[1] += sin_m * a + cos_m * b
-            mass += float(np.abs(w_rho) @ np.abs(f) @ weights)
-    return moments, mass
+            a_vals = a_vals * weights
+            angular_mass += float(np.abs(a_vals).sum())
+            a, b = a_vals @ cos_t, a_vals @ sin_t  # panels x (K+1), about each mid
+            km = np.outer(mid, k)
+            cos_m = np.cos(km)
+            sin_m = np.sin(km, out=km)
+            angular_moments[0] += np.einsum("pk,pk->k", cos_m, a) - np.einsum("pk,pk->k", sin_m, b)
+            angular_moments[1] += np.einsum("pk,pk->k", sin_m, a) + np.einsum("pk,pk->k", cos_m, b)
+    step = max(1, _BLOCK // rho.size)  # modes per block of radial powers
+    radial_moments = np.concatenate([r_vals @ rho[:, None] ** k[start:start + step]
+                                     for start in range(0, k.size, step)])
+    return radial_moments * angular_moments, float(np.abs(r_vals).sum()) * angular_mass
 
 
 def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
@@ -350,16 +362,16 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
     for part, K in zip(parts, modes):
         scales = (2, 1)  # main rule, then the coarse one
         if isinstance(part, SourcePiece):
-            fn, rect = part.fn, part.rect
+            (radial, angular), rect = part.factors, part.rect
             lo, hi, r_hi = rect.theta_lo, rect.theta_hi, rect.r_hi
-            radial = [_radial_rule(rect, K, scale, part.beta) for scale in scales]
+            rules = [_radial_rule(rect, K, scale, part.beta) for scale in scales]
         else:  # a boundary arc: one radial node rho = 1 of weight 1
-            fn, r_hi = lambda rho, phi, g=part.fn: g(phi), 1.0
+            radial, angular, r_hi = RadialOne(), part.fn, 1.0
             lo, hi = part.lo, part.hi
-            radial = [(np.ones(1), np.ones(1))] * len(scales)
-        got = [_trig_moments(fn, rho, w_rho,
+            rules = [(np.ones(1), np.ones(1))] * len(scales)
+        got = [_trig_moments(radial, angular, rho, w_rho,
                              _angular_panels(lo, hi, K, scale * _ANGULAR_NODES, part.log_end), K)
-               for (rho, w_rho), scale in zip(radial, scales)]
+               for (rho, w_rho), scale in zip(rules, scales)]
         if None in got:
             return None
         (main, mass), (coarse, _) = got
@@ -391,7 +403,7 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
 def _grid_eval(point, series, parts, grid: EvaluationGrid, prefactor, offset,
                spec, meta: dict) -> Field:
     """The field of prefactor * transform - offset: spectral when every part
-    declares itself smooth, the grid pays for the moments and the error
+    declares its factors, the grid pays for the moments and the error
     estimates hold, else ``point`` at every grid point."""
     modes = _spectral_modes(series, parts, float(grid.radii[-1]))
     if modes and grid.n_r * grid.n_theta * _MODES_SQ_PER_POINT < max(modes) ** 2:

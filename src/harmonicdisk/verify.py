@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -384,6 +385,7 @@ class InvariantRecord:
     comparator: str  # "<=" or ">="
     passed: bool
     note: str = ""
+    seconds: float = dataclass_field(default=0.0, compare=False)  # wall time; not in the JSON
 
 
 @dataclass
@@ -426,6 +428,15 @@ class SuiteConfig:
     include_heat: bool = True
 
 
+class _Records(list):
+    """Invariant records, each timed from the one before it (the first from
+    the list's creation)."""
+
+    def __init__(self):
+        super().__init__()
+        self.mark = time.perf_counter()
+
+
 def _record(records, rec_id, measured, threshold, comparator="<=", note=""):
     if comparator == "<=":
         passed = measured <= threshold
@@ -433,7 +444,10 @@ def _record(records, rec_id, measured, threshold, comparator="<=", note=""):
         passed = measured >= threshold
     else:
         raise ValueError(comparator)
-    records.append(InvariantRecord(rec_id, float(measured), float(threshold), comparator, bool(passed), note))
+    now = time.perf_counter()
+    records.append(InvariantRecord(rec_id, float(measured), float(threshold), comparator,
+                                   bool(passed), note, now - records.mark))
+    records.mark = now
 
 
 def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
@@ -445,7 +459,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     cfg = config or SuiteConfig()
     q_fn = cfg.q_kernel_fn or _kernels.q_kernel
     quad = cfg.quad
-    records = []
+    records = _Records()
 
     # --- kernels ---------------------------------------------------------
     rs = np.linspace(0.0, 0.99, 34)[:, None]
@@ -657,7 +671,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     if cfg.include_heat:
         _heat_suite_records(records)
 
-    return SuiteReport(records)
+    return SuiteReport(list(records))
 
 
 # The solver is looked up on its module at call time, so a wrapper installed

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,11 @@ class TestCLI:
         assert main(["transform", "--source-file", str(ok), "--r-max", "0.995",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_conjecture_figure_zero_is_an_unknown_figure(self, tmp_path, capsys):
+        for fig in ("0", "16"):
+            assert main(["conjecture", "--figure", fig, "--out", str(tmp_path)]) == 2
+            assert f"figure id must lie in 1..15, got {fig}" in capsys.readouterr().err
+
     def test_numerical_failure_exits_3(self, tmp_path):
         # robin conditions sample the source on the rim, where the
         # figure-6 source diverges
@@ -205,3 +211,8 @@ class TestCLI:
         assert code == 0
         doc = json.loads(out.read_text())
         assert doc["all_passed"] is True
+        # each invariant's wall time goes to stderr, never into the report
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == len(doc["records"])
+        assert all(re.fullmatch(r"PASS \S+: .* \(\d+\.\d{3} s\)", line) for line in lines)
+        assert all("seconds" not in record for record in doc["records"])

@@ -19,6 +19,7 @@ from harmonicdisk.sources import (
     AbsTheta,
     BoundarySum,
     AngularCos,
+    AngularOne,
     AngularSin,
     CharacteristicArc,
     CharacteristicDisk,
@@ -27,6 +28,7 @@ from harmonicdisk.sources import (
     Cosine,
     GaussianBump,
     PowerOfOneMinusRho,
+    RadialOne,
     RhoPower,
     SeparableOnRect,
     SinOnArc,
@@ -311,44 +313,48 @@ class TestDeclaredBreaks:
     ANNULUS = PolarRectangle(0.9, 1.0, -PI, PI)
 
     def test_smooth_pieces_declare_no_breaks(self):
-        assert CharacteristicDisk(0.5).pieces()[0].smooth
-        assert CharacteristicRect(self.ANNULUS).pieces()[0].smooth
-        (piece,) = SeparableOnRect(GaussianBump(1.0, 0.5, 10.0), AngularCos(2),
-                                   self.ANNULUS).pieces()
-        assert (piece.rect, piece.smooth) == (self.ANNULUS, True)
+        assert CharacteristicDisk(0.5).pieces()[0].factors == (RadialOne(), AngularOne())
+        assert CharacteristicRect(self.ANNULUS).pieces()[0].factors == (RadialOne(), AngularOne())
+        bump, cos2 = GaussianBump(1.0, 0.5, 10.0), AngularCos(2)
+        (piece,) = SeparableOnRect(bump, cos2, self.ANNULUS).pieces()
+        assert (piece.rect, piece.factors) == (self.ANNULUS, (bump, cos2))
 
     def test_abs_phi_break_only_inside_the_rectangle(self):
         pieces = SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS).pieces()
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(-PI, 0.0), (0.0, PI)]
-        assert all(p.smooth and p.log_end is None for p in pieces)
+        assert all(p.factors == (RhoPower(1), AbsPhi()) and p.log_end is None for p in pieces)
         right = PolarRectangle(0.9, 1.0, 0.0, PI)
         (piece,) = SeparableOnRect(RhoPower(1), AbsPhi(), right).pieces()
-        assert (piece.rect, piece.smooth) == (right, True)
+        assert (piece.rect, piece.factors) == (right, (RhoPower(1), AbsPhi()))
 
     def test_undeclared_factors(self):
         for radial, angular in ((RhoPower(0.5), AngularCos(1)),
                                 (PowerOfOneMinusRho(0.25), AngularCos(1))):
             rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
-            assert not SeparableOnRect(radial, angular, rect).pieces()[0].smooth
+            assert SeparableOnRect(radial, angular, rect).pieces()[0].factors is None
 
     def test_log_point_becomes_a_piece_end(self):
         rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
         pieces = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), rect).pieces()
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(-1.0, 0.0), (0.0, 1.0)]
-        assert [(p.smooth, p.log_end, p.beta) for p in pieces] == [(True, 0.0, None)] * 2
+        factors = (RhoPower(1), AbsLogAbsPhi())
+        assert [(p.factors, p.log_end, p.beta) for p in pieces] == [(factors, 0.0, None)] * 2
         assert all(p.rect.r_lo == 0.5 and p.rect.r_hi == 0.9 for p in pieces)
 
     def test_log_factor_away_from_its_log_point_is_one_smooth_piece(self):
         rect = PolarRectangle(0.5, 0.9, 2.0, 3.0)
         (piece,) = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), rect).pieces()
-        assert (piece.rect, piece.smooth, piece.log_end) == (rect, True, None)
+        assert (piece.rect, piece.factors, piece.log_end) == (rect, (RhoPower(1), AbsLogAbsPhi()),
+                                                              None)
 
     def test_log_end_composes_with_singular_radial(self):
         rect = PolarRectangle(0.75, 1.0, 0.0, PI)
         pieces = SeparableOnRect(PowerOfOneMinusRho(0.25), AbsLogAbsPhi(), rect).pieces()
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(0.0, 1.0), (1.0, PI)]
-        assert [(p.beta, p.log_end, p.smooth) for p in pieces] == [(0.25, 0.0, True),
-                                                                  (0.25, None, True)]
+        # the singular factor is the radial rule's weight, so the piece's own is one
+        factors = (RadialOne(), AbsLogAbsPhi())
+        assert [(p.beta, p.log_end, p.factors) for p in pieces] == [(0.25, 0.0, factors),
+                                                                   (0.25, None, factors)]
 
     def test_sum_keeps_breaks(self):
         a = SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS)

@@ -58,9 +58,15 @@ atoms = st.one_of(
 coefs = st.floats(-2.0, 2.0)
 
 
+def _rotated_factors(factors, d):
+    radial, angular = factors
+    return radial, lambda phi: angular(phi - d)
+
+
 @dataclass(frozen=True)
 class Rotated(SourceFunction):
-    """source(rho, phi - delta): every piece and its rectangle turned by delta."""
+    """source(rho, phi - delta): every piece, its rectangle and its angular
+    factor turned by delta."""
 
     source: SourceFunction
     delta: float
@@ -73,7 +79,7 @@ class Rotated(SourceFunction):
                 PolarRectangle(p.rect.r_lo, p.rect.r_hi, p.rect.theta_lo + d, p.rect.theta_hi + d),
                 lambda rho, phi, fn=p.fn: fn(rho, phi - d),
                 p.beta,
-                p.smooth,
+                _rotated_factors(p.factors, d),
             )
             for p in self.source.pieces()
         ]

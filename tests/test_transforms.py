@@ -11,6 +11,7 @@ from harmonicdisk.sources import (
     AbsLogAbsPhi,
     AbsTheta,
     AngularCos,
+    AngularOne,
     BoundarySum,
     CharacteristicArc,
     CharacteristicDisk,
@@ -18,8 +19,10 @@ from harmonicdisk.sources import (
     ConstantOne,
     Cosine,
     PowerOfOneMinusRho,
+    RadialOne,
     RhoPower,
     SeparableOnRect,
+    SinOnArc,
     SourceSum,
     catalog_boundary_functions,
     catalog_q_sources,
@@ -33,8 +36,10 @@ from harmonicdisk.transforms import (
     _angular_panels,
     _poisson_arcs_point,
     _q_pieces_point,
+    _radial_rule,
     _spectral_field,
     _spectral_modes,
+    _trig_moments,
     analytic_rep,
     bergman_project,
     harmonic_rep,
@@ -374,6 +379,7 @@ class TestSpectralDispatch:
         ]
         for src in adaptive:
             assert _spectral_modes(_Q_SERIES, src.pieces(), 0.9) is None
+            assert q_transform(src, self.GRID).meta["engine"] == "adaptive"
 
     def test_mode_cap(self):
         grid = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.995, allow_near_boundary=True)
@@ -411,7 +417,7 @@ class TestSpectralDispatch:
     def test_kink_is_a_panel_edge(self):
         pieces = _q_case(11).source.pieces()
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(-PI, 0.0), (0.0, PI)]
-        assert all(p.smooth for p in pieces)
+        assert all(p.factors is not None for p in pieces)
         for piece in pieces:
             lo, hi = piece.rect.theta_lo, piece.rect.theta_hi
             ((offsets, weights, mids),) = _angular_panels(lo, hi, 400, 64, None)
@@ -443,7 +449,7 @@ class TestGradedLogEnd:
         arcs = _boundary(14).arcs()
         assert [p.log_end for p in pieces] == [0.0, None]
         assert [a.log_end for a in arcs] == [0.0, None]
-        assert all(p.smooth for p in pieces)
+        assert all(p.factors is not None for p in pieces)
         assert _spectral_modes(_Q_SERIES, pieces, 0.9) is not None
         assert _spectral_modes(_POISSON_SERIES, arcs, 0.9) is not None
 
@@ -535,6 +541,13 @@ class TestSpectralMatchesPoint:
         self.assert_agrees(fld, point)
 
 
+def _trig_integrals(j, lo, hi):
+    """(int cos(j phi), int sin(j phi)) over [lo, hi], elementwise in j."""
+    safe = np.where(j == 0.0, 1.0, j)
+    return (np.where(j == 0.0, hi - lo, (np.sin(j * hi) - np.sin(j * lo)) / safe),
+            np.where(j == 0.0, 0.0, (np.cos(j * lo) - np.cos(j * hi)) / safe))
+
+
 def _rim_cos_series(pieces, radii, angles, n_modes):
     """Q of a sum of cos(phi) (1 - rho)^(-beta) pieces on [a, 1] x [lo, hi],
     sum_k (k+1) r^k I_{k+1} (C_k cos k theta + S_k sin k theta), from closed
@@ -550,11 +563,7 @@ def _rim_cos_series(pieces, radii, angles, n_modes):
         radial = [rim / (1.0 - beta)]
         for m in range(1, n_modes + 2):
             radial.append((m * radial[-1] + a**m * rim) / (m + 1.0 - beta))
-        # int cos(j phi) and int sin(j phi) over [lo, hi]
-        j = np.stack([k - 1.0, k + 1.0])
-        safe = np.where(j == 0.0, 1.0, j)
-        int_cos = np.where(j == 0.0, hi - lo, (np.sin(j * hi) - np.sin(j * lo)) / safe)
-        int_sin = np.where(j == 0.0, 0.0, (np.cos(j * lo) - np.cos(j * hi)) / safe)
+        int_cos, int_sin = _trig_integrals(np.stack([k - 1.0, k + 1.0]), lo, hi)
         cos_moments += piece.coef * np.array(radial[1:]) * 0.5 * int_cos.sum(axis=0)
         sin_moments += piece.coef * np.array(radial[1:]) * 0.5 * int_sin.sum(axis=0)
     w = (k + 1.0) * np.asarray(radii, dtype=float)[:, None] ** k
@@ -594,8 +603,61 @@ class TestRimSingularOracle:
                 assert abs(value - exact) <= err + 1e-13 * max(1.0, abs(exact))
 
 
+class TestSeparableMoments:
+    """The trig moments of a piece are one radial moment times one angular
+    moment per mode; both match closed forms, and the absolute mass is that
+    of the source-value tensor."""
+
+    K = 200
+    k = np.arange(K + 1.0)
+
+    def test_rho_power_cos_on_a_rectangle(self):
+        m, n = 3, 2
+        rect = PolarRectangle(0.2, 0.7, -0.5, 1.3)
+        rho, w_rho = _radial_rule(rect, self.K, 2, None)
+        panels = _angular_panels(rect.theta_lo, rect.theta_hi, self.K, 64, None)
+        (cos_k, sin_k), mass = _trig_moments(RhoPower(m), AngularCos(n), rho, w_rho,
+                                             panels, self.K)
+        p = m + self.k + 2
+        radial = (rect.r_hi**p - rect.r_lo**p) / p
+        # cos(n phi) cos(k phi) = (cos((k-n) phi) + cos((k+n) phi)) / 2, and so on
+        minus = _trig_integrals(self.k - n, rect.theta_lo, rect.theta_hi)
+        plus = _trig_integrals(self.k + n, rect.theta_lo, rect.theta_hi)
+        for got, exact in ((cos_k, radial * 0.5 * (minus[0] + plus[0])),
+                           (sin_k, radial * 0.5 * (minus[1] + plus[1]))):
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+        # the absolute mass is that of the tensor of source values
+        ((offsets, weights, mids),) = panels
+        phi = (mids[:, None] + offsets).ravel()
+        w_phi = np.tile(weights, mids.size)
+        tensor = (w_rho * rho**m)[:, None] * (w_phi * np.cos(n * phi))
+        assert mass == pytest.approx(np.abs(tensor).sum(), rel=1e-14)
+
+    def test_arc_angular_moments(self):
+        lo, hi = 0.0, PI
+        (arc,) = SinOnArc(lo, hi).arcs()
+        panels = _angular_panels(lo, hi, self.K, 64, arc.log_end)
+        (cos_k, sin_k), _ = _trig_moments(RadialOne(), arc.fn, np.ones(1), np.ones(1),
+                                          panels, self.K)
+        # sin(phi) cos(k phi) = (sin((1+k) phi) + sin((1-k) phi)) / 2, and so on
+        minus = _trig_integrals(1.0 - self.k, lo, hi)
+        plus = _trig_integrals(1.0 + self.k, lo, hi)
+        for got, exact in ((cos_k, 0.5 * (minus[1] + plus[1])),
+                           (sin_k, 0.5 * (minus[0] - plus[0]))):
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    def test_non_finite_factor_takes_no_moments(self):
+        rect = PolarRectangle(0.2, 0.7, -0.5, 1.3)
+        rho, w_rho = _radial_rule(rect, self.K, 1, None)
+        panels = _angular_panels(rect.theta_lo, rect.theta_hi, self.K, 32, None)
+        nan_radial = lambda rho: np.where(rho > 0.5, np.nan, 1.0)
+        nan_angular = lambda phi: np.where(phi > 1.0, np.inf, 1.0)
+        assert _trig_moments(nan_radial, AngularOne(), rho, w_rho, panels, self.K) is None
+        assert _trig_moments(RadialOne(), nan_angular, rho, w_rho, panels, self.K) is None
+
+
 def test_spectral_memory_is_chunked():
-    """Source values and trig tables are held 64 angles at a time, so a
+    """Angular values and panel phases are held in blocks of panels, so a
     40 x 128 grid of the full-disk fig 3 source peaks well below the
     n_rho x n_phi tensor."""
     case = _q_case(3)
