@@ -23,8 +23,8 @@ radius first), and the same adaptive loop refines both.
 Integrable endpoint singularities are declared by the source, never
 found by bisection.  Both engines give a panel ending at one its own rule:
 
-* radially, (1 - rho)^(-beta) at rho = 1 (``SourcePiece.beta``) is the
-  weight of ``_map_nodes``: Gauss-Jacobi on a panel ending at rho = 1,
+* radially, a factor |rho - end|^exponent (``SourcePiece.weight``) is the
+  weight of ``_map_nodes``: Gauss-Jacobi on a panel ending at ``end``,
   exact for the weight times any polynomial of degree 2n - 1;
 * angularly, a logarithmic singularity at one end e of the angular
   interval (``SourcePiece.log_end``, ``BoundaryArc.log_end``, every entry
@@ -89,31 +89,38 @@ def _gauss_rule(n: int):
 
 
 @lru_cache(maxsize=64)
-def _jacobi_rule(n: int, beta: float):
-    """The n-point Gauss rule of the weight (1 - x)^(-beta) on [-1, 1]: the
-    eigenvalues and first eigenvector components of its Jacobi matrix
-    (Golub & Welsch, Math. Comp. 23, 1969), the Jacobi exponents (a, 0)."""
-    a = -beta
+def _jacobi_rule(n: int, a: float, b: float):
+    """The n-point Gauss rule of the weight (1 - x)^a (1 + x)^b on [-1, 1]:
+    the eigenvalues and first eigenvector components of its Jacobi matrix
+    (Golub & Welsch, Math. Comp. 23, 1969)."""
     k = np.arange(1, n)
-    s = 2.0 * k + a
-    diagonal = np.concatenate([[-a / (a + 2.0)], -a * a / (s * (s + 2.0))])
-    off = 2.0 * k * (k + a) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    s = 2.0 * k + a + b
+    diagonal = np.concatenate([[(b - a) / (a + b + 2.0)], (b * b - a * a) / (s * (s + 2.0))])
+    # off-diagonal^2 = 4 p q / (s^2 (s + 1) d); q = d = 1 + a + b at k = 1
+    # cancel, and vanish for a + b = -1, so both are p there
+    p, q, d = (k + a) * (k + b), k * (k + a + b), s - 1.0
+    q[:1] = d[:1] = p[:1]
+    off = 2.0 * np.sqrt(p * q) / (s * np.sqrt((s + 1.0) * d))
     nodes, vectors = np.linalg.eigh(np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1))
-    return nodes, 2.0 ** (a + 1.0) / (a + 1.0) * vectors[0] ** 2  # weights sum to the mass
+    # the weights sum to the mass 2^(a+b+1) B(a+1, b+1), exactly 2^(a+1) / (a+1) at b = 0
+    mass = 2.0 ** (a + b + 1.0) / (a + 1.0) * (math.gamma(a + 2.0) * math.gamma(b + 1.0)
+                                               / math.gamma(a + b + 2.0))
+    return nodes, mass * vectors[0] ** 2
 
 
-def _map_nodes(lo: float, hi: float, n: int, beta: float | None = None):
-    """n nodes and weights on [lo, hi] of the weight (1 - rho)^(-beta), if
-    given: Gauss-Jacobi on a panel ending at rho = 1, where 1 - rho is
-    half (1 - x), and Gauss-Legendre times the weight on any other."""
+def _map_nodes(lo: float, hi: float, n: int, weight: tuple | None = None):
+    """n nodes and weights on [lo, hi] of the weight (end, exponent),
+    |rho - end|^exponent, if given: Gauss-Jacobi on a panel ending at
+    ``end``, and Gauss-Legendre times the weight on any other."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    if beta is not None and hi == 1.0:
-        nodes, weights = _jacobi_rule(n, beta)
-        return mid + half * nodes, half ** (1.0 - beta) * weights
+    if weight is not None and weight[0] in (lo, hi):
+        end, exponent = weight
+        nodes, weights = _jacobi_rule(n, *((exponent, 0.0) if end == hi else (0.0, exponent)))
+        return mid + half * nodes, half ** (1.0 + exponent) * weights
     nodes, weights = _gauss_rule(n)
     rho = mid + half * nodes
-    return rho, half * weights * (1.0 if beta is None else (1.0 - rho) ** -beta)
+    return rho, half * weights * (1.0 if weight is None else np.abs(rho - weight[0]) ** weight[1])
 
 
 def _graded_rule(span: float, n: int):
@@ -143,19 +150,19 @@ def _finite_values(raw, shape, panel):
     return values
 
 
-def _panel_rule(integrand, panel, counts, beta, end):
+def _panel_rule(integrand, panel, counts, weight, end):
     """One Gauss rule over a panel of one interval (an angle) or two (a polar
-    rectangle, with the Jacobian rho and the radial weight of ``beta``),
+    rectangle, with the Jacobian rho and the radial ``weight``),
     the angle graded towards ``end`` on a panel that ends there."""
     phi, w_p = _angular_rule(*panel[-1], counts[-1], end)
     if len(panel) == 1:
         return float(w_p @ _finite_values(integrand(phi), phi.shape, panel))
-    x, w = _map_nodes(*panel[0], counts[0], beta)
+    x, w = _map_nodes(*panel[0], counts[0], weight)
     values = _finite_values(integrand(x[:, None], phi[None, :]), (x.size, phi.size), panel)
     return float(w @ (values * x[:, None]) @ w_p)
 
 
-def _adaptive(integrand, panel, spec, beta=None, end=None):
+def _adaptive(integrand, panel, spec, weight=None, end=None):
     """The adaptive bisection loop behind every public entry point.
 
     ``panel`` is ((phi_lo, phi_hi),) for a 1-D angular integral or
@@ -173,8 +180,8 @@ def _adaptive(integrand, panel, spec, beta=None, end=None):
     all_converged = True
     while stack:
         panel, depth = stack.pop()
-        coarse = _panel_rule(integrand, panel, counts, beta, end)
-        fine = _panel_rule(integrand, panel, fine_counts, beta, end)
+        coarse = _panel_rule(integrand, panel, counts, weight, end)
+        fine = _panel_rule(integrand, panel, fine_counts, weight, end)
         err = abs(fine - coarse)
         if err <= spec.adaptive_tol or depth >= spec.max_depth:
             values.append(fine)
@@ -189,8 +196,8 @@ def _adaptive(integrand, panel, spec, beta=None, end=None):
         axis = len(panel) - 1
         if axis == 1:
             n_r, n_p = counts
-            move_r = abs(_panel_rule(integrand, panel, (2 * n_r, n_p), beta, end) - coarse)
-            move_p = abs(_panel_rule(integrand, panel, (n_r, 2 * n_p), beta, end) - coarse)
+            move_r = abs(_panel_rule(integrand, panel, (2 * n_r, n_p), weight, end) - coarse)
+            move_p = abs(_panel_rule(integrand, panel, (n_r, 2 * n_p), weight, end) - coarse)
             if move_p < move_r:
                 axis = 0
         lo, hi = panel[axis]
@@ -210,19 +217,19 @@ def integrate_polar(
     region: PolarRectangle,
     spec: QuadratureSpec | None = None,
     graded_end: float | None = None,
-    beta: float | None = None,
+    weight: tuple | None = None,
 ):
     """Integrate g(rho, phi) * rho over a polar rectangle adaptively,
-    times (1 - rho)^(-beta) when ``beta`` in (0, 1) is given (then r_hi
-    must be 1), grading the angle towards ``graded_end`` (theta_lo or
-    theta_hi) when given."""
+    times |rho - end|^exponent when ``weight`` = (end, exponent) is given
+    (end r_lo or r_hi, exponent > -1), grading the angle towards
+    ``graded_end`` (theta_lo or theta_hi) when given."""
     spec = spec or QuadratureSpec()
-    if beta is not None and not 0.0 < beta < 1.0:
-        raise InvalidExponentError(f"beta must lie in (0, 1), got {beta}")
-    if beta is not None and region.r_hi != 1.0:
-        raise InvalidRegionError("a radial weight (1 - rho)^(-beta) requires r_hi = 1")
+    if weight is not None and not weight[1] > -1.0:
+        raise InvalidExponentError(f"weight exponent must exceed -1, got {weight[1]}")
+    if weight is not None and weight[0] not in (region.r_lo, region.r_hi):
+        raise InvalidRegionError(f"weight end {weight[0]} is not r_lo or r_hi of {region}")
     return _adaptive(integrand, ((region.r_lo, region.r_hi), (region.theta_lo, region.theta_hi)),
-                     spec, beta, graded_end)
+                     spec, weight, graded_end)
 
 
 def integrate_angular(

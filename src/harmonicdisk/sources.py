@@ -2,11 +2,9 @@
 the catalog of the fifteen standard figure cases.
 
 A :class:`SourceFunction` describes an integrand over the unit disk as a
-weighted sum of pieces, each supported on one polar rectangle and smooth
-there except for an optional integrable radial factor (1 - rho)^(-beta)
-at the boundary.  Transforms consume sources through :meth:`pieces`,
-which hands the quadrature layer one smooth function per rectangle and
-the singular exponent separately, as the radial rule's weight.
+weighted sum of pieces, each supported on one polar rectangle and the
+product of a radial and an angular factor there.  Transforms consume
+sources through :meth:`pieces`.
 
 A :class:`BoundaryFunction` is an angular factor on an arc of the unit
 circle (the full circle unless narrowed), zero elsewhere, or a weighted
@@ -15,20 +13,21 @@ sum of such: the boundary data |theta|, theta^2, sin theta, cos n theta,
 is consumed through :meth:`arcs`, which cuts its arc at the factor's
 breaks so the panels of both engines see clean endpoints.
 
-Kinks and singular angles are declared once, by the factors themselves:
-an angular factor lists its ``breaks`` (angles where it is not smooth)
-and, among them, the ``log_points`` where it has an integrable
-logarithmic singularity; a radial factor says whether it is ``smooth``
-on every rectangle (the singular one is, as a weight, on a rectangle
-reaching the rim).  Pieces and arcs alike are cut at every break of
-their angular factor, so each is smooth in angle.  A piece declares the
-``factors`` (radial, angular) it is the product of when its radial
-factor is smooth, and None otherwise; an arc's ``fn`` is its angular
-factor.  The grid transforms take the trig moments of a piece as one
-radial moment times one angular moment per mode, so a piece without
-factors (a fractional ``rho_power``, a callable) stays with adaptive
-quadrature.  A log point becomes an end of a piece or arc, recorded in
-``log_end``; the quadrature grades the angle towards that end.
+Singular radii, kinks and singular angles are declared once, by the
+factors themselves.  A radial factor declares its ``weight``: None, or
+(end, exponent) for its factor |rho - end|^exponent: (1, -beta) for
+(1 - rho)^(-beta), (0, k) for a fractional rho^k.  A piece reaching that
+end takes the weight, the Gauss-Jacobi weight of both engines' radial
+rule, and RadialOne as its factor; elsewhere the factor is smooth and
+stays.  An angular factor lists its ``breaks`` (angles where it is not
+smooth) and, among them, the ``log_points`` where it has an integrable
+logarithmic singularity.  Pieces and arcs are cut at every break of
+their angular factor; a log point becomes a piece or arc end, recorded
+in ``log_end``, towards which the quadrature grades the angle.  A
+piece's ``fn`` is the product of its ``factors`` (radial, angular), an
+arc's its angular factor.  The grid transforms take one radial times one
+angular moment per mode, so only a callable source, whose piece has no
+factors, is left to adaptive quadrature alone.
 
 Pieces and arcs are weighted alike: each carries the ``coef`` of its
 term in a sum, and its ``fn`` stays the unscaled factor.
@@ -57,14 +56,6 @@ from .kernels import KernelId
 _PI = math.pi
 
 
-def _shape_of(rho, phi):
-    return np.broadcast_shapes(np.shape(rho), np.shape(phi))
-
-
-def _ones_like(rho, phi):
-    return np.ones(_shape_of(rho, phi))
-
-
 def _check_arc(a, b):
     if not (-_PI <= a < b <= _PI + 1e-15):
         raise SourceValidationError(f"arc must satisfy -pi <= a < b <= pi, got [{a}, {b}]")
@@ -80,13 +71,16 @@ class PowerOfOneMinusRho:
     """(1 - rho)^(-beta); beta < 1/2 keeps the square integrable."""
 
     beta: float
-    smooth = False
 
     def __post_init__(self):
         if not 0.0 < self.beta < 0.5:
             raise SourceValidationError(
                 f"singular exponent beta must lie in (0, 1/2), got {self.beta}"
             )
+
+    @property
+    def weight(self):
+        return (1.0, -self.beta)
 
     def __call__(self, rho):
         return (1.0 - np.asarray(rho, dtype=float)) ** (-self.beta)
@@ -104,9 +98,9 @@ class RhoPower:
             raise SourceValidationError(f"rho power must be >= 0, got {self.k}")
 
     @property
-    def smooth(self):
-        """A fractional power is not smooth at rho = 0."""
-        return float(self.k).is_integer()
+    def weight(self):
+        """A fractional power is not smooth at rho = 0: the weight there."""
+        return None if float(self.k).is_integer() else (0.0, self.k)
 
     def __call__(self, rho):
         return np.asarray(rho, dtype=float) ** self.k
@@ -122,7 +116,7 @@ class GaussianBump:
     amp: float
     center: float
     width: float
-    smooth = True
+    weight = None
 
     def __post_init__(self):
         if self.width <= 0:
@@ -138,7 +132,7 @@ class GaussianBump:
 
 @dataclass(frozen=True)
 class RadialOne:
-    smooth = True
+    weight = None
 
     def __call__(self, rho):
         return np.ones(np.shape(rho))
@@ -394,21 +388,27 @@ def _split_at_breaks(angular, lo, hi):
 
 @dataclass(frozen=True)
 class SourcePiece:
-    """One rectangle of a source: value = coef * fn(rho, phi) * (1-rho)^(-beta).
+    """One rectangle of a source: value = coef * fn(rho, phi) * |rho - end|^exponent.
 
-    ``fn`` is the regular part; ``beta`` is None when the piece is regular.
-    ``factors``, when given, is the (radial, angular) pair of smooth
-    factors whose product fn is, each a callable of one variable; the
-    angular one may have a logarithmic singularity at ``log_end``: the
-    angular end (theta_lo or theta_hi) where it is singular, or None.
+    ``factors`` is the (radial, angular) pair of callables of one variable
+    whose product fn is, smooth on the rectangle but for a logarithmic
+    singularity of the angular one at ``log_end`` (theta_lo, theta_hi or
+    None); ``weight`` is (end, exponent), end r_lo or r_hi, or None.  Only
+    a piece without factors (a callable source's) gives its own ``fn``.
     """
 
     coef: float
     rect: PolarRectangle
-    fn: object  # callable(rho, phi) -> array (broadcasting)
-    beta: float | None = None
-    factors: tuple | None = None  # (radial(rho), angular(phi)), or None: adaptive only
+    factors: tuple | None  # (radial(rho), angular(phi)), or None: adaptive only
     log_end: float | None = None
+    weight: tuple | None = None
+    fn: object = None  # callable(rho, phi) -> array (broadcasting)
+
+    def __post_init__(self):
+        if self.fn is None:
+            radial, angular = self.factors
+            object.__setattr__(self, "fn", lambda rho, phi: (np.asarray(radial(rho))
+                                                             * np.asarray(angular(phi))))
 
 
 class SourceFunction:
@@ -436,11 +436,11 @@ class CharacteristicDisk(SourceFunction):
     def values(self, rho, phi):
         r = np.asarray(rho, dtype=float)
         inside = (r <= self.radius).astype(float)
-        return np.broadcast_to(inside, _shape_of(rho, phi)).copy()
+        return np.broadcast_to(inside, np.broadcast_shapes(np.shape(rho), np.shape(phi))).copy()
 
     def pieces(self):
         rect = PolarRectangle(0.0, self.radius, -_PI, _PI)
-        return [SourcePiece(1.0, rect, _ones_like, factors=_INDICATOR)]
+        return [SourcePiece(1.0, rect, _INDICATOR)]
 
     def to_config(self):
         return {"type": "char_disk", "radius": self.radius}
@@ -454,7 +454,7 @@ class CharacteristicRect(SourceFunction):
         return self.rect.contains(rho, phi).astype(float)
 
     def pieces(self):
-        return [SourcePiece(1.0, self.rect, _ones_like, factors=_INDICATOR)]
+        return [SourcePiece(1.0, self.rect, _INDICATOR)]
 
     def to_config(self):
         return {
@@ -478,14 +478,13 @@ class SeparableOnRect(SourceFunction):
 
     def pieces(self):
         radial, angular, rect = self.radial, self.angular, self.rect
-        if isinstance(radial, PowerOfOneMinusRho) and rect.r_hi == 1.0:
-            # the singular factor is the weight of the radial rule; fn keeps the rest
-            fn = lambda rho, phi: np.broadcast_to(angular(phi), _shape_of(rho, phi)).astype(float)
-            beta, factors = radial.beta, (RadialOne(), angular)
+        weight = radial.weight
+        if weight is not None and weight[0] in (rect.r_lo, rect.r_hi):
+            radial = RadialOne()  # the factor is the weight of the radial rule
         else:
-            fn = lambda rho, phi: np.asarray(radial(rho)) * np.asarray(angular(phi))
-            beta, factors = None, (radial, angular) if radial.smooth else None
-        return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), fn, beta, factors, end)
+            weight = None
+        return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), (radial, angular),
+                            end, weight)
                 for a, b, end in _split_at_breaks(angular, rect.theta_lo, rect.theta_hi)]
 
     def to_config(self):
@@ -512,11 +511,7 @@ class SourceSum(SourceFunction):
         return sum(c * s.values(rho, phi) for c, s in self.terms)
 
     def pieces(self):
-        out = []
-        for coef, s in self.terms:
-            for p in s.pieces():
-                out.append(replace(p, coef=coef * p.coef))
-        return out
+        return [replace(p, coef=coef * p.coef) for coef, s in self.terms for p in s.pieces()]
 
     def to_config(self):
         return {

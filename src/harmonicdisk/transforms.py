@@ -8,8 +8,8 @@ Two engines compute them, with no interpolation or smoothing in either.
 * The point evaluators (``q_point``, ``poisson_point``, ...) run adaptive
   Gauss quadrature of the kernel times the source at one point.  Each
   source piece is integrated by ``_integrate_piece``, which weights the
-  radius by the piece's declared (1 - rho)^(-beta) and grades the angle
-  towards its declared ``log_end``; each boundary arc by
+  radius by the piece's declared ``weight`` |rho - end|^exponent and
+  grades the angle towards its declared ``log_end``; each boundary arc by
   ``_integrate_arc``, which grades towards the arc's ``log_end``.
 * The grid operators (``q_transform``, ``harmonic_rep`` and
   ``bergman_project``, one evaluator ``_q_field`` differing only in the
@@ -21,13 +21,13 @@ Two engines compute them, with no interpolation or smoothing in either.
   trig moments C_k, S_k of each piece taken once on fixed Gauss rules:
   a piece R(rho) A(phi) has C_k = (sum_i w_i R(rho_i) rho_i^k) *
   (sum_j w_j A(phi_j) cos k phi_j), and S_k likewise, on the radial rule
-  weighted by the piece's (1 - rho)^(-beta) and the angular panels, the
+  of the piece's ``weight`` and the angular panels, the
   one that ends at a ``log_end`` graded towards it, as above.
   The series is cut where its tail bound drops below 1e-16 of the
   source's absolute mass.  Each point's error estimate is that tail plus
   the difference between the moments of the main rule and a rule of half
   the nodes; if any estimate exceeds ``spec.adaptive_tol``, or the source
-  declares no factors, would need more modes than
+  declares no factors (a callable), would need more modes than
   r_max * r_hi <= 0.99 allows, or has fewer grid points than K^2 / 1e4
   for K modes, the grid is computed point by point with the point
   evaluators instead, bit for bit as they would.
@@ -134,17 +134,23 @@ def _integrate_arc(arc: BoundaryArc, integrand, spec):
     return integrate_angular(integrand, arc.lo, arc.hi, spec, graded_end=arc.log_end)
 
 
-def _poisson_arcs_point(arcs, r, theta, spec):
-    """(value, error, converged, panels) of the Poisson integral at one point."""
+def _sum_parts(parts, integrate):
+    """(total, error, converged, panels) of the sum over the parts (pieces
+    or arcs) of coef times ``integrate(part)``, a QuadratureResult."""
     total, err, converged, panels = 0.0, 0.0, True, 0
-    for arc in arcs:
-        res = _integrate_arc(
-            arc, lambda phi, fn=arc.fn: fn(phi) * poisson_kernel(r, theta - phi), spec
-        )
-        total += arc.coef * res.value
-        err += abs(arc.coef) * res.error_estimate
+    for part in parts:
+        res = integrate(part)
+        total += part.coef * res.value
+        err += abs(part.coef) * res.error_estimate
         converged &= res.converged
         panels += res.panels_used
+    return total, err, converged, panels
+
+
+def _poisson_arcs_point(arcs, r, theta, spec):
+    """(value, error, converged, panels) of the Poisson integral at one point."""
+    total, err, converged, panels = _sum_parts(arcs, lambda arc: _integrate_arc(
+        arc, lambda phi: arc.fn(phi) * poisson_kernel(r, theta - phi), spec))
     return total / TWO_PI, err / TWO_PI, converged, panels
 
 
@@ -161,26 +167,17 @@ def poisson_point(
 
 
 def _integrate_piece(piece: SourcePiece, integrand, spec):
-    """Integrate ``integrand`` times the piece's declared radial singularity
+    """Integrate ``integrand`` times the piece's declared radial weight
     (if any) over the piece's rectangle, under the measure rho drho dphi,
     graded towards its declared logarithmic angular end (if any)."""
     return integrate_polar(integrand, piece.rect, spec, graded_end=piece.log_end,
-                           beta=piece.beta)
+                           weight=piece.weight)
 
 
 def _q_pieces_point(pieces, r, theta, prefactor, spec):
     """(value, error, converged, panels) of the area transform at one point."""
-    total, err, converged, panels = 0.0, 0.0, True, 0
-    for piece in pieces:
-        res = _integrate_piece(
-            piece,
-            lambda rho, phi, fn=piece.fn: fn(rho, phi) * q_kernel(r * rho, theta - phi),
-            spec,
-        )
-        total += piece.coef * res.value
-        err += abs(piece.coef) * res.error_estimate
-        converged &= res.converged
-        panels += res.panels_used
+    total, err, converged, panels = _sum_parts(pieces, lambda piece: _integrate_piece(
+        piece, lambda rho, phi: piece.fn(rho, phi) * q_kernel(r * rho, theta - phi), spec))
     return prefactor * total, abs(prefactor) * err, converged, panels
 
 
@@ -200,10 +197,7 @@ def q_point(
 def source_mass(f: SourceFunction, spec: QuadratureSpec | None = None) -> float:
     """integral of f over the disk under the measure rho drho dphi."""
     spec = spec or QuadratureSpec()
-    total = 0.0
-    for piece in f.pieces():
-        total += piece.coef * _integrate_piece(piece, piece.fn, spec).value
-    return total
+    return _sum_parts(f.pieces(), lambda piece: _integrate_piece(piece, piece.fn, spec))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +279,17 @@ def _angular_panels(lo, hi, n_modes, n, log_end):
     first = log_end == lo
     offsets, w_end = _graded_rule(2.0 * half if first else -2.0 * half, n)
     rest = mids[1:] if first else mids[:-1]
-    return [(half * t, half * w, rest), (offsets, w_end, np.array([log_end]))]
+    return [(half * t, half * w, rest), (offsets, w_end, np.array([log_end], dtype=float))]
 
 
-def _radial_rule(rect, n_modes, scale, beta):
-    """``scale`` times the coarse rule on [r_lo, r_hi] of the weight
-    (1 - rho)^(-beta), with the Jacobian rho.  rho^K on an interval of
+def _radial_rule(rect, n_modes, scale, weight):
+    """``scale`` times the coarse rule on [r_lo, r_hi] of the radial
+    ``weight`` (see ``_map_nodes``), with the Jacobian rho.  rho^K on an interval of
     half-width h and midpoint c needs about 3 sqrt(K h / c) nodes;
     _RADIAL_NODES more are left for the source's own radial shape."""
     spread = (rect.r_hi - rect.r_lo) / (rect.r_hi + rect.r_lo)
     n = _RADIAL_NODES + math.ceil(3.0 * math.sqrt(n_modes * spread))
-    rho, w = _map_nodes(rect.r_lo, rect.r_hi, scale * n, beta)
+    rho, w = _map_nodes(rect.r_lo, rect.r_hi, scale * n, weight)
     return rho, w * rho
 
 
@@ -364,7 +358,7 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
         if isinstance(part, SourcePiece):
             (radial, angular), rect = part.factors, part.rect
             lo, hi, r_hi = rect.theta_lo, rect.theta_hi, rect.r_hi
-            rules = [_radial_rule(rect, K, scale, part.beta) for scale in scales]
+            rules = [_radial_rule(rect, K, scale, part.weight) for scale in scales]
         else:  # a boundary arc: one radial node rho = 1 of weight 1
             radial, angular, r_hi = RadialOne(), part.fn, 1.0
             lo, hi = part.lo, part.hi
@@ -487,7 +481,7 @@ class CallableSource(SourceFunction):
         )
 
     def pieces(self):
-        return [SourcePiece(1.0, PolarRectangle.full_disk(), self.values)]
+        return [SourcePiece(1.0, PolarRectangle.full_disk(), None, fn=self.values)]
 
     def to_config(self):
         return {"type": "callable", "description": self._description}

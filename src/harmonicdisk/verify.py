@@ -56,9 +56,14 @@ from .sources import (
     serialize_config,
 )
 from .transforms import (
+    _MODES_SQ_PER_POINT,
+    _POISSON_SERIES,
+    _Q_SERIES,
     CallableSource,
     Field,
     _integrate_arc,
+    _spectral_modes,
+    _sum_parts,
     poisson_integral,
     poisson_point,
     q_point,
@@ -529,7 +534,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
 
     region = PolarRectangle(0.5, 1.0, 0.0, 1.0)
     smooth = lambda r, p: np.cos(p) * np.broadcast_to(r, np.broadcast_shapes(np.shape(r), np.shape(p))) ** 2
-    sub = integrate_polar(smooth, region, quad, beta=1e-6).value
+    sub = integrate_polar(smooth, region, quad, weight=(1.0, -1e-6)).value
     plain = integrate_polar(smooth, region, quad).value
     _record(records, "quadrature.substitution_beta_zero_limit", abs(sub - plain), 1e-6)
 
@@ -592,10 +597,8 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     worst = 0.0
     for p_case in catalog_boundary_functions().values():
         v, _, _ = poisson_point(p_case.boundary, 0.0, 0.0, quad)
-        average = sum(
-            arc.coef * _integrate_arc(arc, arc.fn, quad).value
-            for arc in p_case.boundary.arcs()
-        ) / TWO_PI
+        average = _sum_parts(p_case.boundary.arcs(),
+                             lambda arc: _integrate_arc(arc, arc.fn, quad))[0] / TWO_PI
         worst = max(worst, abs(v - average))
     _record(records, "transforms.mean_value", worst, 1e-8)
 
@@ -720,10 +723,15 @@ def _heat_suite_records(records):
 
 def _engine_disagreement(case, r_max: float, quad: QuadratureSpec) -> float:
     """Largest gap between the spectral grid fields of a paired figure and
-    the adaptive point evaluators, in units of their joint error bound;
-    inf when a grid does not take the spectral path."""
-    grid = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=r_max)
+    the adaptive point evaluators on 3 x 8 points, in units of their joint
+    error bound; inf when a grid does not take the spectral path.  The
+    grids have 8 m angles, m the least that pays for their moments, and
+    every m-th is compared."""
     source, prefactor, boundary = case.source, case.prefactor, case.boundary
+    modes = [_spectral_modes(series, parts, r_max) or [0] for series, parts in
+             ((_Q_SERIES, source.pieces()), (_POISSON_SERIES, boundary.arcs()))]
+    step = max(1, math.ceil(max(map(max, modes)) ** 2 / _MODES_SQ_PER_POINT / 24))
+    grid = EvaluationGrid.regular(n_r=3, n_theta=8 * step, r_max=r_max)
     pairs = (
         (q_transform(source, grid, prefactor, quad),
          lambda r, t: q_point(source, r, t, prefactor, quad)),
@@ -735,8 +743,8 @@ def _engine_disagreement(case, r_max: float, quad: QuadratureSpec) -> float:
         if fld.meta["engine"] != "spectral":
             return math.inf
         for i, r in enumerate(grid.radii.tolist()):
-            for j, theta in enumerate(grid.angles.tolist()):
-                value, err, _ = point(r, theta)
+            for j in range(0, grid.n_theta, step):
+                value, err, _ = point(r, float(grid.angles[j]))
                 bound = err + fld.errors[i, j] + 1e-12 * max(1.0, abs(value))
                 worst = max(worst, abs(fld.values[i, j] - value) / bound)
     return worst
@@ -748,14 +756,14 @@ def oracle_disagreement(source: SourceFunction, r: float, theta: float,
                         quad: QuadratureSpec | None = None):
     """|adaptive - midpoint oracle| for one transform evaluation.
 
-    Only valid for regular (non-singular) sources: the plain midpoint
+    Only valid for sources without a radial weight: the plain midpoint
     rule does not converge usefully against (1-rho)^(-beta) factors.
     """
     quad = quad or QuadratureSpec()
     adaptive, err, _ = q_point(source, r, theta, prefactor, quad)
     brute = 0.0
     for piece in source.pieces():
-        if piece.beta is not None:
+        if piece.weight is not None:
             raise DomainError("midpoint comparison requires a regular source")
         brute += piece.coef * midpoint_oracle(
             lambda rho, phi, fn=piece.fn: fn(rho, phi) * _kernels.q_kernel(r * rho, theta - phi),

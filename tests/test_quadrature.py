@@ -97,19 +97,19 @@ class TestIntegratePolar:
 class TestSingularRadial:
     def test_one_dimensional_self_test(self):
         # int_0^1 rho (1 - rho)^(-1/2) drho = 2 - 2/3 over a unit angle
-        res = integrate_polar(ones, PolarRectangle(0.0, 1.0, 0.0, 1.0), beta=0.5)
+        res = integrate_polar(ones, PolarRectangle(0.0, 1.0, 0.0, 1.0), weight=(1.0, -0.5))
         assert res.value == pytest.approx(4.0 / 3.0, abs=1e-10)
 
     def test_with_jacobian_closed_form(self):
         # int_{3/4}^1 rho (1-rho)^(-1/4) drho via u = 1-rho
         expected = (4.0 / 3.0) * 0.25**0.75 - (4.0 / 7.0) * 0.25**1.75
-        res = integrate_polar(ones, PolarRectangle(0.75, 1.0, 0.0, 1.0), beta=0.25)
+        res = integrate_polar(ones, PolarRectangle(0.75, 1.0, 0.0, 1.0), weight=(1.0, -0.25))
         assert res.value == pytest.approx(expected, abs=1e-9)
 
     def test_beta_to_zero_matches_regular(self):
         region = PolarRectangle(0.5, 1.0, -0.4, 0.9)
         f = lambda rho, phi: np.cos(phi) * np.broadcast_to(rho, np.broadcast_shapes(np.shape(rho), np.shape(phi))) ** 2
-        sub = integrate_polar(f, region, beta=1e-6).value
+        sub = integrate_polar(f, region, weight=(1.0, -1e-6)).value
         plain = integrate_polar(f, region).value
         assert sub == pytest.approx(plain, abs=1e-6)
 
@@ -122,7 +122,7 @@ class TestSingularRadial:
         res = integrate_polar(
             lambda rho, phi: np.broadcast_to(np.cos(phi), np.broadcast_shapes(np.shape(rho), np.shape(phi))),
             region,
-            beta=0.25,
+            weight=(1.0, -0.25),
         )
         assert res.value == pytest.approx(expected, abs=1e-9)
         # brute-force midpoint in the substituted variable
@@ -143,13 +143,13 @@ class TestSingularRadial:
     def test_invalid_exponent(self):
         region = PolarRectangle(0.5, 1.0, 0.0, 1.0)
         with pytest.raises(InvalidExponentError):
-            integrate_polar(ones, region, beta=1.2)
+            integrate_polar(ones, region, weight=(1.0, -1.2))
         with pytest.raises(InvalidExponentError):
-            integrate_polar(ones, region, beta=0.0)
+            integrate_polar(ones, region, weight=(1.0, -1.0))
 
     def test_region_must_touch_boundary(self):
         with pytest.raises(InvalidRegionError):
-            integrate_polar(ones, PolarRectangle(0.5, 0.9, 0.0, 1.0), beta=0.25)
+            integrate_polar(ones, PolarRectangle(0.5, 0.9, 0.0, 1.0), weight=(1.0, -0.25))
 
 
 class TestJacobiRule:
@@ -165,14 +165,14 @@ class TestJacobiRule:
     @pytest.mark.parametrize("beta", [1e-6, 0.25, 0.375, 0.5, 0.75])
     def test_exact_to_degree_2n_minus_1(self, beta):
         for n in (1, 2, 5, 16, 32):
-            x, w = _jacobi_rule(n, beta)
+            x, w = _jacobi_rule(n, -beta, 0.0)
             for m in range(2 * n):
                 assert float(w @ (1.0 + x) ** m) == pytest.approx(self.moment(beta, m),
                                                                  rel=2e-13)
 
     @pytest.mark.parametrize("n", [1, 4, 32, 64])
     def test_beta_to_zero_is_gauss_legendre(self, n):
-        x, w = _jacobi_rule(n, 1e-15)
+        x, w = _jacobi_rule(n, -1e-15, 0.0)
         nodes, weights = _gauss_rule(n)
         assert np.max(np.abs(x - nodes)) <= 1e-14
         assert np.max(np.abs(w - weights)) <= 1e-14
@@ -181,12 +181,64 @@ class TestJacobiRule:
         # a panel away from rho = 1 takes Gauss-Legendre times the weight
         g = lambda rho: rho**3 * np.cos(rho)
         panels = [(0.5, 1.0), (0.5, 0.75), (0.75, 1.0)]
-        whole, left, right = (w @ g(x) for x, w in (_map_nodes(lo, hi, 16, 0.375)
+        whole, left, right = (w @ g(x) for x, w in (_map_nodes(lo, hi, 16, (1.0, -0.375))
                                                     for lo, hi in panels))
         assert left + right == pytest.approx(whole, abs=1e-15)
         # one node carries the whole weight: 0.25^(1 - beta) / (1 - beta)
-        _, w = _map_nodes(0.75, 1.0, 1, 0.375)
+        _, w = _map_nodes(0.75, 1.0, 1, (1.0, -0.375))
         assert float(w[0]) == pytest.approx(0.25**0.625 / 0.625, abs=1e-15)
+
+
+def _beta_moment(a, b, m):
+    """Integral of (1 - x)^a (1 + x)^(b + m) over [-1, 1]:
+    2^(a + b + m + 1) B(a + 1, b + m + 1)."""
+    return math.exp((a + b + m + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                    + math.lgamma(b + m + 1.0) - math.lgamma(a + b + m + 2.0))
+
+
+# near -1 the node at the singular end carries a weight of order 1 / (1 + a),
+# so a moment loses about log10(1 / (1 + a)) digits to the rounding of 1 -+ x
+exponents = st.floats(-0.999, 0.999)
+
+
+class TestJacobiWeightAtEitherEnd:
+    """The Gauss-Jacobi rule of (1 - x)^a (1 + x)^b for any exponents, and
+    the radial weight |rho - end|^exponent it puts at either end of a panel."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(exponents, exponents)
+    def test_exact_to_degree_2n_minus_1(self, a, b):
+        # (1 + x)^m and (1 - x)^m, m <= 2n - 1, span the polynomials the rule
+        # must integrate exactly; each moment is positive, so relative
+        # agreement is meaningful
+        for n in (1, 2, 5, 16):
+            x, w = _jacobi_rule(n, a, b)
+            for m in range(2 * n):
+                assert float(w @ (1.0 + x) ** m) == pytest.approx(_beta_moment(a, b, m),
+                                                                 rel=1e-12)
+                assert float(w @ (1.0 - x) ** m) == pytest.approx(_beta_moment(b, a, m),
+                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("lo, hi, end", [(0.0, 0.8, 0.0), (0.3, 1.0, 1.0)])
+    def test_weight_at_either_end_of_a_panel(self, lo, hi, end):
+        # integral of |rho - end|^e over [lo, hi], and its split into halves,
+        # of which only the one ending at ``end`` takes the Jacobi rule
+        for exponent in (-0.375, 0.5, 1.5):
+            exact = (hi - lo) ** (1.0 + exponent) / (1.0 + exponent)
+            mid = 0.5 * (lo + hi)
+            whole, left, right = (float(_map_nodes(a, b, 24, (end, exponent))[1].sum())
+                                  for a, b in ((lo, hi), (lo, mid), (mid, hi)))
+            assert whole == pytest.approx(exact, rel=1e-14)
+            assert left + right == pytest.approx(exact, rel=1e-12)
+
+    def test_weight_end_and_exponent_are_checked(self):
+        region = PolarRectangle(0.0, 0.8, 0.0, 1.0)
+        assert integrate_polar(ones, region, weight=(0.0, 0.5)).value == pytest.approx(
+            0.8**2.5 / 2.5, rel=1e-13)
+        with pytest.raises(InvalidRegionError):
+            integrate_polar(ones, region, weight=(1.0, 0.5))
+        with pytest.raises(InvalidExponentError):
+            integrate_polar(ones, region, weight=(0.0, -1.0))
 
 
 class TestMidpointOracle:
@@ -284,7 +336,7 @@ class TestGradedEnd:
         region = PolarRectangle(0.0, 1.0, -1.0, 0.0)
         spec = QuadratureSpec(adaptive_tol=1e-13)
         res = integrate_polar(lambda rho, phi: abs_log(phi), region, spec,
-                              graded_end=0.0, beta=0.5)
+                              graded_end=0.0, weight=(1.0, -0.5))
         assert res.converged
         assert res.value == pytest.approx(4.0 / 3.0, abs=1e-13)
 

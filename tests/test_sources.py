@@ -134,11 +134,11 @@ class TestFigureCatalog:
     def test_figure_6_is_singular(self):
         pieces = figure_case(6).source.pieces()
         assert len(pieces) == 1
-        assert pieces[0].beta == 0.25
+        assert pieces[0].weight == (1.0, -0.25)
 
     def test_figure_7_combines_two_layers(self):
         pieces = figure_case(7).source.pieces()
-        assert [p.beta for p in pieces] == [0.25, 0.375]
+        assert [p.weight for p in pieces] == [(1.0, -0.25), (1.0, -0.375)]
 
     def test_boundary_layer_figures_carry_extra_rho(self):
         # the 11..14 integrands include the displayed rho beyond the Jacobian
@@ -254,9 +254,9 @@ class TestSquareIntegrability:
         total = 0.0
         for piece in source.pieces():
             # |f|^2 carries (1 - rho)^(-2 beta); 2 beta < 1 keeps it integrable
+            weight = piece.weight and (piece.weight[0], 2.0 * piece.weight[1])
             res = integrate_polar(
-                lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, piece.rect,
-                beta=None if piece.beta is None else 2.0 * piece.beta,
+                lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, piece.rect, weight=weight
             )
             total += piece.coef**2 * res.value
         assert math.isfinite(total)
@@ -266,9 +266,9 @@ class TestSquareIntegrability:
         # independent midpoint rule on the integrand substituted by
         # t = (1 - rho)^(1 - 2 beta)
         piece = figure_case(6).source.pieces()[0]
-        beta_sq = 2.0 * piece.beta
+        beta_sq = -2.0 * piece.weight[1]
         res = integrate_polar(
-            lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, piece.rect, beta=beta_sq
+            lambda rho, phi, fn=piece.fn: fn(rho, phi) ** 2, piece.rect, weight=(1.0, -beta_sq)
         )
         n_t, n_p = 4000, 200
         one_minus = 1.0 - beta_sq
@@ -327,18 +327,29 @@ class TestDeclaredBreaks:
         (piece,) = SeparableOnRect(RhoPower(1), AbsPhi(), right).pieces()
         assert (piece.rect, piece.factors) == (right, (RhoPower(1), AbsPhi()))
 
-    def test_undeclared_factors(self):
-        for radial, angular in ((RhoPower(0.5), AngularCos(1)),
-                                (PowerOfOneMinusRho(0.25), AngularCos(1))):
-            rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
-            assert SeparableOnRect(radial, angular, rect).pieces()[0].factors is None
+    def test_declared_radial_weights(self):
+        assert [f.weight for f in (RadialOne(), RhoPower(2), GaussianBump(1.0, 0.5, 10.0))] \
+            == [None] * 3
+        assert (RhoPower(0.5).weight, PowerOfOneMinusRho(0.25).weight) == ((0.0, 0.5),
+                                                                          (1.0, -0.25))
+        # a piece that reaches the weighted end takes the weight and RadialOne;
+        # on any other the factor is smooth and stays
+        cos1 = AngularCos(1)
+        for radial, r_lo, r_hi, weight in ((RhoPower(0.5), 0.5, 0.9, None),
+                                           (RhoPower(0.5), 0.0, 0.9, (0.0, 0.5)),
+                                           (PowerOfOneMinusRho(0.25), 0.5, 0.9, None),
+                                           (PowerOfOneMinusRho(0.25), 0.5, 1.0, (1.0, -0.25))):
+            rect = PolarRectangle(r_lo, r_hi, -1.0, 1.0)
+            (piece,) = SeparableOnRect(radial, cos1, rect).pieces()
+            factors = (radial if weight is None else RadialOne(), cos1)
+            assert (piece.rect, piece.factors, piece.weight) == (rect, factors, weight)
 
     def test_log_point_becomes_a_piece_end(self):
         rect = PolarRectangle(0.5, 0.9, -1.0, 1.0)
         pieces = SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), rect).pieces()
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(-1.0, 0.0), (0.0, 1.0)]
         factors = (RhoPower(1), AbsLogAbsPhi())
-        assert [(p.factors, p.log_end, p.beta) for p in pieces] == [(factors, 0.0, None)] * 2
+        assert [(p.factors, p.log_end, p.weight) for p in pieces] == [(factors, 0.0, None)] * 2
         assert all(p.rect.r_lo == 0.5 and p.rect.r_hi == 0.9 for p in pieces)
 
     def test_log_factor_away_from_its_log_point_is_one_smooth_piece(self):
@@ -353,8 +364,8 @@ class TestDeclaredBreaks:
         assert [(p.rect.theta_lo, p.rect.theta_hi) for p in pieces] == [(0.0, 1.0), (1.0, PI)]
         # the singular factor is the radial rule's weight, so the piece's own is one
         factors = (RadialOne(), AbsLogAbsPhi())
-        assert [(p.beta, p.log_end, p.factors) for p in pieces] == [(0.25, 0.0, factors),
-                                                                   (0.25, None, factors)]
+        assert [(p.weight, p.log_end, p.factors) for p in pieces] == [
+            ((1.0, -0.25), 0.0, factors), ((1.0, -0.25), None, factors)]
 
     def test_sum_keeps_breaks(self):
         a = SeparableOnRect(RhoPower(1), AbsPhi(), self.ANNULUS)

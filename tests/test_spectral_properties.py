@@ -77,9 +77,8 @@ class Rotated(SourceFunction):
             SourcePiece(
                 p.coef,
                 PolarRectangle(p.rect.r_lo, p.rect.r_hi, p.rect.theta_lo + d, p.rect.theta_hi + d),
-                lambda rho, phi, fn=p.fn: fn(rho, phi - d),
-                p.beta,
                 _rotated_factors(p.factors, d),
+                weight=p.weight,
             )
             for p in self.source.pieces()
         ]

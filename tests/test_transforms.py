@@ -373,13 +373,10 @@ class TestSpectralDispatch:
         assert fld.meta["unconverged"] == 0 and fld.converged.all()
 
     def test_undeclared_sources_take_adaptive_path(self):
-        adaptive = [
-            CallableSource(lambda rho, phi: rho * np.cos(phi)),
-            SeparableOnRect(RhoPower(0.5), AngularCos(1), PolarRectangle.full_disk()),
-        ]
-        for src in adaptive:
-            assert _spectral_modes(_Q_SERIES, src.pieces(), 0.9) is None
-            assert q_transform(src, self.GRID).meta["engine"] == "adaptive"
+        # only a callable source declares no factors
+        src = CallableSource(lambda rho, phi: rho * np.cos(phi))
+        assert _spectral_modes(_Q_SERIES, src.pieces(), 0.9) is None
+        assert q_transform(src, self.GRID).meta["engine"] == "adaptive"
 
     def test_mode_cap(self):
         grid = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.995, allow_near_boundary=True)
@@ -557,7 +554,7 @@ def _rim_cos_series(pieces, radii, angles, n_modes):
     cos_moments = np.zeros(k.size)
     sin_moments = np.zeros(k.size)
     for piece in pieces:
-        a, beta = piece.rect.r_lo, piece.beta
+        a, beta = piece.rect.r_lo, -piece.weight[1]
         lo, hi = piece.rect.theta_lo, piece.rect.theta_hi
         rim = (1.0 - a) ** (1.0 - beta)
         radial = [rim / (1.0 - beta)]
@@ -601,6 +598,54 @@ class TestRimSingularOracle:
                 exact = case.prefactor * _rim_cos_series(pieces, [r], [theta], 60000)[0, 0]
                 assert converged
                 assert abs(value - exact) <= err + 1e-13 * max(1.0, abs(exact))
+
+
+class TestDeclaredRadialWeight:
+    """A radial factor with a weighted end takes the spectral path: on a
+    rectangle reaching that end as the Gauss-Jacobi weight, elsewhere as a
+    smooth factor."""
+
+    GRID = EvaluationGrid.regular(n_r=3, n_theta=8, r_max=0.85)
+
+    @pytest.mark.parametrize("k", [0.25, 0.5, 1.5])
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_fractional_power_on_a_disk_matches_closed_form(self, k, m):
+        # rho^k cos(m phi) on [0, r_hi] x [-pi, pi] has one trig moment,
+        # int rho^(k+m+1) cos^2(m phi) = c_m r_hi^(k+m+2) / (k+m+2), so its
+        # transform is (m+1) r^m cos(m theta) times that
+        r_hi = 0.8
+        source = SeparableOnRect(RhoPower(k), AngularCos(m), PolarRectangle(0.0, r_hi, -PI, PI))
+        moment = (2.0 * PI if m == 0 else PI) * r_hi ** (k + m + 2) / (k + m + 2)
+        exact = lambda r, t: (m + 1) * r**m * np.cos(m * t) * moment
+        fld = q_transform(source, self.GRID)
+        assert fld.meta["engine"] == "spectral"
+        expected = exact(self.GRID.radii[:, None], self.GRID.angles[None, :])
+        assert np.max(np.abs(fld.values - expected)) <= 1e-13 * max(1.0, abs(moment))
+        for r, t in ((0.0, 0.0), (0.5, 0.7), (0.85, -2.0)):
+            value, _, converged = q_point(source, r, t, spec=TIGHT)
+            assert converged and value == pytest.approx(exact(r, t), abs=1e-12)
+
+    @pytest.mark.parametrize("radial, rect", [
+        (RhoPower(0.5), PolarRectangle.full_disk()),
+        (RhoPower(0.5), PolarRectangle(0.3, 1.0, -PI, PI)),
+        (PowerOfOneMinusRho(0.25), PolarRectangle(0.5, 0.9, -0.5, 0.5)),
+    ], ids=["rho_half_disk", "rho_half_annulus", "one_minus_rho_inner"])
+    def test_cos_sources_match_tight_adaptive(self, radial, rect):
+        self.assert_spectral_matches_tight(SeparableOnRect(radial, AngularCos(1), rect))
+
+    def test_weight_composes_with_log_end(self):
+        # integer bounds: the log end is the int 0, and its panel still works in floats
+        source = SeparableOnRect(RhoPower(1.5), AbsLogAbsPhi(), PolarRectangle(0, 1, 0, PI))
+        assert [p.weight for p in source.pieces()] == [(0.0, 1.5)] * 2
+        self.assert_spectral_matches_tight(source)
+
+    def assert_spectral_matches_tight(self, source):
+        fld = q_transform(source, self.GRID)
+        assert fld.meta["engine"] == "spectral"
+        expected = np.array([[q_point(source, float(r), float(t), spec=TIGHT)[0]
+                              for t in self.GRID.angles] for r in self.GRID.radii])
+        scale = max(1.0, float(np.max(np.abs(expected))))
+        assert np.max(np.abs(fld.values - expected)) <= 1e-12 * scale
 
 
 class TestSeparableMoments:

@@ -298,6 +298,23 @@ class TestInvariantSuite:
         worst = verify._engine_disagreement(figure_case(13), 0.9, QuadratureSpec())
         assert 0.0 < worst <= 1.0
 
+    @pytest.mark.parametrize("r_max", [0.9, 0.99])
+    def test_engine_agreement_grid_takes_spectral_path(self, monkeypatch, r_max):
+        # 3 x 8 at 0.9; near the cap the angles are multiplied until the
+        # moments of about 5,000 modes pay, and a finite reading is spectral
+        shapes = []
+        real = verify.q_transform
+
+        def recorded(source, grid, *args):
+            shapes.append(grid.shape)
+            return real(source, grid, *args)
+
+        monkeypatch.setattr(verify, "q_transform", recorded)
+        worst = verify._engine_disagreement(figure_case(13), r_max, QuadratureSpec())
+        assert 0.0 < worst <= 1.0
+        ((n_r, n_theta),) = shapes
+        assert n_r == 3 and n_theta % 8 == 0 and (n_theta == 8) == (r_max == 0.9)
+
     @pytest.mark.parametrize("change", ["shift", "adaptive"])
     def test_engine_agreement_negative_controls(self, monkeypatch, change):
         # a spectral grid moved by 1e-8, or a grid that silently took the
