@@ -10,6 +10,7 @@ from harmonicdisk.errors import (
     NonFiniteError,
 )
 from harmonicdisk.geometry import PolarRectangle
+from harmonicdisk import quadrature
 from harmonicdisk.kernels import q_kernel
 from harmonicdisk.quadrature import (
     QuadratureSpec,
@@ -257,8 +258,8 @@ class TestMidpointOracle:
 
     def test_agreement_with_adaptive_on_catalog_integrands(self):
         # regular sources only: the plain midpoint rule is useless against
-        # the (1-rho)^(-beta) factors, which get the 1e-4 relative check
-        # through the substituted rule instead (see TestSingularRadial)
+        # the (1-rho)^(-beta) factors, which are the weight of the
+        # Gauss-Jacobi rule instead (see TestJacobiRule, TestRimSingularOracle)
         from harmonicdisk.sources import figure_case
 
         for fig_id, r, theta in ((4, 0.6, 0.5), (9, 0.85, -0.2), (15, 0.7, 0.1)):
@@ -274,6 +275,59 @@ class TestMidpointOracle:
                 total_err += abs(piece.coef) * res.error_estimate
                 total_brute += piece.coef * midpoint_oracle(integrand, piece.rect, 2000, 4000)
             assert abs(total_adaptive - total_brute) <= max(1e-6, 10.0 * total_err)
+
+    # n_angular = 1 and 7 fit the 30 radial rows in one block, 4000 splits
+    # them into blocks of 16 rows, and one more node than a block holds
+    # leaves a single row per block
+    BLOCKED_ANGLES = (1, 7, 4000, quadrature._ORACLE_BLOCK + 1)
+    RING = PolarRectangle(0.2, 0.9, -1.0, 2.0)
+
+    def test_value_does_not_depend_on_the_blocking(self):
+        # an integrand constant in phi makes every angular midpoint sum
+        # exact, so all node counts give the same radial midpoint sum
+        n_radial = 30
+        dr = 0.7 / n_radial
+        radial = [0.2 + (i + 0.5) * dr for i in range(n_radial)]
+        exact = 3.0 * dr * math.fsum(math.exp(r) * r for r in radial)
+        for n_angular in self.BLOCKED_ANGLES:
+            val = midpoint_oracle(lambda rho, phi: np.exp(rho) * np.ones_like(phi),
+                                  self.RING, n_radial, n_angular)
+            assert val == pytest.approx(exact, rel=1e-14, abs=0.0), n_angular
+
+    def test_block_size_only_regroups_the_sum(self, monkeypatch):
+        integrand = lambda rho, phi: np.exp(rho) * np.cos(phi)
+        whole = midpoint_oracle(integrand, self.RING, 50, 70)
+        for block in (1, 70, 71, 1000):
+            monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", block)
+            val = midpoint_oracle(integrand, self.RING, 50, 70)
+            assert val == pytest.approx(whole, rel=1e-14, abs=0.0), block
+
+    @pytest.mark.parametrize("where", ["nan_at_last_node", "inf_at_first_node",
+                                       "inf_pair_in_one_row"])
+    def test_non_finite_node_raises(self, where):
+        # 40 x 4000 nodes make three blocks; the bad values sit in the
+        # first, the last and a middle block, and a +inf/-inf pair sums
+        # to NaN within its row
+        region, n_radial, n_angular = self.RING, 40, 4000
+        dr = (region.r_hi - region.r_lo) / n_radial
+        dp = (region.theta_hi - region.theta_lo) / n_angular
+
+        def integrand(rho, phi):
+            values = np.ones(np.broadcast_shapes(rho.shape, phi.shape))
+            last_row, first_row = rho > region.r_hi - dr, rho < region.r_lo + dr
+            last_col, first_col = phi > region.theta_hi - dp, phi < region.theta_lo + dp
+            if where == "nan_at_last_node":
+                values[last_row & last_col] = np.nan
+            elif where == "inf_at_first_node":
+                values[first_row & first_col] = np.inf
+            else:
+                row = np.abs(rho - (region.r_lo + 20.5 * dr)) < 0.5 * dr
+                values[row & first_col] = np.inf
+                values[row & last_col] = -np.inf
+            return values
+
+        with pytest.raises(NonFiniteError, match="NaN/inf at a midpoint node"):
+            midpoint_oracle(integrand, region, n_radial, n_angular)
 
 
 class TestIntegrateAngular:
