@@ -264,12 +264,11 @@ def midpoint_oracle(integrand, region: PolarRectangle, n_radial: int, n_angular:
 
     Intentionally simple; the independent oracle used by tests and by
     ``verify``.  Radial rows are processed in blocks of about
-    _ORACLE_BLOCK nodes (one row when a row is longer).  At 2**16 the few
-    temporaries of a block of kernel values, 512 KiB each, fit a 4 MiB L2
-    and are reused from the heap.  At 2**18 they spilled it and were paged
-    in afresh for most blocks (about 200,000 page faults in four ``verify``
-    suites against 12,000), and the oracle took 1.5 times as long; 2**14
-    pays more in per-block overhead than it saves.
+    _ORACLE_BLOCK nodes (one row when a row is longer).  At 2**16 a
+    float64 temporary is 512 KiB, so the few that a block of kernel
+    values keeps live at once about fit a 2 MiB L2 cache; smaller blocks
+    pay more for the work done once per block along a row (the sines of
+    every angle, for ``q_kernel``) than they save.
     Each block's row sums are weighted by rho, and the block's partial sum
     is checked once: every midpoint has rho > 0, so a NaN, an inf or a
     +inf/-inf pair anywhere in the block leaves it non-finite.

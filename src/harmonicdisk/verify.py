@@ -424,8 +424,8 @@ class SuiteReport:
 @dataclass
 class SuiteConfig:
     """Knobs for the invariant suite; with the defaults the whole suite
-    takes about a third of a second.  ``q_kernel_fn`` exists so tests can inject a
-    corrupted kernel and watch the normalization check fail."""
+    takes about a third of a second.  ``q_kernel_fn`` exists so tests can
+    inject a corrupted kernel and watch the normalization check fail."""
 
     r_max: float = 0.9
     quad: QuadratureSpec = dataclass_field(default_factory=QuadratureSpec)
@@ -758,31 +758,20 @@ def oracle_disagreement(source: SourceFunction, r: float, theta: float,
     adaptive error estimate.
 
     The oracle integrates f(rho, phi) Q(r rho, theta - phi) piece by piece
-    with ``midpoint_oracle``.  A piece with declared factors scales each
-    block of kernel values by its angular and radial factor in place, so
-    no tensor of source values is built.  Only valid for sources without
-    a radial weight: the plain midpoint rule does not converge usefully
-    against (1-rho)^(-beta) factors.
+    with ``midpoint_oracle``.  Only valid for sources without a radial
+    weight: the plain midpoint rule does not converge usefully against
+    (1-rho)^(-beta) factors.
     """
     quad = quad or QuadratureSpec()
     adaptive, err, _ = q_point(source, r, theta, prefactor, quad)
-
-    def integrand(piece):
-        if piece.factors is None:
-            return lambda rho, phi: piece.fn(rho, phi) * _kernels.q_kernel(r * rho, theta - phi)
-        radial, angular = piece.factors
-
-        def scaled_kernel(rho, phi):
-            values = _kernels.q_kernel(r * rho, theta - phi)
-            values *= angular(phi)
-            values *= radial(rho)
-            return values
-
-        return scaled_kernel
-
     brute = 0.0
     for piece in source.pieces():
         if piece.weight is not None:
             raise DomainError("midpoint comparison requires a regular source")
-        brute += piece.coef * midpoint_oracle(integrand(piece), piece.rect, n_radial, n_angular)
+        brute += piece.coef * midpoint_oracle(
+            lambda rho, phi, fn=piece.fn: fn(rho, phi) * _kernels.q_kernel(r * rho, theta - phi),
+            piece.rect,
+            n_radial,
+            n_angular,
+        )
     return abs(adaptive - prefactor * brute), err

@@ -277,8 +277,8 @@ class TestMidpointOracle:
             assert abs(total_adaptive - total_brute) <= max(1e-6, 10.0 * total_err)
 
     # n_angular = 1 and 7 fit the 30 radial rows in one block, 4000 splits
-    # them into blocks of 16 rows, and one more node than a block holds
-    # leaves a single row per block
+    # them into a block of 16 rows and a shorter last one, and one more
+    # node than a block holds leaves a single row per block
     BLOCKED_ANGLES = (1, 7, 4000, quadrature._ORACLE_BLOCK + 1)
     RING = PolarRectangle(0.2, 0.9, -1.0, 2.0)
 
@@ -293,14 +293,6 @@ class TestMidpointOracle:
             val = midpoint_oracle(lambda rho, phi: np.exp(rho) * np.ones_like(phi),
                                   self.RING, n_radial, n_angular)
             assert val == pytest.approx(exact, rel=1e-14, abs=0.0), n_angular
-
-    def test_block_size_only_regroups_the_sum(self, monkeypatch):
-        integrand = lambda rho, phi: np.exp(rho) * np.cos(phi)
-        whole = midpoint_oracle(integrand, self.RING, 50, 70)
-        for block in (1, 70, 71, 1000):
-            monkeypatch.setattr(quadrature, "_ORACLE_BLOCK", block)
-            val = midpoint_oracle(integrand, self.RING, 50, 70)
-            assert val == pytest.approx(whole, rel=1e-14, abs=0.0), block
 
     @pytest.mark.parametrize("where", ["nan_at_last_node", "inf_at_first_node",
                                        "inf_pair_in_one_row"])

@@ -5,27 +5,18 @@ import numpy as np
 import pytest
 
 from harmonicdisk.errors import DomainError, IncompatibleKindError, StencilOutOfRangeError
-from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
+from harmonicdisk.geometry import EvaluationGrid
 from harmonicdisk.kernels import q_kernel
-from harmonicdisk.quadrature import QuadratureSpec, midpoint_oracle
+from harmonicdisk.quadrature import QuadratureSpec
 from harmonicdisk.sources import (
     AbsLogAbsOnArc,
     AbsTheta,
-    AngularCos,
     BoundarySum,
     CharacteristicArc,
     CharacteristicDisk,
-    RhoPower,
-    SeparableOnRect,
     figure_case,
 )
-from harmonicdisk.transforms import (
-    CallableSource,
-    Field,
-    poisson_integral,
-    poisson_point,
-    q_point,
-)
+from harmonicdisk.transforms import Field, poisson_integral, poisson_point, q_point
 from harmonicdisk import verify
 from harmonicdisk.verify import (
     NormSpec,
@@ -269,27 +260,6 @@ SUITE_SHAPE = [
     ("heat.linearity", 1e-08, "<=", ""),
     ("heat.determinism", 0.0, "<=", "identical inputs give bitwise-identical fields"),
 ]
-
-
-class TestOracleDisagreement:
-    @pytest.mark.parametrize("source", [
-        SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle(0.2, 0.8, -1.0, 1.5)),
-        CallableSource(lambda rho, phi: 1.0 + rho * np.cos(phi)),
-    ], ids=["declared_factors", "callable"])
-    def test_brute_force_is_the_midpoint_rule_of_f_times_q(self, source):
-        # the kernel block scaled by declared factors in place, or the
-        # callable's values times the kernel, integrate f Q by the plain rule
-        r, theta, n_radial, n_angular = 0.7, 0.3, 60, 90
-        brute = math.fsum(
-            piece.coef * midpoint_oracle(
-                lambda rho, phi, fn=piece.fn: fn(rho, phi) * q_kernel(r * rho, theta - phi),
-                piece.rect, n_radial, n_angular)
-            for piece in source.pieces())
-        adaptive = q_point(source, r, theta)[0]
-        gap, _ = verify.oracle_disagreement(source, r, theta, n_radial=n_radial,
-                                            n_angular=n_angular)
-        assert gap == pytest.approx(abs(adaptive - brute), rel=0.0, abs=1e-14)
-        assert gap > 1e-6  # the coarse rule is visibly off, so a lost factor shows
 
 
 class TestInvariantSuite:
