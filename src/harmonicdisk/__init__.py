@@ -37,13 +37,11 @@ from .quadrature import (
     QuadratureSpec,
     integrate_angular,
     integrate_polar,
-    midpoint_oracle,
 )
 from .sources import (
     BoundaryFunction,
     FigureCase,
     SourceFunction,
-    evaluate_source,
     figure_case,
     parse_source_config,
     serialize_config,
@@ -60,9 +58,6 @@ from .verify import (
     HarmonicityReport,
     NormSpec,
     SuiteConfig,
-    bergman_norm,
-    hA2_norm,
-    hardy_norm,
     laplacian_residual,
     norm,
     run_invariant_suite,
@@ -107,17 +102,12 @@ __all__ = [
     "UnknownFigureError",
     "analytic_bergman_kernel",
     "analytic_rep",
-    "bergman_norm",
     "bergman_project",
-    "evaluate_source",
     "figure_case",
-    "hA2_norm",
-    "hardy_norm",
     "harmonic_rep",
     "integrate_angular",
     "integrate_polar",
     "laplacian_residual",
-    "midpoint_oracle",
     "norm",
     "parse_source_config",
     "poisson_integral",

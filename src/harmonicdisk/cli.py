@@ -51,25 +51,21 @@ EXIT_NUMERICAL = 3
 
 
 def parse_prefactor(text: str) -> float:
-    """Accept plain floats plus the pi-forms used by the identities
+    """Accept plain finite floats plus the pi-forms used by the identities
     ('2/pi', 'pi/4', '3*pi', ...)."""
     s = text.strip().lower().replace(" ", "")
     try:
-        return float(s)
+        value = math.pi if s == "pi" else float(s)
     except ValueError:
-        pass
-    if s == "pi":
-        return math.pi
-    for sep, op in (("/", lambda a, b: a / b), ("*", lambda a, b: a * b)):
-        if sep in s:
-            left, _, right = s.partition(sep)
-            try:
-                lv = math.pi if left == "pi" else float(left)
-                rv = math.pi if right == "pi" else float(right)
-                return op(lv, rv)
-            except ValueError:
-                break
-    raise argparse.ArgumentTypeError(f"cannot parse prefactor {text!r}")
+        left, sep, right = s.partition("/" if "/" in s else "*")
+        try:
+            lv, rv = (math.pi if part == "pi" else float(part) for part in (left, right))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"cannot parse prefactor {text!r}") from None
+        value = lv * rv if sep == "*" else lv / rv if rv else math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"prefactor {text!r} is not a finite number")
+    return value
 
 
 def _radii_list(text: str):

@@ -128,6 +128,8 @@ class EvaluationGrid:
         angles = np.asarray(angles, dtype=float)
         if radii.ndim != 1 or angles.ndim != 1 or radii.size == 0 or angles.size == 0:
             raise DomainError("radii and angles must be non-empty 1-D arrays")
+        if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(angles))):
+            raise DomainError("radii and angles must be finite")
         if np.any(np.diff(radii) <= 0) or np.any(np.diff(angles) <= 0):
             raise DomainError("radii and angles must be strictly increasing")
         if radii[0] < 0.0 or radii[-1] >= 1.0:

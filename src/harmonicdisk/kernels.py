@@ -91,26 +91,6 @@ def q_kernel(s, psi):
     return value
 
 
-def q_kernel_series(s, psi, n_terms: int = 400):
-    """Independent Fourier-series evaluation 1 + sum (k+1) s^k cos(k psi).
-
-    Slowly convergent near s = 1; intended as a test oracle only.
-    """
-    s_arr = _check_unit_interval(s, "s")
-    psi_arr = np.asarray(psi, dtype=float)
-    k = np.arange(1, n_terms + 1)
-    shape = np.broadcast_shapes(s_arr.shape, psi_arr.shape)
-    terms = (
-        (k + 1.0)
-        * np.broadcast_to(s_arr, shape)[..., None] ** k
-        * np.cos(np.broadcast_to(psi_arr, shape)[..., None] * k)
-    )
-    value = 1.0 + terms.sum(axis=-1)
-    if np.isscalar(s) and np.isscalar(psi):
-        return float(value)
-    return value
-
-
 def poisson_kernel_series(r, theta, n_terms: int = 400):
     """Independent Fourier-series evaluation 1 + 2 sum r^n cos(n theta)."""
     r_arr = _check_unit_interval(r, "r")

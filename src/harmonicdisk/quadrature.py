@@ -68,8 +68,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.nodes_radial < 1 or self.nodes_angular < 1:
             raise InvalidRegionError("node counts must be positive")
-        if not self.adaptive_tol > 0.0:
-            raise InvalidRegionError("adaptive_tol must be positive")
+        if not 0.0 < self.adaptive_tol < math.inf:
+            raise InvalidRegionError("adaptive_tol must be positive and finite")
         if not 1 <= self.max_depth <= 30:
             raise InvalidRegionError("max_depth must lie in [1, 30]")
 
@@ -254,39 +254,3 @@ def integrate_angular(
     if not lo < hi:
         raise InvalidRegionError(f"need lo < hi, got [{lo}, {hi}]")
     return _adaptive(integrand, ((lo, hi),), spec, end=graded_end)
-
-
-_ORACLE_BLOCK = 2**16  # midpoint nodes per block: 512 KiB per float64 temporary
-
-
-def midpoint_oracle(integrand, region: PolarRectangle, n_radial: int, n_angular: int):
-    """Plain midpoint tensor rule including the Jacobian rho.
-
-    Intentionally simple; the independent oracle used by tests and by
-    ``verify``.  Radial rows are processed in blocks of about
-    _ORACLE_BLOCK nodes (one row when a row is longer).  At 2**16 a
-    float64 temporary is 512 KiB, so the few that a block of kernel
-    values keeps live at once about fit a 2 MiB L2 cache; smaller blocks
-    pay more for the work done once per block along a row (the sines of
-    every angle, for ``q_kernel``) than they save.
-    Each block's row sums are weighted by rho, and the block's partial sum
-    is checked once: every midpoint has rho > 0, so a NaN, an inf or a
-    +inf/-inf pair anywhere in the block leaves it non-finite.
-    """
-    if n_radial < 1 or n_angular < 1:
-        raise InvalidRegionError("node counts must be positive")
-    dr = (region.r_hi - region.r_lo) / n_radial
-    dp = (region.theta_hi - region.theta_lo) / n_angular
-    phi = region.theta_lo + (np.arange(n_angular) + 0.5) * dp
-    rows = max(1, _ORACLE_BLOCK // n_angular)
-    total = 0.0
-    for start in range(0, n_radial, rows):
-        stop = min(start + rows, n_radial)
-        rho = region.r_lo + (np.arange(start, stop) + 0.5) * dr
-        values = np.asarray(integrand(rho[:, None], phi[None, :]), dtype=float)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is caught below
-            partial = float(np.broadcast_to(values, (rho.size, n_angular)).sum(axis=1) @ rho)
-        if not math.isfinite(partial):
-            raise NonFiniteError("integrand returned NaN/inf at a midpoint node")
-        total += partial
-    return total * dr * dp

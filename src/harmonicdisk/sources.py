@@ -48,9 +48,8 @@ from .errors import (
     SourceParseError,
     SourceValidationError,
     UnknownFigureError,
-    NonFiniteError,
 )
-from .geometry import PolarPoint, PolarRectangle
+from .geometry import PolarRectangle
 from .kernels import KernelId
 
 _PI = math.pi
@@ -518,20 +517,6 @@ class SourceSum(SourceFunction):
             "type": "weighted_sum",
             "terms": [{"coef": c, "term": s.to_config()} for c, s in self.terms],
         }
-
-
-def evaluate_source(source: SourceFunction, point: PolarPoint) -> float:
-    """Pointwise value of a source at an interior point.
-
-    Raises NonFiniteError on the (measure-zero) singular sets of the
-    singular radial factors.
-    """
-    if point.r >= 1.0:
-        raise NonFiniteError(f"point r={point.r} is not inside the disk")
-    value = float(np.asarray(source.values(point.r, point.theta)))
-    if not math.isfinite(value):
-        raise NonFiniteError(f"source is singular at (r={point.r}, theta={point.theta})")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ class TestPrefactorParsing:
     def test_bad_forms(self):
         import argparse
 
-        with pytest.raises(argparse.ArgumentTypeError):
-            parse_prefactor("two")
+        # unparsable, an undefined quotient, or not finite
+        for text in ("two", "1/0", "pi/0", "nan", "-inf", "1e308*10"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_prefactor(text)
 
 
 class TestCLI:
@@ -161,6 +163,15 @@ class TestCLI:
         ok.write_text(json.dumps({"type": "char_disk", "radius": 0.25}))
         assert main(["transform", "--source-file", str(ok), "--r-max", "0.995",
                      "--out", str(tmp_path / "x.csv")]) == 2
+        # non-finite numbers: a grid radius, a tolerance, a prefactor
+        assert main(["figure", "4", "--r-max", "nan", "--out", str(tmp_path)]) == 2
+        assert main(["figure", "4", "--tol", "inf", "--out", str(tmp_path)]) == 2
+        for prefactor in ("1/0", "nan"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["transform", "--source-file", str(ok), "--prefactor", prefactor,
+                      "--out", str(tmp_path / "x.csv")])
+            assert exit_info.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
 
     def test_conjecture_figure_zero_is_an_unknown_figure(self, tmp_path, capsys):
         for fig in ("0", "16"):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from harmonicdisk.errors import (
-    NonFiniteError,
     SourceParseError,
     SourceValidationError,
     UnknownFigureError,
 )
-from harmonicdisk.geometry import PolarPoint, PolarRectangle
+from harmonicdisk.geometry import PolarRectangle
 from harmonicdisk.quadrature import integrate_polar
 from harmonicdisk.sources import (
     AbsLogAbsOnArc,
@@ -35,7 +34,6 @@ from harmonicdisk.sources import (
     SourceSum,
     ThetaSquaredOnArc,
     catalog_q_sources,
-    evaluate_source,
     figure_case,
     parse_source_config,
     serialize_config,
@@ -47,23 +45,22 @@ PI = math.pi
 class TestEvaluateSource:
     def test_characteristic_disk(self):
         disk = CharacteristicDisk(0.25)
-        assert evaluate_source(disk, PolarPoint(0.1, 2.0)) == 1.0
-        assert evaluate_source(disk, PolarPoint(0.3, 2.0)) == 0.0
+        assert disk.values(0.1, 2.0) == 1.0
+        assert disk.values(0.3, 2.0) == 0.0
 
     def test_gaussian_bump_peak(self):
         src = figure_case(15).source
-        assert evaluate_source(src, PolarPoint(0.5, 0.0)) == pytest.approx(10.0, abs=1e-12)
+        assert src.values(0.5, 0.0) == pytest.approx(10.0, abs=1e-12)
 
-    def test_singular_point_raises(self):
-        src = figure_case(6).source
-        with pytest.raises(NonFiniteError):
-            evaluate_source(src, PolarPoint(1.0, 0.0))
+    def test_singular_point_is_infinite(self):
+        # the rim factor (1 - rho)^(-1/4) of figure 6
+        assert figure_case(6).source.values(1.0, 0.0) == math.inf
 
     def test_characteristic_rect_membership(self):
         rect = CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, PI / 4))
-        assert evaluate_source(rect, PolarPoint(0.3, 0.3)) == 1.0
-        assert evaluate_source(rect, PolarPoint(0.3, -0.1)) == 0.0
-        assert evaluate_source(rect, PolarPoint(0.6, 0.3)) == 0.0
+        assert rect.values(0.3, 0.3) == 1.0
+        assert rect.values(0.3, -0.1) == 0.0
+        assert rect.values(0.6, 0.3) == 0.0
 
 
 class TestValidation:
@@ -298,8 +295,8 @@ class TestVectorizedValues:
         src = SeparableOnRect(
             RhoPower(2), AngularCos(1), PolarRectangle(0.0, 1.0, -PI, PI)
         )
-        assert evaluate_source(src, PolarPoint(0.5, 0.0)) == pytest.approx(0.25)
-        assert evaluate_source(src, PolarPoint(0.5, PI / 2)) == pytest.approx(0.0, abs=1e-16)
+        assert src.values(0.5, 0.0) == pytest.approx(0.25)
+        assert src.values(0.5, PI / 2) == pytest.approx(0.0, abs=1e-16)
 
     def test_abs_phi_factor(self):
         f = AbsPhi()

@@ -1,9 +1,11 @@
 """Property tests of the spectral grid path on random catalog-shaped
 regular sources: the area transform is linear in the source and
-equivariant under rotation by a grid step."""
+equivariant under rotation by a grid step.  Also of the closed-form
+transform of a rectangle indicator, the exact reference of ``verify``."""
 
 import math
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -24,7 +26,9 @@ from harmonicdisk.sources import (
     SourcePiece,
     SourceSum,
 )
-from harmonicdisk.transforms import q_transform
+from harmonicdisk import verify
+from harmonicdisk.quadrature import QuadratureSpec
+from harmonicdisk.transforms import q_point, q_transform
 
 PI = math.pi
 GRID = EvaluationGrid.regular(n_r=4, n_theta=16, r_max=0.9)
@@ -109,3 +113,50 @@ def test_equivariant_under_rotation_by_a_grid_step(f):
     turned = spectral(Rotated(f, STEP))
     scale = max(1.0, float(np.max(np.abs(base))))
     assert np.max(np.abs(turned - np.roll(base, 1, axis=1))) <= 1e-12 * scale
+
+
+radii = st.floats(0.0, 0.95)
+angles = st.floats(-PI, PI)
+
+
+@PROPERTY
+@given(rects(), radii, angles)
+def test_closed_form_matches_adaptive_quadrature(rect, r, theta):
+    source = CharacteristicRect(rect)
+    value, err, converged = q_point(source, r, theta, 1.0, QuadratureSpec(adaptive_tol=1e-12))
+    exact = verify._indicator_q(source, r, theta)
+    assert converged
+    assert abs(value - exact) <= err + 1e-12 * max(1.0, abs(exact))
+
+
+@PROPERTY
+@given(rects(), st.floats(0.1, 0.9), radii, angles)
+def test_closed_form_is_additive_across_a_split(rect, t, r, theta):
+    whole = verify._indicator_q(CharacteristicRect(rect), r, theta)
+    rho = rect.r_lo + t * (rect.r_hi - rect.r_lo)
+    phi = rect.theta_lo + t * (rect.theta_hi - rect.theta_lo)
+    for halves in (((rect.r_lo, rho, rect.theta_lo, rect.theta_hi),
+                    (rho, rect.r_hi, rect.theta_lo, rect.theta_hi)),
+                   ((rect.r_lo, rect.r_hi, rect.theta_lo, phi),
+                    (rect.r_lo, rect.r_hi, phi, rect.theta_hi))):
+        parts = SourceSum(tuple((1.0, CharacteristicRect(PolarRectangle(*h))) for h in halves))
+        assert abs(verify._indicator_q(parts, r, theta) - whole) <= 1e-14 * max(1.0, abs(whole))
+
+
+@PROPERTY
+@given(rects(), st.floats(0.25, 0.35), angles)
+def test_closed_form_branches_agree_at_the_switch(rect, modulus, arg):
+    # each branch on both sides of |c| = _SERIES_BELOW = 0.3
+    c = np.array(modulus * np.exp(1j * arg))
+    values = []
+    for switch in (0.0, 1.0):  # the closed form everywhere, the series everywhere
+        with mock.patch.object(verify, "_SERIES_BELOW", switch):
+            values.append(verify._indicator_h(c, rect.r_lo, rect.r_hi))
+    assert abs(values[0] - values[1]) <= 1e-14
+
+
+@PROPERTY
+@given(rects(), angles)
+def test_closed_form_at_the_centre_is_the_area(rect, theta):
+    assert abs(verify._indicator_q(CharacteristicRect(rect), 0.0, theta) - rect.area) \
+        <= 1e-15 * rect.area

@@ -28,6 +28,7 @@ from harmonicdisk.sources import (
     catalog_q_sources,
     figure_case,
 )
+from harmonicdisk import verify
 from harmonicdisk.transforms import (
     _POISSON_SERIES,
     _Q_SERIES,
@@ -272,6 +273,11 @@ class TestGridAndField:
         EvaluationGrid(np.array([0.0, 0.995]), np.array([0.0]), allow_near_boundary=True)
         with pytest.raises(DomainError):
             EvaluationGrid.regular(n_r=4, n_theta=8, r_max=1.0, r_min=0.0)
+        with pytest.raises(DomainError):
+            EvaluationGrid.regular(n_r=4, n_theta=8, r_max=math.nan)
+        for radii, angles in (([0.0, math.nan], [0.0]), ([0.0, 0.5], [0.0, math.nan])):
+            with pytest.raises(DomainError):
+                EvaluationGrid(np.array(radii), np.array(angles))
 
     def test_regular_grid_shape(self):
         grid = EvaluationGrid.regular(n_r=5, n_theta=12, r_max=0.8)
@@ -598,6 +604,22 @@ class TestRimSingularOracle:
                 exact = case.prefactor * _rim_cos_series(pieces, [r], [theta], 60000)[0, 0]
                 assert converged
                 assert abs(value - exact) <= err + 1e-13 * max(1.0, abs(exact))
+
+
+class TestIndicatorOracle:
+    """Figs 4, 5 and 9, sums of polar-rectangle indicators, against their
+    closed-form transform (``verify._indicator_q``), up to the 0.99 cap."""
+
+    @pytest.mark.parametrize("r_max", [0.9, 0.99])
+    @pytest.mark.parametrize("fig_id", [4, 5, 9])
+    def test_spectral_grid(self, fig_id, r_max):
+        case = _q_case(fig_id)
+        grid = EvaluationGrid.regular(n_r=40, n_theta=128, r_max=r_max)
+        fld = q_transform(case.source, grid, case.prefactor)
+        exact = case.prefactor * verify._indicator_q(case.source, grid.radii[:, None],
+                                                     grid.angles[None, :])
+        assert fld.meta["engine"] == "spectral"
+        assert np.max(np.abs(fld.values - exact)) <= 1e-13
 
 
 class TestDeclaredRadialWeight:

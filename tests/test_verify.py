@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from harmonicdisk.errors import DomainError, IncompatibleKindError, StencilOutOfRangeError
-from harmonicdisk.geometry import EvaluationGrid
+from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
 from harmonicdisk.kernels import q_kernel
 from harmonicdisk.quadrature import QuadratureSpec
 from harmonicdisk.sources import (
@@ -14,6 +14,8 @@ from harmonicdisk.sources import (
     BoundarySum,
     CharacteristicArc,
     CharacteristicDisk,
+    CharacteristicRect,
+    SourceSum,
     figure_case,
 )
 from harmonicdisk.transforms import Field, poisson_integral, poisson_point, q_point
@@ -21,10 +23,7 @@ from harmonicdisk import verify
 from harmonicdisk.verify import (
     NormSpec,
     SuiteConfig,
-    bergman_norm,
     circle_integral_of_square,
-    hA2_norm,
-    hardy_norm,
     laplacian_residual,
     norm,
     norm_report,
@@ -91,11 +90,12 @@ class TestLaplacianResidual:
 
 class TestNorms:
     def test_constant_harmonic_l2(self):
-        value = hA2_norm(CharacteristicDisk(1.0), truncation_radius=0.999)
+        value = norm(CharacteristicDisk(1.0),
+                     NormSpec("harmonic_bergman_l2", truncation_radius=0.999))
         assert value == pytest.approx(math.sqrt(PI), abs=2e-3)
 
     def test_weighted_constant(self):
-        value = bergman_norm(CharacteristicDisk(1.0), p=2.0, alpha=1.0)
+        value = norm(CharacteristicDisk(1.0), NormSpec("bergman_weighted", p=2.0, alpha=1.0))
         assert value == pytest.approx(math.sqrt(PI / 3.0), abs=2e-3)
 
     def test_circle_l2_arc(self):
@@ -144,7 +144,8 @@ class TestNorms:
 
     def test_alpha_monotonicity(self):
         source = figure_case(4).source
-        values = [bergman_norm(source, 2.0, alpha) for alpha in (0.0, 0.5, 1.0, 2.0)]
+        values = [norm(source, NormSpec("bergman_weighted", 2.0, alpha))
+                  for alpha in (0.0, 0.5, 1.0, 2.0)]
         assert all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
     def test_field_norm_matches_source_norm(self):
@@ -173,9 +174,6 @@ class TestNorms:
     def test_rect_outside_canonical_angle_window(self):
         # PolarRectangle allows angle windows beyond [-pi, pi]; the norm
         # partition must still cover them
-        from harmonicdisk.geometry import PolarRectangle
-        from harmonicdisk.sources import CharacteristicRect
-
         rect = CharacteristicRect(PolarRectangle(0.2, 0.6, 3.0, 3.5))
         value = norm(rect, NormSpec("harmonic_bergman_l2"))
         exact = math.sqrt(0.5 * (0.36 - 0.04) * 0.5)
@@ -210,9 +208,48 @@ class TestHardy:
         values = np.broadcast_to(np.cos(grid.angles)[None, :], grid.shape).copy()
         fld = Field(grid=grid, values=values, converged=np.ones_like(values, bool),
                     errors=np.zeros_like(values))
-        assert hardy_norm(fld) == pytest.approx(PI, rel=1e-10)
+        assert norm(fld, NormSpec("hardy_sup")) == pytest.approx(PI, rel=1e-10)
         with pytest.raises(DomainError):
-            hardy_norm(fld, radii=[0.5])
+            norm_report(fld, NormSpec("hardy_sup"), radii=[0.5])
+
+
+class TestIndicatorClosedForm:
+    """The exact reference of the quadrature.oracle_agreement invariant: the
+    closed-form area transform of polar-rectangle indicators."""
+
+    def test_q_normalization(self):
+        # four rectangles tile the disk, so (1/pi) iint Q = 1 at every point,
+        # although each edge's term depends on the point
+        quarters = SourceSum(tuple((1.0, CharacteristicRect(PolarRectangle(*rect))) for rect in (
+            (0.0, 0.5, -PI, 0.0), (0.0, 0.5, 0.0, PI), (0.5, 1.0, -PI, 1.0), (0.5, 1.0, 1.0, PI))))
+        for r, theta in ((0.0, 0.0), (0.2, 3.0), (0.7, 1.2), (0.99, -0.4), (0.999, 1.0)):
+            assert verify._indicator_q(quarters, r, theta) == pytest.approx(PI, abs=1e-13)
+
+    def test_agreement_with_adaptive_on_catalog_integrands(self):
+        # r = 0.0225 takes the series branch for every edge
+        spec = QuadratureSpec(adaptive_tol=1e-13)
+        for fig_id in (4, 5, 9):
+            case = figure_case(fig_id)
+            for r in (0.0225, 0.1, 0.6, 0.9, 0.99, 0.999):
+                for theta in (-2.5, 0.0, 0.3, 2.9):
+                    value, err, converged = q_point(case.source, r, theta, case.prefactor, spec,
+                                                    allow_near_boundary=True)
+                    exact = case.prefactor * verify._indicator_q(case.source, r, theta)
+                    assert converged
+                    assert abs(value - exact) <= err + 1e-13 * max(1.0, abs(exact))
+
+    def test_rejects_pieces_other_than_indicators(self):
+        # a radial weight (fig 6) and a Gaussian times a cosine (fig 15)
+        for fig_id in (6, 15):
+            with pytest.raises(DomainError):
+                verify._indicator_q(figure_case(fig_id).source, 0.5, 0.0)
+
+    def test_invariant_resolves_a_gap_of_1e_10(self, monkeypatch):
+        # the midpoint rule it replaced resolved nothing below 1e-6
+        real = verify._indicator_q
+        monkeypatch.setattr(verify, "_indicator_q", lambda *args: real(*args) + 1e-10)
+        report = run_invariant_suite(SuiteConfig(include_heat=False))
+        assert not {r.id: r for r in report.records}["quadrature.oracle_agreement"].passed
 
 
 # (id, threshold, comparator, note) of every record of the default suite, in order
@@ -231,8 +268,9 @@ SUITE_SHAPE = [
     ("quadrature.substitution_beta_zero_limit", 1e-06, "<=", ""),
     ("quadrature.q_normalization", 1e-06, "<=",
      "(1/pi) iint Q(r rho, theta - phi) rho = 1 for all r, theta"),
-    ("quadrature.oracle_agreement", 0.0, "<=",
-     "adaptive vs 2000x4000 midpoint within max(1e-6, 10*err) on regular catalog integrands"),
+    ("quadrature.oracle_agreement", 1.0, "<=",
+     "adaptive vs the closed-form transform of the indicators of figs 4, 5 and 9 at 9 points "
+     "up to r = 0.999: |gap| / (err + 1e-12 max(1, |exact|))"),
     ("sources.roundtrip", 0.0, "<=", ""),
     ("sources.catalog_complete", 0.0, "<=", ""),
     ("sources.square_integrable", 20.0, "<=",
