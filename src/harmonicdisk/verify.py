@@ -406,7 +406,7 @@ class SuiteReport:
 @dataclass
 class SuiteConfig:
     """Knobs for the invariant suite; with the defaults the whole suite
-    takes about a third of a second.  ``q_kernel_fn`` exists so tests can
+    takes about a quarter of a second in a fresh process.  ``q_kernel_fn`` exists so tests can
     inject a corrupted kernel and watch the normalization check fail."""
 
     r_max: float = 0.9
