@@ -155,6 +155,8 @@ class EvaluationGrid:
         """Uniform grid: n_r radii on [r_min, r_max], n_theta angles on [-pi, pi)."""
         if n_r < 1 or n_theta < 1:
             raise DomainError("grid needs at least one radius and one angle")
+        if not (math.isfinite(r_min) and math.isfinite(r_max)):
+            raise DomainError("r_min and r_max must be finite")
         radii = np.linspace(r_min, r_max, n_r)
         angles = np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
         return EvaluationGrid(radii, angles, allow_near_boundary=allow_near_boundary)

@@ -1,14 +1,19 @@
 """Plain-text grid files plus JSON metadata sidecars.
 
 A grid file is CSV with header ``r,theta,value,converged`` and one row
-per grid point in row-major order (radius outer, angle inner).  Values
+per grid point in row-major order (radius outer, angle inner).  Numbers
 are rendered with 17 significant digits, which round-trips IEEE doubles
 exactly; identical invocations therefore produce bitwise-identical
-files.  The writer streams the file ring by ring; the reader parses it
-with numpy's C parser and refuses rows out of that order, converged
-flags other than 0 or 1, and rows that are not four numbers.  Timestamps
-never appear in data files and appear in the sidecar only when
-explicitly requested.
+files.  The writer renders each angle once, into a row template per
+converged flag, and formats a whole ring with one ``%``, so every value
+costs one binary-to-decimal conversion and no Python code runs per row.
+The reader parses every row with numpy's C parser into a record of
+radius, angle text, value and flag.  Each ring must repeat the first
+ring's angle texts (at most 24 characters, the longest ``.17g``
+rendering), so the distinct angles are converted once.  It refuses rows
+out of row-major order, flags other than the integers 0 and 1, rows that
+are not four fields, and ``#`` lines.  Timestamps never appear in data
+files and appear in the sidecar only when explicitly requested.
 """
 
 from __future__ import annotations
@@ -26,6 +31,10 @@ from .transforms import Field
 ARTIFACT_VERSION = "0.1.0"
 
 _HEADER = "r,theta,value,converged"
+# a ".17g" rendering has at most 24 characters; a longer angle would be
+# truncated silently by the fixed-width text field, so 25 is refused
+_ANGLE_WIDTH = 25
+_ROW = np.dtype([("r", "f8"), ("theta", f"S{_ANGLE_WIDTH}"), ("value", "f8"), ("converged", "u1")])
 
 
 def write_grid_file(
@@ -38,13 +47,18 @@ def write_grid_file(
     """Write a field and its metadata sidecar; returns the data path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    thetas = [f",{t:.17g}," for t in field.grid.angles.tolist()]
+    # row templates: [flag][angle] -> ",<theta>,%.17g,<flag>\n"
+    templates = np.array(
+        [[f",{t:.17g},%.17g,{c}\n" for t in field.grid.angles.tolist()] for c in (0, 1)],
+        dtype=object,
+    )
+    columns = np.arange(field.grid.n_theta)
     with path.open("w") as fh:
         fh.write(_HEADER + "\n")
-        for i, r in enumerate(field.grid.radii.tolist()):
+        for r, values, converged in zip(field.grid.radii.tolist(), field.values, field.converged):
             rs = format(r, ".17g")
-            rows = zip(thetas, field.values[i].tolist(), field.converged[i].tolist())
-            fh.write("".join([f"{rs}{ts}{v:.17g},{1 if c else 0}\n" for ts, v, c in rows]))
+            ring = rs + rs.join(templates[converged.astype(np.intp), columns].tolist())
+            fh.write(ring % tuple(values.tolist()))
 
     meta = dict(field.meta)
     meta["grid"] = {
@@ -82,22 +96,36 @@ def read_grid_file(path) -> Field:
     with path.open() as fh:
         if fh.readline().rstrip("\r\n") != _HEADER:
             raise DomainError(f"{path}: not a grid file (bad header)")
-        try:
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise DomainError(f"{path}: malformed data row: {exc}") from exc
-    if data.shape[1] != 4:
-        raise DomainError(f"{path}: expected rows of 4 columns, got shape {data.shape}")
-    r_col, t_col, v_col, c_col = data.T
-    radii, angles = np.unique(r_col), np.unique(t_col)
-    n_r, n_t = radii.size, angles.size
-    if not (np.array_equal(r_col, np.repeat(radii, n_t))
-            and np.array_equal(t_col, np.tile(angles, n_r))):
+        if not any(line.strip() for line in iter(fh.readline, "")):
+            raise DomainError(f"{path}: no data rows")
+    try:
+        rows = np.loadtxt(path, dtype=_ROW, delimiter=",", skiprows=1, comments=None, ndmin=1)
+    except ValueError as exc:
+        raise DomainError(f"{path}: malformed data row: {exc}") from exc
+    r_col = rows["r"]
+    ring_ends = np.flatnonzero(r_col[1:] != r_col[:-1])
+    n_t = int(ring_ends[0]) + 1 if ring_ends.size else r_col.size
+    n_r, partial = divmod(r_col.size, n_t)
+    if partial:
+        raise DomainError(f"{path}: {r_col.size} rows do not fill rings of {n_t} angles")
+    r_grid = r_col.reshape(n_r, n_t)
+    t_grid = rows["theta"].reshape(n_r, n_t)
+    if not (np.all(r_grid == r_grid[:, :1]) and np.all(t_grid == t_grid[:1])):
         raise DomainError(f"{path}: rows are not in row-major (r, theta) order")
-    if not np.all((c_col == 0) | (c_col == 1)):
+    texts = t_grid[0].tolist()
+    if max(map(len, texts)) >= _ANGLE_WIDTH:
+        raise DomainError(f"{path}: an angle has {_ANGLE_WIDTH} or more characters")
+    try:
+        angles = np.array([float(t) for t in texts])
+    except ValueError as exc:
+        raise DomainError(f"{path}: malformed angle: {exc}") from exc
+    c_col = rows["converged"]
+    if np.any(c_col > 1):
         raise DomainError(f"{path}: converged flags must be 0 or 1")
-    grid = EvaluationGrid(radii, angles, allow_near_boundary=True)
-    values = np.ascontiguousarray(v_col).reshape(n_r, n_t)
+    # the grid refuses radii or angles that are not strictly increasing; the
+    # copy keeps the Field from holding on to the parsed rows
+    grid = EvaluationGrid(r_grid[:, 0].copy(), angles, allow_near_boundary=True)
+    values = np.ascontiguousarray(rows["value"]).reshape(n_r, n_t)
     converged = (c_col == 1).reshape(n_r, n_t)
 
     meta = {}

@@ -44,8 +44,8 @@ class BoundaryCondition:
         if self.tag not in BOUNDARY_TAGS:
             raise DomainError(f"unknown boundary tag {self.tag!r}, expected {BOUNDARY_TAGS}")
         if self.tag == "robin":
-            if self.h is None or self.h <= 0:
-                raise DomainError("robin boundary needs h > 0")
+            if self.h is None or not (math.isfinite(self.h) and self.h > 0):
+                raise DomainError("robin boundary needs a finite h > 0")
         elif self.h is not None:
             raise DomainError("dirichlet_zero takes no h")
 

@@ -34,7 +34,7 @@ class KernelId:
         if self.tag not in KERNEL_TAGS:
             raise DomainError(f"unknown kernel tag {self.tag!r}, expected {KERNEL_TAGS}")
         if self.tag == "analytic_bergman":
-            if self.alpha is None or self.alpha <= -1.0:
+            if self.alpha is None or not self.alpha > -1.0:
                 raise DomainError("analytic_bergman kernel needs alpha > -1")
         elif self.alpha is not None:
             raise DomainError(f"kernel {self.tag!r} takes no alpha")
@@ -115,7 +115,7 @@ def analytic_bergman_kernel(z, w, alpha: float):
     base 1 - z*conj(w) has positive real part, so the branch cut is never
     approached.  Accepts complex scalars/arrays or ComplexPoint instances.
     """
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise DomainError("alpha must exceed -1")
     z_c = np.asarray(getattr(z, "to_complex", lambda: z)(), dtype=complex)
     w_c = np.asarray(getattr(w, "to_complex", lambda: w)(), dtype=complex)

@@ -534,7 +534,7 @@ def analytic_rep(
     alpha > -1 this reproduces f(z) at interior points.
     """
     spec = spec or QuadratureSpec()
-    if alpha <= -1.0:
+    if not alpha > -1.0:
         raise DomainError("alpha must exceed -1")
     z = complex(getattr(z, "to_complex", lambda: z)())
     _check_radius(abs(z), allow_near_boundary)

@@ -166,6 +166,13 @@ class TestCLI:
         # non-finite numbers: a grid radius, a tolerance, a prefactor
         assert main(["figure", "4", "--r-max", "nan", "--out", str(tmp_path)]) == 2
         assert main(["figure", "4", "--tol", "inf", "--out", str(tmp_path)]) == 2
+        # ... a kernel weight and a Robin coefficient
+        assert main(["kernel", "--kernel", "bergman", "--alpha", "nan", "--radii", "0.5",
+                     "--n-theta", "8", "--out", str(tmp_path / "k.csv")]) == 2
+        assert main(["conjecture", "--figure", "4", "--boundary", "robin", "--robin-h", "nan",
+                     "--n-r", "16", "--n-theta", "16", "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "k.csv").exists()
+        assert not (tmp_path / "steady_state.csv").exists()
         for prefactor in ("1/0", "nan"):
             with pytest.raises(SystemExit) as exit_info:
                 main(["transform", "--source-file", str(ok), "--prefactor", prefactor,

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmonicdisk.errors import DomainError
 from harmonicdisk.geometry import EvaluationGrid
@@ -172,11 +173,35 @@ def _no_rows(lines):
     del lines[1:]
 
 
+def _angle_respelled(lines):
+    # ring 1's third angle is 0, written "0" by the writer
+    r, t, v, c = lines[7].split(",")
+    assert t == "0"
+    lines[7] = f"{r},0.0,{v},{c}"
+
+
+def _angle_26_chars(lines):
+    # the same number in every ring; cut to 25 characters it would still parse
+    for k in range(2, len(lines), 4):
+        r, t, v, c = lines[k].split(",")
+        lines[k] = ",".join([r, t.ljust(26, "0"), v, c])
+
+
+def _flag_float(lines):
+    assert lines[3].endswith(",1")
+    lines[3] += ".0"
+
+
+def _comment_line(lines):
+    lines.insert(5, "# a note between two rings")
+
+
 @pytest.mark.parametrize("corrupt", [
     _swap_rows, _swap_rings, _drop_row, _flag_two, _short_row, _long_row, _all_rows_long,
-    _text_value, _empty_value, _bad_header,
-    pytest.param(_no_rows, marks=pytest.mark.filterwarnings("ignore::UserWarning")),
+    _text_value, _empty_value, _bad_header, _no_rows,
+    _angle_respelled, _angle_26_chars, _flag_float, _comment_line,
 ], ids=lambda f: f.__name__.lstrip("_"))
+@pytest.mark.filterwarnings("error")
 def test_reader_refuses_malformed_file(corrupt, tmp_path):
     lines = _lines(tmp_path)
     corrupt(lines)
@@ -196,3 +221,44 @@ def test_reader_accepts_crlf_and_trailing_blank_line(tmp_path):
     assert np.array_equal(back.values, fld.values)
     assert np.array_equal(back.converged, fld.converged)
     assert back.grid == fld.grid
+
+
+# numbers whose ".17g" renderings are the longest, 23 and 24 characters
+LONGEST = [-1.2345678901234567e-300, -2.2250738585072014e-308, 1.2345678901234567e-310]
+SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-320, *LONGEST]
+
+
+def _increasing(elements, max_size):
+    return st.lists(elements, min_size=1, max_size=max_size, unique=True).map(sorted)
+
+
+@st.composite
+def fields(draw):
+    radii = draw(_increasing(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([0.0, 5e-324, LONGEST[2], 0.99999999999999989])), 5))
+    angles = draw(_increasing(st.one_of(
+        st.floats(-math.pi, math.pi, exclude_max=True),
+        st.sampled_from([-math.pi, -0.0, 5e-324, *LONGEST])), 9))
+    shape = (len(radii), len(angles))
+    values = draw(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES)),
+                           min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    flag_row = st.one_of(st.just([False] * shape[1]), st.just([True] * shape[1]),
+                         st.lists(st.booleans(), min_size=shape[1], max_size=shape[1]))
+    converged = draw(st.lists(flag_row, min_size=shape[0], max_size=shape[0]))
+    grid = EvaluationGrid(np.array(radii), np.array(angles), allow_near_boundary=True)
+    return Field(grid=grid, values=np.array(values).reshape(shape),
+                 converged=np.array(converged, dtype=bool), errors=np.zeros(shape))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(fld=fields())
+def test_roundtrip_property(fld, tmp_path_factory):
+    path = write_grid_file(fld, tmp_path_factory.mktemp("roundtrip") / "f.csv")
+    assert path.read_bytes() == reference_bytes(fld)
+    back = read_grid_file(path)
+    assert back.grid == fld.grid
+    assert np.array_equal(back.values, fld.values, equal_nan=True)
+    finite = ~np.isnan(fld.values)
+    assert np.array_equal(np.signbit(back.values[finite]), np.signbit(fld.values[finite]))
+    assert np.array_equal(back.converged, fld.converged)

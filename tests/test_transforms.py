@@ -265,6 +265,7 @@ class TestAnalyticRep:
 
 
 class TestGridAndField:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             EvaluationGrid(np.array([0.5, 0.2]), np.array([0.0]))
@@ -273,8 +274,9 @@ class TestGridAndField:
         EvaluationGrid(np.array([0.0, 0.995]), np.array([0.0]), allow_near_boundary=True)
         with pytest.raises(DomainError):
             EvaluationGrid.regular(n_r=4, n_theta=8, r_max=1.0, r_min=0.0)
-        with pytest.raises(DomainError):
-            EvaluationGrid.regular(n_r=4, n_theta=8, r_max=math.nan)
+        for r_max in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                EvaluationGrid.regular(n_r=4, n_theta=8, r_max=r_max)
         for radii, angles in (([0.0, math.nan], [0.0]), ([0.0, 0.5], [0.0, math.nan])):
             with pytest.raises(DomainError):
                 EvaluationGrid(np.array(radii), np.array(angles))
