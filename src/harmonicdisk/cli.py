@@ -12,6 +12,7 @@ codes: 0 success, 1 verification failure, 2 usage/parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -98,7 +99,10 @@ def _add_output_flags(p):
                    help="re-read the written file and fail on any mismatch")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged and returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="harmonicdisk",
         description="Reproducing-kernel transforms and heat comparisons on the unit disk.",

@@ -158,8 +158,13 @@ class EvaluationGrid:
         if not (math.isfinite(r_min) and math.isfinite(r_max)):
             raise DomainError("r_min and r_max must be finite")
         radii = np.linspace(r_min, r_max, n_r)
-        angles = np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
+        angles = EvaluationGrid.regular_angles(n_theta)
         return EvaluationGrid(radii, angles, allow_near_boundary=allow_near_boundary)
+
+    @staticmethod
+    def regular_angles(n_theta: int):
+        """The angles -pi + 2 pi j / n_theta, j < n_theta, of ``regular``."""
+        return np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
 
     @property
     def n_r(self) -> int:

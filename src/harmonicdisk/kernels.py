@@ -22,10 +22,16 @@ from .errors import DomainError
 KERNEL_TAGS = ("poisson", "q", "analytic_bergman")
 
 
+def check_alpha(alpha):
+    """Refuse a weight exponent alpha that is not a finite number above -1."""
+    if not (math.isfinite(alpha) and alpha > -1.0):
+        raise DomainError(f"alpha must be a finite number above -1, got {alpha}")
+
+
 @dataclass(frozen=True)
 class KernelId:
     """Identifies one of the kernel families; alpha only applies to the
-    weighted analytic kernel (alpha > -1)."""
+    weighted analytic kernel (a finite alpha > -1)."""
 
     tag: str
     alpha: float | None = None
@@ -34,8 +40,9 @@ class KernelId:
         if self.tag not in KERNEL_TAGS:
             raise DomainError(f"unknown kernel tag {self.tag!r}, expected {KERNEL_TAGS}")
         if self.tag == "analytic_bergman":
-            if self.alpha is None or not self.alpha > -1.0:
+            if self.alpha is None:
                 raise DomainError("analytic_bergman kernel needs alpha > -1")
+            check_alpha(self.alpha)
         elif self.alpha is not None:
             raise DomainError(f"kernel {self.tag!r} takes no alpha")
 
@@ -115,8 +122,7 @@ def analytic_bergman_kernel(z, w, alpha: float):
     base 1 - z*conj(w) has positive real part, so the branch cut is never
     approached.  Accepts complex scalars/arrays or ComplexPoint instances.
     """
-    if not alpha > -1.0:
-        raise DomainError("alpha must exceed -1")
+    check_alpha(alpha)
     z_c = np.asarray(getattr(z, "to_complex", lambda: z)(), dtype=complex)
     w_c = np.asarray(getattr(w, "to_complex", lambda: w)(), dtype=complex)
     if np.any(np.abs(z_c) >= 1.0) or np.any(np.abs(w_c) >= 1.0):

@@ -22,7 +22,12 @@ Two engines compute them, with no interpolation or smoothing in either.
   a piece R(rho) A(phi) has C_k = (sum_i w_i R(rho_i) rho_i^k) *
   (sum_j w_j A(phi_j) cos k phi_j), and S_k likewise, on the radial rule
   of the piece's ``weight`` and the angular panels, the
-  one that ends at a ``log_end`` graded towards it, as above.
+  one that ends at a ``log_end`` graded towards it, as above.  The
+  phases e^{i k phi} and the powers rho^k come from a table of about
+  sqrt(K) anchors times a short table of about sqrt(K) entries, and on
+  the angles of ``EvaluationGrid.regular`` the grid is synthesised by
+  one inverse FFT per ring (no BLAS product, so no summation order that
+  moves with the BLAS thread count).
   The series is cut where its tail bound drops below 1e-16 of the
   source's absolute mass.  Each point's error estimate is that tail plus
   the difference between the moments of the main rule and a rule of half
@@ -52,7 +57,7 @@ import numpy as np
 
 from .errors import DomainError
 from .geometry import DEFAULT_RADIUS_CAP, EvaluationGrid, PolarRectangle
-from .kernels import poisson_kernel, q_kernel
+from .kernels import check_alpha, poisson_kernel, q_kernel
 from .quadrature import (
     QuadratureSpec,
     _gauss_rule,
@@ -233,7 +238,7 @@ _TAIL_TOL = 1e-16  # truncation tail per unit absolute mass of the source
 _MAX_RATIO = 0.99  # r_max * r_hi above this needs over ~5k modes: adaptive path
 _MODES_SQ_PER_POINT = 1e4  # moments of K modes cost ~K^2 / 1e4 adaptive points
 _ANGULAR_NODES = 32  # coarse Gauss-Legendre rule per angular panel (main: 64)
-_CHUNK = 2 * _ANGULAR_NODES  # grid angles per block of trig tables
+_CHUNK = 2 * _ANGULAR_NODES  # grid angles per block of phase tables off the regular angles
 _BLOCK = 2**15  # panels x modes per block of panel phases and angular moments
 _RADIAL_NODES = 8  # coarse radial nodes beyond those rho^K needs
 _PANEL_PHASE = 24.0  # K * (panel half-width): the phase cos(k phi) turns through
@@ -293,6 +298,36 @@ def _radial_rule(rect, n_modes, scale, weight):
     return rho, w * rho
 
 
+def _split_modes(n_modes):
+    """(b, anchors): the short exponents b < B and the anchors B q for
+    B = isqrt(n_modes + 1) + 1, so that every mode k <= n_modes is
+    B q + b, the entry (q, b) of an anchors x b table in row-major order,
+    and about 2 sqrt(K) terms stand for the K + 1 modes."""
+    B = math.isqrt(n_modes + 1) + 1
+    return np.arange(B), B * np.arange(-(-(n_modes + 1) // B))
+
+
+def _phases(x, n_modes):
+    """e^{i k x} for k <= n_modes, one row per x: the anchors e^{i B q x}
+    times the short table e^{i b x} (see ``_split_modes``), about 2 sqrt(K)
+    exponentials per x instead of K."""
+    b, anchors = _split_modes(n_modes)
+    short = np.exp(1j * np.outer(x, b))
+    table = np.exp(1j * np.outer(x, anchors))[:, :, None] * short[:, None, :]
+    return table.reshape(short.shape[0], -1)[:, :n_modes + 1]
+
+
+def _radial_moments(r_vals, rho, n_modes):
+    """sum_i r_vals_i rho_i^k for k <= n_modes: the values times
+    rho^anchor, summed against rho^b (see ``_split_modes``).  The sum is
+    an einsum, not a BLAS product: OpenBLAS splits the product of the
+    ~440 radial nodes near the cap by thread, and the summation order
+    with it."""
+    b, anchors = _split_modes(n_modes)
+    anchored = r_vals[:, None] * rho[:, None] ** anchors
+    return np.einsum("iq,ib->qb", anchored, rho[:, None] ** b).ravel()[:n_modes + 1]
+
+
 def _trig_moments(radial, angular, rho, w_rho, panels, n_modes):
     """(C_k, S_k) for k <= n_modes, and the absolute mass, of the piece
     radial(rho) * angular(phi): the radial moment
@@ -302,21 +337,22 @@ def _trig_moments(radial, angular, rho, w_rho, panels, n_modes):
     finite at a node.  The absolute mass is the product of the two sums of
     |w f| over the nodes.
 
-    The nodes of a panel are mid + offsets, so cos and sin of k phi_j come
-    from one table of k offsets per group of panels and the angle-addition
-    formulas, over blocks of panels of at most _BLOCK phases; the radial
-    powers are taken in blocks of at most _BLOCK too."""
-    k = np.arange(n_modes + 1)
+    The nodes of a panel are mid + offsets, so C_k + i S_k is the sum over
+    panels of e^{i k mid} times the panel's moment about its mid, one
+    product of the angular values with the phases e^{i k offset} per
+    group of panels, over blocks of panels of at most _BLOCK phases.
+    The phases and the radial powers come from anchor and short tables
+    (see ``_split_modes``), with no K-wide table of either."""
     r_vals = w_rho * radial(rho)
     if not np.all(np.isfinite(r_vals)):
         return None
-    angular_moments = np.zeros((2, k.size))
+    angular_moments = np.zeros(n_modes + 1, dtype=complex)
     angular_mass = 0.0
-    step = max(1, _BLOCK // k.size)
+    step = max(1, _BLOCK // (n_modes + 1))
     for offsets, weights, mids in panels:
-        kt = np.outer(offsets, k)
-        cos_t = np.cos(kt)
-        sin_t = np.sin(kt, out=kt)
+        # real and imaginary parts interleaved: the real angular values
+        # take both in one real product, half the work of a complex one
+        e_t = _phases(offsets, n_modes).view(float)
         for start in range(0, mids.size, step):
             mid = mids[start:start + step]
             a_vals = np.broadcast_to(np.asarray(angular(mid[:, None] + offsets), dtype=float),
@@ -325,16 +361,32 @@ def _trig_moments(radial, angular, rho, w_rho, panels, n_modes):
                 return None
             a_vals = a_vals * weights
             angular_mass += float(np.abs(a_vals).sum())
-            a, b = a_vals @ cos_t, a_vals @ sin_t  # panels x (K+1), about each mid
-            km = np.outer(mid, k)
-            cos_m = np.cos(km)
-            sin_m = np.sin(km, out=km)
-            angular_moments[0] += np.einsum("pk,pk->k", cos_m, a) - np.einsum("pk,pk->k", sin_m, b)
-            angular_moments[1] += np.einsum("pk,pk->k", sin_m, a) + np.einsum("pk,pk->k", cos_m, b)
-    step = max(1, _BLOCK // rho.size)  # modes per block of radial powers
-    radial_moments = np.concatenate([r_vals @ rho[:, None] ** k[start:start + step]
-                                     for start in range(0, k.size, step)])
-    return radial_moments * angular_moments, float(np.abs(r_vals).sum()) * angular_mass
+            about_mids = (a_vals @ e_t).view(complex)  # panels x (K+1)
+            angular_moments += np.einsum("pk,pk->k", _phases(mid, n_modes), about_mids)
+    moments = _radial_moments(r_vals, rho, n_modes) * angular_moments
+    return np.stack([moments.real, moments.imag]), float(np.abs(r_vals).sum()) * angular_mass
+
+
+def _fft_synthesis(coeffs, n_theta):
+    """Re sum_k coeffs[:, k] e^{i k theta_j} at the n_theta angles
+    theta_j = -pi + 2 pi j / n_theta of ``EvaluationGrid.regular``: there
+    e^{i k theta_j} = (-1)^k e^{2 pi i k j / n_theta}, so the modes, signed,
+    are folded modulo n_theta in a fixed order (zero-pad, reshape, sum) and
+    synthesised by one unscaled inverse FFT per ring."""
+    n_r, n_k = coeffs.shape
+    folded = np.zeros((n_r, -(-n_k // n_theta) * n_theta), dtype=complex)
+    folded[:, :n_k] = coeffs
+    folded[:, 1:n_k:2] *= -1.0
+    folded = folded.reshape(n_r, -1, n_theta).sum(axis=1)
+    return np.fft.ifft(folded, axis=1, norm="forward").real
+
+
+def _product_synthesis(coeffs, angles):
+    """Re sum_k coeffs[:, k] e^{i k theta} at any angles, in blocks of
+    _CHUNK angles of phase tables."""
+    n_modes = coeffs.shape[1] - 1
+    return np.concatenate([(coeffs @ _phases(angles[start:start + _CHUNK], n_modes).T).real
+                           for start in range(0, angles.size, _CHUNK)], axis=1)
 
 
 def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
@@ -347,7 +399,10 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
     Each part's moments are taken with a main rule and a coarser one of
     half the nodes per direction; a point's error estimate is the series
     of their differences, summed in absolute value over the modes, plus
-    the truncation tail bound."""
+    the truncation tail bound.  The field is Re sum_k w_k(r) (C_k - i S_k)
+    e^{i k theta}: one inverse FFT when the grid's angles equal those of
+    ``EvaluationGrid.regular`` bit for bit, else a product with phase
+    tables."""
     n_modes = max(modes)
     total = np.zeros((2, n_modes + 1))
     diff = np.zeros((2, n_modes + 1))
@@ -379,13 +434,13 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
     if not np.all(errors <= spec.adaptive_tol):
         return None
     errors = np.repeat(errors[:, None], grid.n_theta, axis=1)
-    values = np.empty(grid.shape)
-    coeffs = prefactor * w[:, None, :] * total  # n_r x 2 x (K+1)
-    for start in range(0, grid.n_theta, _CHUNK):
-        block = values[:, start:start + _CHUNK]
-        kt = np.outer(k, grid.angles[start:start + _CHUNK])
-        block[:] = coeffs[:, 0] @ np.cos(kt) - offset
-        block += coeffs[:, 1] @ np.sin(kt, out=kt)
+    coeffs = prefactor * w * (total[0] - 1j * total[1])  # n_r x (K+1)
+    n_theta = grid.n_theta
+    if np.array_equal(grid.angles, EvaluationGrid.regular_angles(n_theta)):
+        values = _fft_synthesis(coeffs, n_theta)
+    else:
+        values = _product_synthesis(coeffs, grid.angles)
+    values -= offset
     return values, errors, n_modes
 
 
@@ -531,11 +586,10 @@ def analytic_rep(
                           (1 - z rho e^{-i phi})^(-(2+alpha)) rho drho dphi
 
     with f given by its Taylor coefficients (f = sum c_n z^n).  For any
-    alpha > -1 this reproduces f(z) at interior points.
+    finite alpha > -1 this reproduces f(z) at interior points.
     """
     spec = spec or QuadratureSpec()
-    if not alpha > -1.0:
-        raise DomainError("alpha must exceed -1")
+    check_alpha(alpha)
     z = complex(getattr(z, "to_complex", lambda: z)())
     _check_radius(abs(z), allow_near_boundary)
     coeffs = np.asarray(taylor_coeffs, dtype=complex)

@@ -93,8 +93,7 @@ class NormSpec:
             raise IncompatibleKindError(f"unknown norm kind {self.kind!r}")
         if self.p < 1.0:
             raise DomainError(f"p must be >= 1, got {self.p}")
-        if not self.alpha > -1.0:
-            raise DomainError(f"alpha must exceed -1, got {self.alpha}")
+        _kernels.check_alpha(self.alpha)
         if not 0.0 < self.truncation_radius <= 0.999:
             raise DomainError("truncation radius must lie in (0, 0.999]")
 

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from harmonicdisk.cli import main, parse_prefactor
+from harmonicdisk.cli import build_parser, main, parse_prefactor
 from harmonicdisk.gridio import read_grid_file, sidecar_path
 
 PI = math.pi
@@ -167,8 +167,9 @@ class TestCLI:
         assert main(["figure", "4", "--r-max", "nan", "--out", str(tmp_path)]) == 2
         assert main(["figure", "4", "--tol", "inf", "--out", str(tmp_path)]) == 2
         # ... a kernel weight and a Robin coefficient
-        assert main(["kernel", "--kernel", "bergman", "--alpha", "nan", "--radii", "0.5",
-                     "--n-theta", "8", "--out", str(tmp_path / "k.csv")]) == 2
+        for alpha in ("nan", "inf"):
+            assert main(["kernel", "--kernel", "bergman", "--alpha", alpha, "--radii", "0.5",
+                         "--n-theta", "8", "--out", str(tmp_path / "k.csv")]) == 2
         assert main(["conjecture", "--figure", "4", "--boundary", "robin", "--robin-h", "nan",
                      "--n-r", "16", "--n-theta", "16", "--out", str(tmp_path)]) == 2
         assert not (tmp_path / "k.csv").exists()
@@ -179,6 +180,31 @@ class TestCLI:
                       "--out", str(tmp_path / "x.csv")])
             assert exit_info.value.code == 2
         assert not (tmp_path / "x.csv").exists()
+
+    def test_main_runs_repeatedly_in_one_process(self, tmp_path, capsys):
+        """One parser serves every call; each call's options, defaults and
+        outputs are its own, also after a usage error."""
+        assert build_parser() is build_parser()
+        assert main(["kernel", "--kernel", "q", "--radii", "0.5", "--n-theta", "8",
+                     "--out", str(tmp_path / "q.csv")]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'q.csv'}\n"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure", "4", "--n-r", "three", "--out", str(tmp_path)])
+        assert exit_info.value.code == 2
+        assert "--n-r: invalid int value" in capsys.readouterr().err
+        assert main(["figure", "4", "--n-r", "3", "--n-theta", "8", "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'fig04_q.csv'}\n"
+        assert main(["figure", "99", "--out", str(tmp_path)]) == 2
+        assert "figure id must lie in 1..15" in capsys.readouterr().err
+        assert main(["kernel", "--kernel", "poisson", "--radii", "0.25,0.5",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        assert capsys.readouterr().out == f"wrote {tmp_path / 'p.csv'}\n"
+        q, fig, poisson = (read_grid_file(tmp_path / name)
+                           for name in ("q.csv", "fig04_q.csv", "p.csv"))
+        assert q.grid.shape == (1, 8) and q.meta["operator"] == "kernel_profile[q]"
+        assert fig.grid.shape == (3, 8) and fig.meta["quadrature"]["adaptive_tol"] == 1e-9
+        assert poisson.grid.shape == (2, 512)
+        assert poisson.meta["operator"] == "kernel_profile[poisson]"
 
     def test_conjecture_figure_zero_is_an_unknown_figure(self, tmp_path, capsys):
         for fig in ("0", "16"):

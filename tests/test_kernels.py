@@ -151,8 +151,9 @@ class TestAnalyticBergmanKernel:
             analytic_bergman_kernel(1.0 + 0j, 0j, 0.0)
         with pytest.raises(DomainError):
             analytic_bergman_kernel(0j, 0.8 + 0.7j, 0.0)
-        with pytest.raises(DomainError):
-            analytic_bergman_kernel(0j, 0j, -1.0)
+        for alpha in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                analytic_bergman_kernel(0j, 0j, alpha)
 
 
 class TestKernelId:
@@ -166,7 +167,8 @@ class TestKernelId:
             KernelId("unknown")
         with pytest.raises(DomainError):
             KernelId("analytic_bergman")
-        with pytest.raises(DomainError):
-            KernelId("analytic_bergman", alpha=-1.0)
+        for alpha in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                KernelId("analytic_bergman", alpha=alpha)
         with pytest.raises(DomainError):
             KernelId("poisson", alpha=1.0)

@@ -35,8 +35,12 @@ from harmonicdisk.transforms import (
     CallableSource,
     Field,
     _angular_panels,
+    _fft_synthesis,
+    _phases,
     _poisson_arcs_point,
+    _product_synthesis,
     _q_pieces_point,
+    _radial_moments,
     _radial_rule,
     _spectral_field,
     _spectral_modes,
@@ -256,8 +260,9 @@ class TestAnalyticRep:
         assert analytic_rep(coeffs, 0.5, z, TIGHT) == pytest.approx(expected, abs=1e-8)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            analytic_rep([1.0], -1.0, 0.1 + 0j)
+        for alpha in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                analytic_rep([1.0], alpha, 0.1 + 0j)
         with pytest.raises(DomainError):
             analytic_rep([1.0], 0.0, 1.2 + 0j)
         with pytest.raises(DomainError):
@@ -723,6 +728,65 @@ class TestSeparableMoments:
         nan_angular = lambda phi: np.where(phi > 1.0, np.inf, 1.0)
         assert _trig_moments(nan_radial, AngularOne(), rho, w_rho, panels, self.K) is None
         assert _trig_moments(RadialOne(), nan_angular, rho, w_rho, panels, self.K) is None
+
+
+class TestShortTables:
+    """Phases, radial powers and the grid synthesis, against the K-wide
+    tables they replace."""
+
+    ULP = 2.0**-52
+
+    @pytest.mark.parametrize("n_theta", [1, 7, 13, 64])  # folded (n <= K+1) or padded
+    def test_fft_synthesis_matches_products(self, n_theta):
+        K = 12
+        rng = np.random.default_rng(n_theta)
+        coeffs = rng.standard_normal((3, K + 1)) + 1j * rng.standard_normal((3, K + 1))
+        angles = EvaluationGrid.regular(n_r=1, n_theta=n_theta).angles
+        got = _fft_synthesis(coeffs, n_theta)
+        assert got.shape == (3, n_theta)
+        expected = _product_synthesis(coeffs, angles)
+        # the FFT takes the exact angles -pi + 2 pi j / n, the product their
+        # rounded values: k |delta theta| <= 12 * 4.4e-16 per mode
+        scale = np.abs(coeffs).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(got - expected) <= 1e-14 * scale)
+        direct = (coeffs @ np.exp(1j * np.outer(np.arange(K + 1), angles))).real
+        assert np.all(np.abs(expected - direct) <= 1e-14 * scale)
+
+    def test_other_angles_take_the_product(self):
+        # every other angle of a regular 32-angle grid: 16 angles, but not
+        # those of EvaluationGrid.regular(n_theta=16)
+        case = _q_case(3)
+        fine = EvaluationGrid.regular(n_r=4, n_theta=32, r_max=0.9)
+        odd = EvaluationGrid(fine.radii, fine.angles[1::2])
+        expected = q_transform(case.source, fine, case.prefactor)
+        got = q_transform(case.source, odd, case.prefactor)
+        assert got.meta["engine"] == expected.meta["engine"] == "spectral"
+        scale = max(1.0, float(np.abs(expected.values).max()))
+        assert np.all(np.abs(got.values - expected.values[:, 1::2]) <= 1e-13 * scale)
+
+    # B = isqrt(K + 1) + 1 steps from 8 to 9 at K = 63 = 8^2 - 1; at K = 71
+    # the 8 x 9 table of anchors by short exponents is full
+    @pytest.mark.parametrize("K", [0, 1, 62, 63, 64, 71, 4972])
+    def test_phases_match_exponentials(self, K):
+        rng = np.random.default_rng(K)
+        x = np.concatenate([[-PI, 0.0, PI, 1e-300], rng.uniform(-PI, PI, 60)])
+        kx = np.outer(x, np.arange(K + 1))
+        got = _phases(x, K)
+        assert got.shape == kx.shape
+        # both round the argument k x once: about one ulp of k |x| apart
+        assert np.all(np.abs(got - np.exp(1j * kx)) <= 4.0 * self.ULP * (np.abs(kx) + 1.0))
+
+    @pytest.mark.parametrize("K", [0, 1, 62, 63, 64, 71, 4972])
+    def test_radial_moments_match_powers(self, K):
+        # rho^k underflows past k = 102 for rho = 1e-3 and k = 153 for 0.01;
+        # 1.0 never decays
+        rho = np.array([1e-3, 0.01, 0.3, 0.9, 0.999, 1.0])
+        r_vals = np.random.default_rng(K).standard_normal(rho.size)
+        powers = rho[:, None] ** np.arange(K + 1)
+        got = _radial_moments(r_vals, rho, K)
+        assert got.shape == (K + 1,)
+        bound = 4.0 * self.ULP * (np.abs(r_vals) @ powers) + 1e-300
+        assert np.all(np.abs(got - r_vals @ powers) <= bound)
 
 
 def test_spectral_memory_is_chunked():

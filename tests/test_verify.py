@@ -137,8 +137,9 @@ class TestNorms:
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             NormSpec("bergman_weighted", p=0.5)
-        with pytest.raises(DomainError):
-            NormSpec("bergman_weighted", alpha=-1.5)
+        for alpha in (-1.5, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                NormSpec("bergman_weighted", alpha=alpha)
         with pytest.raises(DomainError):
             NormSpec("bergman_weighted", truncation_radius=1.0)
 
