@@ -192,7 +192,8 @@ def _load_source(path):
 
 
 def _profile_field(kernel_name, alpha, radii, n_theta) -> Field:
-    angles = np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
+    grid = EvaluationGrid(np.asarray(radii, dtype=float), n_theta)
+    angles = grid.angles
     values = np.empty((len(radii), n_theta))
     for i, r in enumerate(radii):
         if kernel_name == "poisson":
@@ -202,7 +203,6 @@ def _profile_field(kernel_name, alpha, radii, n_theta) -> Field:
         else:
             z = r * np.exp(1j * angles)
             values[i] = analytic_bergman_kernel(z, complex(r, 0.0), alpha).real
-    grid = EvaluationGrid(np.asarray(radii, dtype=float), angles)
     meta = {
         "operator": f"kernel_profile[{kernel_name}]",
         "radii": list(radii),

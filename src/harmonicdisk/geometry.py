@@ -3,7 +3,9 @@
 All angles are radians.  Radii are dimensionless; the unit disk is the
 ambient domain everywhere in this package.  The canonical angle window is
 [-pi, pi); catalog entries defined on [0, 2*pi] ranges are converted at
-construction time so only one convention circulates.
+construction time so only one convention circulates.  An evaluation
+grid's angles are always the n_theta regular angles -pi + 2 pi j / n_theta
+of that window.
 """
 
 from __future__ import annotations
@@ -116,22 +118,27 @@ class PolarRectangle:
 
 
 class EvaluationGrid:
-    """Tensor grid of evaluation points (radii x angles).
+    """Tensor grid of evaluation points: radii x n_theta regular angles.
 
-    Radii live in [0, r_max] with r_max < 1; angles cover [-pi, pi).
+    Radii live in [0, r_max] with r_max < 1; the angles are always
+    ``regular_angles(n_theta)``, -pi + 2 pi j / n_theta, so every ring is a
+    period of a Fourier series (one inverse FFT per ring in ``transforms``).
     Radii above DEFAULT_RADIUS_CAP are refused unless
     ``allow_near_boundary`` is set, since transform cost blows up there.
+    Other angles are reached through the point evaluators and
+    ``Field.interpolate``.
     """
 
-    def __init__(self, radii, angles, allow_near_boundary: bool = False):
+    def __init__(self, radii, n_theta: int, allow_near_boundary: bool = False):
         radii = np.asarray(radii, dtype=float)
-        angles = np.asarray(angles, dtype=float)
-        if radii.ndim != 1 or angles.ndim != 1 or radii.size == 0 or angles.size == 0:
-            raise DomainError("radii and angles must be non-empty 1-D arrays")
-        if not (np.all(np.isfinite(radii)) and np.all(np.isfinite(angles))):
-            raise DomainError("radii and angles must be finite")
-        if np.any(np.diff(radii) <= 0) or np.any(np.diff(angles) <= 0):
-            raise DomainError("radii and angles must be strictly increasing")
+        if radii.ndim != 1 or radii.size == 0:
+            raise DomainError("radii must be a non-empty 1-D array")
+        if not isinstance(n_theta, (int, np.integer)) or n_theta < 1:
+            raise DomainError(f"n_theta must be a positive integer, got {n_theta!r}")
+        if not np.all(np.isfinite(radii)):
+            raise DomainError("radii must be finite")
+        if np.any(np.diff(radii) <= 0):
+            raise DomainError("radii must be strictly increasing")
         if radii[0] < 0.0 or radii[-1] >= 1.0:
             raise DomainError(f"radii must lie in [0, 1), got max {radii[-1]}")
         if not allow_near_boundary and radii[-1] > DEFAULT_RADIUS_CAP:
@@ -139,10 +146,8 @@ class EvaluationGrid:
                 f"evaluation radius {radii[-1]} > {DEFAULT_RADIUS_CAP} refused by "
                 "default; pass allow_near_boundary=True to override"
             )
-        if angles[0] < -math.pi - 1e-12 or angles[-1] >= math.pi:
-            raise DomainError("angles must lie in [-pi, pi)")
         self.radii = radii
-        self.angles = angles
+        self.angles = EvaluationGrid.regular_angles(n_theta)
 
     @staticmethod
     def regular(
@@ -158,12 +163,11 @@ class EvaluationGrid:
         if not (math.isfinite(r_min) and math.isfinite(r_max)):
             raise DomainError("r_min and r_max must be finite")
         radii = np.linspace(r_min, r_max, n_r)
-        angles = EvaluationGrid.regular_angles(n_theta)
-        return EvaluationGrid(radii, angles, allow_near_boundary=allow_near_boundary)
+        return EvaluationGrid(radii, n_theta, allow_near_boundary=allow_near_boundary)
 
     @staticmethod
     def regular_angles(n_theta: int):
-        """The angles -pi + 2 pi j / n_theta, j < n_theta, of ``regular``."""
+        """The angles -pi + 2 pi j / n_theta, j < n_theta, of every grid."""
         return np.linspace(-math.pi, math.pi, n_theta, endpoint=False)
 
     @property
@@ -182,7 +186,7 @@ class EvaluationGrid:
         return (
             isinstance(other, EvaluationGrid)
             and np.array_equal(self.radii, other.radii)
-            and np.array_equal(self.angles, other.angles)
+            and self.n_theta == other.n_theta
         )
 
     def __repr__(self):

@@ -9,11 +9,12 @@ converged flag, and formats a whole ring with one ``%``, so every value
 costs one binary-to-decimal conversion and no Python code runs per row.
 The reader parses every row with numpy's C parser into a record of
 radius, angle text, value and flag.  Each ring must repeat the first
-ring's angle texts (at most 24 characters, the longest ``.17g``
-rendering), so the distinct angles are converted once.  It refuses rows
-out of row-major order, flags other than the integers 0 and 1, rows that
-are not four fields, and ``#`` lines.  Timestamps never appear in data
-files and appear in the sidecar only when explicitly requested.
+ring's angle texts, and those must be the writer's renderings of the
+grid's regular angles, so no angle is parsed at all.  It refuses other
+angles, rows out of row-major order, flags other than the integers 0 and
+1, rows that are not four fields, and ``#`` lines.  Timestamps never
+appear in data files and appear in the sidecar only when explicitly
+requested.
 """
 
 from __future__ import annotations
@@ -31,10 +32,16 @@ from .transforms import Field
 ARTIFACT_VERSION = "0.1.0"
 
 _HEADER = "r,theta,value,converged"
-# a ".17g" rendering has at most 24 characters; a longer angle would be
-# truncated silently by the fixed-width text field, so 25 is refused
-_ANGLE_WIDTH = 25
-_ROW = np.dtype([("r", "f8"), ("theta", f"S{_ANGLE_WIDTH}"), ("value", "f8"), ("converged", "u1")])
+# a ".17g" rendering has at most 24 characters, so a longer angle text,
+# which the 25-character field truncates, matches no rendering
+_ROW = np.dtype([("r", "f8"), ("theta", "S25"), ("value", "f8"), ("converged", "u1")])
+# denominators below this fraction of their largest magnitude are masked
+_RATIO_FLOOR = 1e-6
+
+
+def _angle_texts(n_theta: int) -> list[str]:
+    """The ``.17g`` renderings of the grid's n_theta regular angles."""
+    return [format(t, ".17g") for t in EvaluationGrid.regular_angles(n_theta).tolist()]
 
 
 def write_grid_file(
@@ -49,7 +56,7 @@ def write_grid_file(
     path.parent.mkdir(parents=True, exist_ok=True)
     # row templates: [flag][angle] -> ",<theta>,%.17g,<flag>\n"
     templates = np.array(
-        [[f",{t:.17g},%.17g,{c}\n" for t in field.grid.angles.tolist()] for c in (0, 1)],
+        [[f",{t},%.17g,{c}\n" for t in _angle_texts(field.grid.n_theta)] for c in (0, 1)],
         dtype=object,
     )
     columns = np.arange(field.grid.n_theta)
@@ -78,8 +85,7 @@ def write_grid_file(
         if not (
             np.array_equal(reread.values, field.values, equal_nan=True)
             and np.array_equal(reread.converged, field.converged)
-            and np.array_equal(reread.grid.radii, field.grid.radii)
-            and np.array_equal(reread.grid.angles, field.grid.angles)
+            and reread.grid == field.grid
         ):
             raise DomainError(f"reload self-check failed for {path}")
     return path
@@ -112,19 +118,14 @@ def read_grid_file(path) -> Field:
     t_grid = rows["theta"].reshape(n_r, n_t)
     if not (np.all(r_grid == r_grid[:, :1]) and np.all(t_grid == t_grid[:1])):
         raise DomainError(f"{path}: rows are not in row-major (r, theta) order")
-    texts = t_grid[0].tolist()
-    if max(map(len, texts)) >= _ANGLE_WIDTH:
-        raise DomainError(f"{path}: an angle has {_ANGLE_WIDTH} or more characters")
-    try:
-        angles = np.array([float(t) for t in texts])
-    except ValueError as exc:
-        raise DomainError(f"{path}: malformed angle: {exc}") from exc
+    if t_grid[0].tolist() != [t.encode() for t in _angle_texts(n_t)]:
+        raise DomainError(f"{path}: angles are not the {n_t} regular angles")
     c_col = rows["converged"]
     if np.any(c_col > 1):
         raise DomainError(f"{path}: converged flags must be 0 or 1")
-    # the grid refuses radii or angles that are not strictly increasing; the
-    # copy keeps the Field from holding on to the parsed rows
-    grid = EvaluationGrid(r_grid[:, 0].copy(), angles, allow_near_boundary=True)
+    # the grid refuses radii that are not strictly increasing; the copy
+    # keeps the Field from holding on to the parsed rows
+    grid = EvaluationGrid(r_grid[:, 0].copy(), n_t, allow_near_boundary=True)
     values = np.ascontiguousarray(rows["value"]).reshape(n_r, n_t)
     converged = (c_col == 1).reshape(n_r, n_t)
 
@@ -141,16 +142,16 @@ def read_grid_file(path) -> Field:
     )
 
 
-def ratio_field(numerator: Field, denominator: Field, floor_fraction: float = 1e-6) -> Field:
+def ratio_field(numerator: Field, denominator: Field) -> Field:
     """Pointwise ratio of two fields on the same grid.
 
-    Points where the denominator is smaller than ``floor_fraction`` times
-    its own max magnitude are flagged unconverged and set to NaN rather
-    than reported as huge ratios.
+    Points where the denominator is smaller than _RATIO_FLOOR times its
+    own max magnitude are flagged unconverged and set to NaN rather than
+    reported as huge ratios; the sidecar counts them as ``masked``.
     """
     if numerator.grid != denominator.grid:
         raise DomainError("ratio requires matching grids")
-    floor = floor_fraction * float(np.max(np.abs(denominator.values)))
+    floor = _RATIO_FLOOR * float(np.max(np.abs(denominator.values)))
     safe = np.abs(denominator.values) > floor
     values = np.full_like(numerator.values, np.nan)
     np.divide(numerator.values, denominator.values, out=values, where=safe)
@@ -159,7 +160,8 @@ def ratio_field(numerator: Field, denominator: Field, floor_fraction: float = 1e
         "operator": "ratio",
         "numerator": numerator.meta.get("operator"),
         "denominator": denominator.meta.get("operator"),
-        "floor_fraction": floor_fraction,
+        "floor_fraction": _RATIO_FLOOR,
+        "masked": int(np.count_nonzero(~safe)),
     }
     return Field(
         grid=numerator.grid,

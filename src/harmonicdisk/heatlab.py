@@ -112,7 +112,7 @@ def _stencil(problem: HeatProblem):
     n_rings = n if robin else n - 1
 
     radii = dr * np.arange(1, n_rings + 1)
-    theta = -math.pi + dt * np.arange(m)
+    theta = EvaluationGrid.regular_angles(m)
     f_vals = np.asarray(problem.source.values(radii[:, None], theta[None, :]), dtype=float)
     f_vals = np.broadcast_to(f_vals, (n_rings, m))
     if not np.all(np.isfinite(f_vals)):
@@ -198,8 +198,7 @@ def solve_steady_state(problem: HeatProblem) -> Field:
     values[0, :] = origin
     values[1:, :] = rings[:interior]
     radii = dr * np.arange(0, interior + 1)
-    angles = -math.pi + (TWO_PI / m) * np.arange(m)
-    grid = EvaluationGrid(radii, angles, allow_near_boundary=True)
+    grid = EvaluationGrid(radii, m, allow_near_boundary=True)
     meta = {
         "operator": "solve_steady_state",
         "source": problem.source.to_config(),

@@ -24,14 +24,15 @@ Two engines compute them, with no interpolation or smoothing in either.
   of the piece's ``weight`` and the angular panels, the
   one that ends at a ``log_end`` graded towards it, as above.  The
   phases e^{i k phi} and the powers rho^k come from a table of about
-  sqrt(K) anchors times a short table of about sqrt(K) entries, and on
-  the angles of ``EvaluationGrid.regular`` the grid is synthesised by
-  one inverse FFT per ring (no BLAS product, so no summation order that
-  moves with the BLAS thread count).
+  sqrt(K) anchors times a short table of about sqrt(K) entries.  A grid's
+  angles are always regular (see ``EvaluationGrid``), so each ring is
+  synthesised by one inverse FFT (no BLAS product, so no summation order
+  that moves with the BLAS thread count).
   The series is cut where its tail bound drops below 1e-16 of the
   source's absolute mass.  Each point's error estimate is that tail plus
   the difference between the moments of the main rule and a rule of half
-  the nodes; if any estimate exceeds ``spec.adaptive_tol``, or the source
+  the nodes (the graded panel of a log end takes twice the nodes of the
+  others in both); if any estimate exceeds ``spec.adaptive_tol``, or the source
   declares no factors (a callable), would need more modes than
   r_max * r_hi <= 0.99 allows, or has fewer grid points than K^2 / 1e4
   for K modes, the grid is computed point by point with the point
@@ -238,7 +239,6 @@ _TAIL_TOL = 1e-16  # truncation tail per unit absolute mass of the source
 _MAX_RATIO = 0.99  # r_max * r_hi above this needs over ~5k modes: adaptive path
 _MODES_SQ_PER_POINT = 1e4  # moments of K modes cost ~K^2 / 1e4 adaptive points
 _ANGULAR_NODES = 32  # coarse Gauss-Legendre rule per angular panel (main: 64)
-_CHUNK = 2 * _ANGULAR_NODES  # grid angles per block of phase tables off the regular angles
 _BLOCK = 2**15  # panels x modes per block of panel phases and angular moments
 _RADIAL_NODES = 8  # coarse radial nodes beyond those rho^K needs
 _PANEL_PHASE = 24.0  # K * (panel half-width): the phase cos(k phi) turns through
@@ -274,7 +274,8 @@ def _angular_panels(lo, hi, n_modes, n, log_end):
     panels of [lo, hi], the nodes of a panel at mid + offsets.  The panels
     are narrow enough that cos(K phi) turns through at most
     2 * _PANEL_PHASE radians in each; the one that ends at ``log_end``
-    takes the rule graded towards it, the others Gauss-Legendre."""
+    takes the rule of 2 n nodes graded towards it (n graded nodes resolve
+    the integral of ln only to about 1e-11), the others Gauss-Legendre."""
     m = max(1, math.ceil(n_modes * (hi - lo) / (2.0 * _PANEL_PHASE)))
     half = 0.5 * (hi - lo) / m
     mids = lo + half * (2.0 * np.arange(m) + 1.0)
@@ -282,7 +283,7 @@ def _angular_panels(lo, hi, n_modes, n, log_end):
     if log_end is None:
         return [(half * t, half * w, mids)]
     first = log_end == lo
-    offsets, w_end = _graded_rule(2.0 * half if first else -2.0 * half, n)
+    offsets, w_end = _graded_rule(2.0 * half if first else -2.0 * half, 2 * n)
     rest = mids[1:] if first else mids[:-1]
     return [(half * t, half * w, rest), (offsets, w_end, np.array([log_end], dtype=float))]
 
@@ -369,7 +370,7 @@ def _trig_moments(radial, angular, rho, w_rho, panels, n_modes):
 
 def _fft_synthesis(coeffs, n_theta):
     """Re sum_k coeffs[:, k] e^{i k theta_j} at the n_theta angles
-    theta_j = -pi + 2 pi j / n_theta of ``EvaluationGrid.regular``: there
+    theta_j = -pi + 2 pi j / n_theta of every ``EvaluationGrid``: there
     e^{i k theta_j} = (-1)^k e^{2 pi i k j / n_theta}, so the modes, signed,
     are folded modulo n_theta in a fixed order (zero-pad, reshape, sum) and
     synthesised by one unscaled inverse FFT per ring."""
@@ -379,14 +380,6 @@ def _fft_synthesis(coeffs, n_theta):
     folded[:, 1:n_k:2] *= -1.0
     folded = folded.reshape(n_r, -1, n_theta).sum(axis=1)
     return np.fft.ifft(folded, axis=1, norm="forward").real
-
-
-def _product_synthesis(coeffs, angles):
-    """Re sum_k coeffs[:, k] e^{i k theta} at any angles, in blocks of
-    _CHUNK angles of phase tables."""
-    n_modes = coeffs.shape[1] - 1
-    return np.concatenate([(coeffs @ _phases(angles[start:start + _CHUNK], n_modes).T).real
-                           for start in range(0, angles.size, _CHUNK)], axis=1)
 
 
 def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
@@ -400,9 +393,7 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
     half the nodes per direction; a point's error estimate is the series
     of their differences, summed in absolute value over the modes, plus
     the truncation tail bound.  The field is Re sum_k w_k(r) (C_k - i S_k)
-    e^{i k theta}: one inverse FFT when the grid's angles equal those of
-    ``EvaluationGrid.regular`` bit for bit, else a product with phase
-    tables."""
+    e^{i k theta}, one inverse FFT per ring (see ``_fft_synthesis``)."""
     n_modes = max(modes)
     total = np.zeros((2, n_modes + 1))
     diff = np.zeros((2, n_modes + 1))
@@ -435,12 +426,7 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
         return None
     errors = np.repeat(errors[:, None], grid.n_theta, axis=1)
     coeffs = prefactor * w * (total[0] - 1j * total[1])  # n_r x (K+1)
-    n_theta = grid.n_theta
-    if np.array_equal(grid.angles, EvaluationGrid.regular_angles(n_theta)):
-        values = _fft_synthesis(coeffs, n_theta)
-    else:
-        values = _product_synthesis(coeffs, grid.angles)
-    values -= offset
+    values = _fft_synthesis(coeffs, grid.n_theta) - offset
     return values, errors, n_modes
 
 

@@ -315,7 +315,7 @@ def laplacian_residual(
             f"stencil would cross the origin: need r_min >= 2*h_r, got {r_min} < {2*h_r}"
         )
     rr = np.linspace(r_min, r_max, n_r)[:, None]
-    tt = np.linspace(-math.pi, math.pi, n_theta, endpoint=False)[None, :]
+    tt = EvaluationGrid.regular_angles(n_theta)[None, :]
     points = ((rr, tt), (rr + h_r, tt), (rr - h_r, tt), (rr, tt + h_t), (rr, tt - h_t))
     values = [np.asarray(u(r, t), dtype=float) for r, t in points]
     return _stencil_report(*values, rr, h_r, h_t, annulus)
@@ -324,9 +324,10 @@ def laplacian_residual(
 def _field_laplacian(fld: Field, annulus) -> HarmonicityReport:
     radii = fld.grid.radii
     dr = np.diff(radii)
-    dt = np.diff(fld.grid.angles)
-    if np.ptp(dr) > 1e-12 * dr[0] or np.ptp(dt) > 1e-12 * dt[0]:
-        raise DomainError("field-based residuals require a uniform grid")
+    if np.ptp(dr) > 1e-12 * dr[0]:
+        raise DomainError("field-based residuals require uniform radii")
+    # the grid's angles are regular; the step is taken as rounded there
+    h_t = float(fld.grid.angles[1] - fld.grid.angles[0])
     # stencil centers: the interior grid radii inside the annulus
     rows = 1 + np.flatnonzero((radii[1:-1] >= annulus[0]) & (radii[1:-1] <= annulus[1]))
     if not rows.size:
@@ -335,7 +336,7 @@ def _field_laplacian(fld: Field, annulus) -> HarmonicityReport:
     center = v[rows]
     return _stencil_report(center, v[rows + 1], v[rows - 1], np.roll(center, -1, axis=1),
                            np.roll(center, 1, axis=1), radii[rows][:, None],
-                           float(dr[0]), float(dt[0]), annulus)
+                           float(dr[0]), h_t, annulus)
 
 
 def _stencil_report(center, r_plus, r_minus, t_plus, t_minus, rr, h_r, h_t,

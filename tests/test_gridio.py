@@ -40,7 +40,7 @@ class TestGridIO:
 
     def test_seventeen_digits_roundtrip_awkward_values(self, tmp_path):
         values = np.array([[1.0 / 3.0, math.pi, 1e-300, -1.2345678901234567e17]])
-        grid = EvaluationGrid(np.array([0.5]), np.array([-3.0, -1.0, 0.0, 1.0]))
+        grid = EvaluationGrid(np.array([0.5]), 4)
         fld = Field(grid=grid, values=values,
                     converged=np.ones_like(values, bool), errors=np.zeros_like(values))
         write_grid_file(fld, tmp_path / "a.csv", reload_check=True)
@@ -74,6 +74,18 @@ class TestGridIO:
         assert not ratio.converged[1, 2]
         assert np.isnan(ratio.values[1, 2])
         assert ratio.values[0, 0] == 1.0
+        assert ratio.meta["masked"] == 1
+        assert ratio.meta["floor_fraction"] == 1e-6
+
+    def test_ratio_masked_counts_only_the_floor(self):
+        # a quadrature failure is unconverged but not masked
+        num = make_field(values=np.ones((3, 4)))
+        den = make_field(values=np.ones((3, 4)))
+        num.converged[0, 1] = False
+        den.values[2, :2] = 0.0
+        ratio = ratio_field(num, den)
+        assert ratio.meta["masked"] == 2
+        assert np.count_nonzero(~ratio.converged) == 3
 
     def test_ratio_requires_matching_grids(self):
         a = make_field()
@@ -180,6 +192,13 @@ def _angle_respelled(lines):
     lines[7] = f"{r},0.0,{v},{c}"
 
 
+def _irregular_angles(lines):
+    # valid rows whose angles -3, -1, 0, 1 are not the 4 regular angles
+    for k in range(1, len(lines)):
+        r, _, v, c = lines[k].split(",")
+        lines[k] = ",".join([r, ("-3", "-1", "0", "1")[(k - 1) % 4], v, c])
+
+
 def _angle_26_chars(lines):
     # the same number in every ring; cut to 25 characters it would still parse
     for k in range(2, len(lines), 4):
@@ -199,7 +218,7 @@ def _comment_line(lines):
 @pytest.mark.parametrize("corrupt", [
     _swap_rows, _swap_rings, _drop_row, _flag_two, _short_row, _long_row, _all_rows_long,
     _text_value, _empty_value, _bad_header, _no_rows,
-    _angle_respelled, _angle_26_chars, _flag_float, _comment_line,
+    _angle_respelled, _irregular_angles, _angle_26_chars, _flag_float, _comment_line,
 ], ids=lambda f: f.__name__.lstrip("_"))
 @pytest.mark.filterwarnings("error")
 def test_reader_refuses_malformed_file(corrupt, tmp_path):
@@ -237,16 +256,14 @@ def fields(draw):
     radii = draw(_increasing(st.one_of(
         st.floats(0.0, 1.0, exclude_max=True),
         st.sampled_from([0.0, 5e-324, LONGEST[2], 0.99999999999999989])), 5))
-    angles = draw(_increasing(st.one_of(
-        st.floats(-math.pi, math.pi, exclude_max=True),
-        st.sampled_from([-math.pi, -0.0, 5e-324, *LONGEST])), 9))
-    shape = (len(radii), len(angles))
+    n_theta = draw(st.integers(1, 9))
+    shape = (len(radii), n_theta)
     values = draw(st.lists(st.one_of(st.floats(), st.sampled_from(SPECIAL_VALUES)),
                            min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
     flag_row = st.one_of(st.just([False] * shape[1]), st.just([True] * shape[1]),
                          st.lists(st.booleans(), min_size=shape[1], max_size=shape[1]))
     converged = draw(st.lists(flag_row, min_size=shape[0], max_size=shape[0]))
-    grid = EvaluationGrid(np.array(radii), np.array(angles), allow_near_boundary=True)
+    grid = EvaluationGrid(np.array(radii), n_theta, allow_near_boundary=True)
     return Field(grid=grid, values=np.array(values).reshape(shape),
                  converged=np.array(converged, dtype=bool), errors=np.zeros(shape))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from harmonicdisk.errors import DomainError, NonFiniteError
+from harmonicdisk.geometry import EvaluationGrid
 from harmonicdisk.heatlab import (
     BoundaryCondition,
     HeatProblem,
@@ -154,6 +155,8 @@ class TestSolver:
         assert fld.grid.n_r == 32  # origin + 31 interior rings
         assert fld.grid.radii[0] == 0.0
         assert fld.grid.radii[-1] == pytest.approx(31.0 / 32.0)
+        radii = np.arange(32) / 32.0
+        assert fld.grid == EvaluationGrid(radii, 64, allow_near_boundary=True)
         assert np.ptp(fld.values[0]) == 0.0  # origin row is a single value
         assert fld.meta["boundary"] == "dirichlet_zero"
 

@@ -186,8 +186,7 @@ class TestHardy:
         arc = CharacteristicArc(-PI / 6, PI / 6)
         spec = QuadratureSpec(adaptive_tol=1e-10)
         radii = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.95])
-        angles = np.linspace(-PI, PI, verify.HARDY_ANGLES, endpoint=False)
-        extension = poisson_integral(arc, EvaluationGrid(radii, angles), spec)
+        extension = poisson_integral(arc, EvaluationGrid(radii, verify.HARDY_ANGLES), spec)
         integrals = verify._ring_integrals_of_square(extension)
         # the rectangle rule on the grid rings against the adaptive rule
         # over point values
