@@ -25,7 +25,7 @@ from .errors import (
     StencilOutOfRangeError,
     UnknownFigureError,
 )
-from .geometry import ComplexPoint, EvaluationGrid, PolarPoint, PolarRectangle
+from .geometry import EvaluationGrid, PolarRectangle
 from .kernels import (
     KernelId,
     analytic_bergman_kernel,
@@ -74,7 +74,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundaryCondition",
     "BoundaryFunction",
-    "ComplexPoint",
     "ConjectureReport",
     "DomainError",
     "EvaluationGrid",
@@ -90,7 +89,6 @@ __all__ = [
     "NonConvergenceError",
     "NonFiniteError",
     "NormSpec",
-    "PolarPoint",
     "PolarRectangle",
     "QuadratureResult",
     "QuadratureSpec",

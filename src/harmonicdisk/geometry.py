@@ -25,55 +25,6 @@ DEFAULT_RADIUS_CAP = 0.99
 
 
 @dataclass(frozen=True)
-class PolarPoint:
-    """A point (r, theta) in polar coordinates, r >= 0."""
-
-    r: float
-    theta: float
-
-    def __post_init__(self):
-        if self.r < 0.0:
-            raise DomainError(f"radius must be non-negative, got {self.r}")
-
-    @staticmethod
-    def interior(r: float, theta: float) -> "PolarPoint":
-        """Construct a point strictly inside the unit disk."""
-        if not 0.0 <= r < 1.0:
-            raise DomainError(f"interior point needs 0 <= r < 1, got r={r}")
-        return PolarPoint(r, theta)
-
-    def to_complex(self) -> complex:
-        return complex(self.r * math.cos(self.theta), self.r * math.sin(self.theta))
-
-
-@dataclass(frozen=True)
-class ComplexPoint:
-    """A point of the complex plane, stored as real/imaginary parts."""
-
-    re: float
-    im: float
-
-    @property
-    def abs(self) -> float:
-        return math.hypot(self.re, self.im)
-
-    @staticmethod
-    def interior(re: float, im: float) -> "ComplexPoint":
-        """Construct a point strictly inside the unit disk."""
-        p = ComplexPoint(re, im)
-        if p.abs >= 1.0:
-            raise DomainError(f"interior point needs |z| < 1, got |z|={p.abs}")
-        return p
-
-    @staticmethod
-    def from_complex(z: complex) -> "ComplexPoint":
-        return ComplexPoint(z.real, z.imag)
-
-    def to_complex(self) -> complex:
-        return complex(self.re, self.im)
-
-
-@dataclass(frozen=True)
 class PolarRectangle:
     """The set {(rho, phi): r_lo <= rho <= r_hi, theta_lo <= phi <= theta_hi}.
 

@@ -120,11 +120,11 @@ def analytic_bergman_kernel(z, w, alpha: float):
     Returns ((1+alpha)/pi) * (1 - |w|^2)^alpha * (1 - z*conj(w))^(-(2+alpha))
     using the principal branch of the complex power.  For interior z, w the
     base 1 - z*conj(w) has positive real part, so the branch cut is never
-    approached.  Accepts complex scalars/arrays or ComplexPoint instances.
+    approached.  Accepts complex scalars or arrays.
     """
     check_alpha(alpha)
-    z_c = np.asarray(getattr(z, "to_complex", lambda: z)(), dtype=complex)
-    w_c = np.asarray(getattr(w, "to_complex", lambda: w)(), dtype=complex)
+    z_c = np.asarray(z, dtype=complex)
+    w_c = np.asarray(w, dtype=complex)
     if np.any(np.abs(z_c) >= 1.0) or np.any(np.abs(w_c) >= 1.0):
         raise DomainError("both points must lie strictly inside the unit disk")
     weight = (1.0 - np.abs(w_c) ** 2) ** alpha

@@ -27,8 +27,8 @@ found by bisection.  Both engines give a panel ending at one its own rule:
   weight of ``_map_nodes``: Gauss-Jacobi on a panel ending at ``end``,
   exact for the weight times any polynomial of degree 2n - 1;
 * angularly, a logarithmic singularity at one end e of the angular
-  interval (``SourcePiece.log_end``, ``BoundaryArc.log_end``, every entry
-  point's ``graded_end``) is graded by ``_angular_rule`` on a panel
+  interval (the ``log_end`` of a piece or an arc, every entry point's
+  ``graded_end``) is graded by ``_angular_rule`` on a panel
   ending at e: phi = e + (o - e) t^q on t in [0, 1], o the other end,
   with Jacobian |o - e| q t^(q - 1).  With q = GRADING_POWER = 4 the
   transformed integrand of ln|phi - e| is t^3 ln t up to smooth factors,

@@ -1,17 +1,15 @@
 """Declarative sources on the disk, boundary functions on the circle, and
 the catalog of the fifteen standard figure cases.
 
-A :class:`SourceFunction` describes an integrand over the unit disk as a
-weighted sum of pieces, each supported on one polar rectangle and the
-product of a radial and an angular factor there.  Transforms consume
-sources through :meth:`pieces`.
-
-A :class:`BoundaryFunction` is an angular factor on an arc of the unit
-circle (the full circle unless narrowed), zero elsewhere, or a weighted
-sum of such: the boundary data |theta|, theta^2, sin theta, cos n theta,
-|ln|theta|| and 1 are the very factors that multiply area sources.  It
-is consumed through :meth:`arcs`, which cuts its arc at the factor's
-breaks so the panels of both engines see clean endpoints.
+A :class:`SourceFunction` describes an integrand over the unit disk, a
+:class:`BoundaryFunction` (``OnArc`` or a sum of such) data on the unit
+circle.  Both are weighted sums of parts, each the product of a radial
+and an angular factor, which the transforms consume through
+:meth:`pieces` and :meth:`arcs`.  A piece is supported on one polar
+rectangle; an arc is a piece at the single radius rho = 1 of weight 1,
+the limit of a layer of unit radial mass shrinking onto the rim.  So the
+boundary data |theta|, theta^2, sin theta, cos n theta, |ln|theta|| and
+1 are the very angular factors of area sources, on an arc.
 
 Singular radii, kinks and singular angles are declared once, by the
 factors themselves.  A radial factor declares its ``weight``: None, or
@@ -22,15 +20,12 @@ rule, and RadialOne as its factor; elsewhere the factor is smooth and
 stays.  An angular factor lists its ``breaks`` (angles where it is not
 smooth) and, among them, the ``log_points`` where it has an integrable
 logarithmic singularity.  Pieces and arcs are cut at every break of
-their angular factor; a log point becomes a piece or arc end, recorded
-in ``log_end``, towards which the quadrature grades the angle.  A
-piece's ``fn`` is the product of its ``factors`` (radial, angular), an
-arc's its angular factor.  The grid transforms take one radial times one
-angular moment per mode, so only a callable source, whose piece has no
-factors, is left to adaptive quadrature alone.
-
-Pieces and arcs are weighted alike: each carries the ``coef`` of its
-term in a sum, and its ``fn`` stays the unscaled factor.
+their angular factor; a log point becomes a part end, recorded in
+``log_end``, towards which the quadrature grades the angle.  A part's
+``fn`` is the product of its ``factors`` (radial, angular), unscaled by
+the ``coef`` of its term in a sum.  The grid transforms take one radial
+times one angular moment per mode, so only a callable source, whose
+piece has no factors, is left to adaptive quadrature alone.
 
 Everything is immutable after construction and serializes to a small
 JSON document (see :func:`parse_source_config`).
@@ -53,11 +48,6 @@ from .geometry import PolarRectangle
 from .kernels import KernelId
 
 _PI = math.pi
-
-
-def _check_arc(a, b):
-    if not (-_PI <= a < b <= _PI + 1e-15):
-        raise SourceValidationError(f"arc must satisfy -pi <= a < b <= pi, got [{a}, {b}]")
 
 
 # ---------------------------------------------------------------------------
@@ -236,23 +226,29 @@ _INDICATOR = (RadialOne(), AngularOne())  # the factors of a disk or rectangle i
 
 @dataclass(frozen=True)
 class BoundaryArc:
-    """One piece of a boundary function: coef * fn on [lo, hi], 0 elsewhere.
-
-    fn is an angular factor, smooth on [lo, hi] except at ``log_end``: the
-    end (lo or hi) where it has a logarithmic singularity, or None.
-    """
+    """One part of a boundary function: coef * angular(phi) on the arc
+    [lo, hi] of the unit circle.  A piece (see SourcePiece) of the factors
+    (RadialOne(), angular) at the single radius rho = 1 of weight 1, with
+    no rectangle and no radial weight."""
 
     coef: float
     lo: float
     hi: float
-    fn: object  # callable(phi) -> array
+    factors: tuple  # (RadialOne(), angular(phi))
     log_end: float | None = None
+    rect = None
+    weight = None
+    r_hi = 1.0
+
+    def fn(self, rho, phi):
+        radial, angular = self.factors
+        return np.asarray(radial(rho)) * np.asarray(angular(phi))
 
 
 class BoundaryFunction:
-    """Data on the unit circle: an angular factor on an arc, zero elsewhere,
-    or a weighted sum of such.  Subclasses provide arcs(), the arc cut at
-    the factor's breaks, and to_config()."""
+    """Data on the unit circle: an angular factor on an arc, zero elsewhere
+    (OnArc), or a weighted sum of such (BoundarySum).  Subclasses provide
+    arcs(), the arc cut at the factor's breaks, and to_config()."""
 
     def arcs(self) -> list[BoundaryArc]:
         raise NotImplementedError
@@ -261,96 +257,42 @@ class BoundaryFunction:
         raise NotImplementedError
 
 
-class _AngularOnArc(BoundaryFunction):
-    """The angular factor ``angular`` on ``arc`` (the full circle unless a
-    subclass narrows it), zero elsewhere.  The arc is checked once, and
-    arcs() cuts it at the factor's breaks, so every kink and log point of
-    the factor is an arc end."""
+@dataclass(frozen=True)
+class OnArc(BoundaryFunction):
+    """The angular factor ``angular`` on the arc [a, b], the full circle by
+    default, zero elsewhere.  Only a (factor, arc) pair that has a JSON
+    type (see ``_BOUNDARY_TYPES``) is accepted."""
 
-    arc = (-_PI, _PI)
+    angular: object
+    a: float = -_PI
+    b: float = _PI
 
     def __post_init__(self):
-        _check_arc(*self.arc)
+        if not -_PI <= self.a < self.b <= _PI + 1e-15:
+            raise SourceValidationError(
+                f"arc must satisfy -pi <= a < b <= pi, got [{self.a}, {self.b}]")
+        if self.to_config() is None:
+            raise SourceValidationError(
+                f"no boundary type takes {self.angular} on [{self.a}, {self.b}]")
 
     def arcs(self):
-        angular = self.angular
-        return [BoundaryArc(1.0, lo, hi, angular, end)
-                for lo, hi, end in _split_at_breaks(angular, *self.arc)]
-
-
-class _AngularOnGivenArc(_AngularOnArc):
-    """An angular factor on the arc [a, b] given by the fields a and b."""
-
-    @property
-    def arc(self):
-        return self.a, self.b
+        factors = (RadialOne(), self.angular)
+        return [BoundaryArc(1.0, lo, hi, factors, end)
+                for lo, hi, end in _split_at_breaks(self.angular, self.a, self.b)]
 
     def to_config(self):
-        return {"type": self._kind, "arc": [self.a, self.b]}
-
-
-@dataclass(frozen=True)
-class CharacteristicArc(_AngularOnGivenArc):
-    a: float
-    b: float
-    angular = AngularOne()
-    _kind = "char_arc"
-
-
-@dataclass(frozen=True)
-class AbsTheta(_AngularOnArc):
-    angular = AbsPhi()
-
-    def to_config(self):
-        return {"type": "abs_theta"}
-
-
-@dataclass(frozen=True)
-class ThetaSquaredOnArc(_AngularOnGivenArc):
-    a: float
-    b: float
-    angular = PhiSquared()
-    _kind = "theta_squared_on_arc"
-
-
-@dataclass(frozen=True)
-class SinOnArc(_AngularOnGivenArc):
-    a: float
-    b: float
-    angular = AngularSin(1)
-    _kind = "sin_on_arc"
-
-
-@dataclass(frozen=True)
-class AbsLogAbsOnArc(_AngularOnGivenArc):
-    """|ln|theta|| on [a, b]; singular at 0, corner at |theta| = 1."""
-
-    a: float
-    b: float
-    angular = AbsLogAbsPhi()
-    _kind = "abs_log_abs_on_arc"
-
-
-@dataclass(frozen=True)
-class Cosine(_AngularOnArc):
-    """cos(n * theta) on the full circle."""
-
-    n: int
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "angular", AngularCos(self.n))  # validates n
-
-    def to_config(self):
-        return {"type": "cos", "n": self.n}
-
-
-@dataclass(frozen=True)
-class ConstantOne(_AngularOnArc):
-    angular = AngularOne()
-
-    def to_config(self):
-        return {"type": "one"}
+        """The document of the first type that names the factor on this arc,
+        or None: a full-circle type wins over an arc type."""
+        full = (self.a, self.b) == (-_PI, _PI)
+        for kind, (factor, on_arc) in _BOUNDARY_TYPES.items():
+            if (on_arc or full) and (factor == self.angular or factor is type(self.angular)):
+                doc = {"type": kind}
+                if on_arc:
+                    doc["arc"] = [self.a, self.b]
+                if factor is AngularCos:
+                    doc["n"] = self.angular.n
+                return doc
+        return None
 
 
 @dataclass(frozen=True)
@@ -402,6 +344,11 @@ class SourcePiece:
     log_end: float | None = None
     weight: tuple | None = None
     fn: object = None  # callable(rho, phi) -> array (broadcasting)
+
+    # the angular interval and outer radius of every part (see BoundaryArc)
+    lo = property(lambda self: self.rect.theta_lo)
+    hi = property(lambda self: self.rect.theta_hi)
+    r_hi = property(lambda self: self.rect.r_hi)
 
     def __post_init__(self):
         if self.fn is None:
@@ -523,8 +470,19 @@ class SourceSum(SourceFunction):
 # Config parsing / serialization
 # ---------------------------------------------------------------------------
 
-_ARC_TYPES = {cls._kind: cls for cls in
-              (CharacteristicArc, ThetaSquaredOnArc, SinOnArc, AbsLogAbsOnArc)}
+# The JSON types of boundary functions, each an OnArc: type -> (its angular
+# factor, True when the type carries an "arc" and False for the full
+# circle).  "cos" takes any order n, from its "n" field.  Both the parser
+# and OnArc.to_config read this table, in this order.
+_BOUNDARY_TYPES = {
+    "one": (AngularOne(), False),
+    "abs_theta": (AbsPhi(), False),
+    "cos": (AngularCos, False),
+    "char_arc": (AngularOne(), True),
+    "theta_squared_on_arc": (PhiSquared(), True),
+    "sin_on_arc": (AngularSin(1), True),
+    "abs_log_abs_on_arc": (AbsLogAbsPhi(), True),
+}
 _ANGULAR_NAMES = {"abs_phi": AbsPhi, "phi_squared": PhiSquared,
                   "abs_log_abs_phi": AbsLogAbsPhi, "one": AngularOne}
 
@@ -612,18 +570,16 @@ def _parse_doc(doc, context="source"):
             _parse_angular(doc["angular"], f"{context}.angular"),
             _parse_rect(doc["rect"], f"{context}.rect"),
         )
-    if kind in _ARC_TYPES:
-        _require_keys(doc, ("type", "arc"), context)
-        return _ARC_TYPES[kind](*_parse_pair(doc["arc"], f"{context}.arc"))
-    if kind == "abs_theta":
+    if kind in _BOUNDARY_TYPES:
+        factor, on_arc = _BOUNDARY_TYPES[kind]
+        if on_arc:
+            _require_keys(doc, ("type", "arc"), context)
+            return OnArc(factor, *_parse_pair(doc["arc"], f"{context}.arc"))
+        if factor is AngularCos:
+            _require_keys(doc, ("type", "n"), context)
+            return OnArc(AngularCos(int(doc["n"])))
         _require_keys(doc, ("type",), context)
-        return AbsTheta()
-    if kind == "cos":
-        _require_keys(doc, ("type", "n"), context)
-        return Cosine(int(doc["n"]))
-    if kind == "one":
-        _require_keys(doc, ("type",), context)
-        return ConstantOne()
+        return OnArc(factor)
     if kind == "weighted_sum":
         _require_keys(doc, ("type", "terms"), context)
         if not isinstance(doc["terms"], list) or not doc["terms"]:
@@ -715,8 +671,8 @@ def _build_catalog():
     rect_b = CharacteristicRect(PolarRectangle(0.6, 0.8, 5 * _PI / 6, _PI))
     # figures 9 and 11 compare their boundary-layer sources with the boundary
     # data of figures 8 and 10
-    fig8_boundary = CharacteristicArc(-_PI / 6, _PI / 6)
-    fig10_boundary = AbsTheta()
+    fig8_boundary = OnArc(AngularOne(), -_PI / 6, _PI / 6)
+    fig10_boundary = OnArc(AbsPhi())
 
     cases = [
         FigureCase(1, "boundary kernel profiles at r = 0.5, 0.75, 0.85",
@@ -726,7 +682,7 @@ def _build_catalog():
                    kernel=KernelId("q"),
                    radii=(0.5, 0.75)),
         FigureCase(3, "matched reconstructions of r^2 cos(2 theta) from boundary and area data",
-                   boundary=Cosine(2),
+                   boundary=OnArc(AngularCos(2)),
                    source=SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle.full_disk()),
                    prefactor=TWO_OVER_PI),
         FigureCase(4, "area transform of the characteristic function of the disk r <= 1/4",
@@ -753,18 +709,18 @@ def _build_catalog():
                    prefactor=TWO_OVER_PI),
         FigureCase(12, "theta^2 boundary data on [-pi/6,pi/6] vs the matching boundary-layer "
                    "area transform",
-                   boundary=ThetaSquaredOnArc(-_PI / 6, _PI / 6),
+                   boundary=OnArc(PhiSquared(), -_PI / 6, _PI / 6),
                    source=SeparableOnRect(RhoPower(1), PhiSquared(),
                                           _annulus_rect(-_PI / 6, _PI / 6)),
                    prefactor=TWO_OVER_PI),
         FigureCase(13, "sin(theta) boundary data on [0,pi] vs the matching boundary-layer "
                    "area transform",
-                   boundary=SinOnArc(0.0, _PI),
+                   boundary=OnArc(AngularSin(1), 0.0, _PI),
                    source=SeparableOnRect(RhoPower(1), AngularSin(1), _annulus_rect(0.0, _PI)),
                    prefactor=TWO_OVER_PI),
         FigureCase(14, "|ln|theta|| boundary data on [0,pi] vs the matching boundary-layer "
                    "area transform",
-                   boundary=AbsLogAbsOnArc(0.0, _PI),
+                   boundary=OnArc(AbsLogAbsPhi(), 0.0, _PI),
                    source=SeparableOnRect(RhoPower(1), AbsLogAbsPhi(), _annulus_rect(0.0, _PI)),
                    prefactor=TWO_OVER_PI),
         FigureCase(15, "area transform of the interior bump 10 exp(-10 (rho-1/2)^2) cos(phi) "

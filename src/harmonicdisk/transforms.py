@@ -4,24 +4,25 @@ projection onto square-integrable harmonic functions, and the weighted
 analytic representation.
 
 Two engines compute them, with no interpolation or smoothing in either.
+Both take the pieces of a source and the arcs of a boundary function
+alike, as parts: an arc is a piece at the single radius rho = 1 of
+weight 1 (see ``sources``).
 
 * The point evaluators (``q_point``, ``poisson_point``, ...) run adaptive
   Gauss quadrature of the kernel times the source at one point.  Each
-  source piece is integrated by ``_integrate_piece``, which weights the
-  radius by the piece's declared ``weight`` |rho - end|^exponent and
-  grades the angle towards its declared ``log_end``; each boundary arc by
-  ``_integrate_arc``, which grades towards the arc's ``log_end``.
+  part is integrated by ``_integrate_parts``, which weights the radius of
+  a piece by its declared ``weight`` |rho - end|^exponent and grades the
+  angle towards the declared ``log_end``.
 * The grid operators (``q_transform``, ``harmonic_rep`` and
   ``bergman_project``, one evaluator ``_q_field`` differing only in the
   prefactor and the constant subtracted; and ``poisson_integral``) take
-  the spectral path when every piece of the source declares its
-  ``factors`` (arcs always do: their ``fn`` is the angular factor).
+  the spectral path when every part declares its ``factors``.
   Both kernels have closed Fourier series, so the whole grid is a sum
   over modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with the
-  trig moments C_k, S_k of each piece taken once on fixed Gauss rules:
-  a piece R(rho) A(phi) has C_k = (sum_i w_i R(rho_i) rho_i^k) *
+  trig moments C_k, S_k of each part taken once on fixed Gauss rules:
+  a part R(rho) A(phi) has C_k = (sum_i w_i R(rho_i) rho_i^k) *
   (sum_j w_j A(phi_j) cos k phi_j), and S_k likewise, on the radial rule
-  of the piece's ``weight`` and the angular panels, the
+  of a piece's ``weight`` (an arc's one node) and the angular panels, the
   one that ends at a ``log_end`` graded towards it, as above.  The
   phases e^{i k phi} and the powers rho^k come from a table of about
   sqrt(K) anchors times a short table of about sqrt(K) entries.  A grid's
@@ -67,7 +68,7 @@ from .quadrature import (
     integrate_angular,
     integrate_polar,
 )
-from .sources import BoundaryArc, BoundaryFunction, RadialOne, SourceFunction, SourcePiece
+from .sources import BoundaryFunction, SourceFunction, SourcePiece
 
 TWO_PI = 2.0 * math.pi
 
@@ -134,18 +135,23 @@ def _check_radius(r, allow_near_boundary):
 # ---------------------------------------------------------------------------
 
 
-def _integrate_arc(arc: BoundaryArc, integrand, spec):
-    """Integrate ``integrand`` over the arc, graded towards its declared
-    logarithmic end (if any)."""
-    return integrate_angular(integrand, arc.lo, arc.hi, spec, graded_end=arc.log_end)
-
-
-def _sum_parts(parts, integrate):
-    """(total, error, converged, panels) of the sum over the parts (pieces
-    or arcs) of coef times ``integrate(part)``, a QuadratureResult."""
+def _integrate_parts(parts, spec, kernel=None):
+    """(total, error, converged, panels) of the sum over the parts of coef
+    times the integral of fn(rho, phi) * kernel(rho, phi), or of fn alone
+    without a kernel.  A piece is integrated over its rectangle under
+    rho drho dphi, times its declared radial weight (if any); an arc at its
+    single radius rho = 1 under dphi.  Both are graded towards the declared
+    logarithmic angular end (if any)."""
     total, err, converged, panels = 0.0, 0.0, True, 0
     for part in parts:
-        res = integrate(part)
+        fn = part.fn
+        integrand = fn if kernel is None else lambda rho, phi: fn(rho, phi) * kernel(rho, phi)
+        if part.rect is None:
+            res = integrate_angular(lambda phi: integrand(1.0, phi), part.lo, part.hi, spec,
+                                    graded_end=part.log_end)
+        else:
+            res = integrate_polar(integrand, part.rect, spec, graded_end=part.log_end,
+                                  weight=part.weight)
         total += part.coef * res.value
         err += abs(part.coef) * res.error_estimate
         converged &= res.converged
@@ -153,11 +159,18 @@ def _sum_parts(parts, integrate):
     return total, err, converged, panels
 
 
-def _poisson_arcs_point(arcs, r, theta, spec):
+def _poisson_parts_point(parts, r, theta, spec):
     """(value, error, converged, panels) of the Poisson integral at one point."""
-    total, err, converged, panels = _sum_parts(arcs, lambda arc: _integrate_arc(
-        arc, lambda phi: arc.fn(phi) * poisson_kernel(r, theta - phi), spec))
+    total, err, converged, panels = _integrate_parts(
+        parts, spec, lambda rho, phi: poisson_kernel(r, theta - phi))
     return total / TWO_PI, err / TWO_PI, converged, panels
+
+
+def _q_parts_point(parts, r, theta, prefactor, spec):
+    """(value, error, converged, panels) of the area transform at one point."""
+    total, err, converged, panels = _integrate_parts(
+        parts, spec, lambda rho, phi: q_kernel(r * rho, theta - phi))
+    return prefactor * total, abs(prefactor) * err, converged, panels
 
 
 def poisson_point(
@@ -169,22 +182,7 @@ def poisson_point(
 ):
     """(1/2pi) integral of f(phi) * P_r(theta - phi) over the circle."""
     _check_radius(r, allow_near_boundary)
-    return _poisson_arcs_point(f.arcs(), r, theta, spec or QuadratureSpec())[:3]
-
-
-def _integrate_piece(piece: SourcePiece, integrand, spec):
-    """Integrate ``integrand`` times the piece's declared radial weight
-    (if any) over the piece's rectangle, under the measure rho drho dphi,
-    graded towards its declared logarithmic angular end (if any)."""
-    return integrate_polar(integrand, piece.rect, spec, graded_end=piece.log_end,
-                           weight=piece.weight)
-
-
-def _q_pieces_point(pieces, r, theta, prefactor, spec):
-    """(value, error, converged, panels) of the area transform at one point."""
-    total, err, converged, panels = _sum_parts(pieces, lambda piece: _integrate_piece(
-        piece, lambda rho, phi: piece.fn(rho, phi) * q_kernel(r * rho, theta - phi), spec))
-    return prefactor * total, abs(prefactor) * err, converged, panels
+    return _poisson_parts_point(f.arcs(), r, theta, spec or QuadratureSpec())[:3]
 
 
 def q_point(
@@ -197,13 +195,13 @@ def q_point(
 ):
     """prefactor * integral of f(rho, phi) Q(r rho, theta - phi) rho drho dphi."""
     _check_radius(r, allow_near_boundary)
-    return _q_pieces_point(f.pieces(), r, theta, prefactor, spec or QuadratureSpec())[:3]
+    return _q_parts_point(f.pieces(), r, theta, prefactor, spec or QuadratureSpec())[:3]
 
 
 def source_mass(f: SourceFunction, spec: QuadratureSpec | None = None) -> float:
     """integral of f over the disk under the measure rho drho dphi."""
     spec = spec or QuadratureSpec()
-    return _sum_parts(f.pieces(), lambda piece: _integrate_piece(piece, piece.fn, spec))[0]
+    return _integrate_parts(f.pieces(), spec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -257,15 +255,12 @@ def _mode_count(series: _Series, q: float):
 
 
 def _spectral_modes(series: _Series, parts, r_max: float):
-    """Mode count per part (a SourcePiece or a BoundaryArc), or None when any
-    part must take the adaptive path: a piece that declares no ``factors``
-    (an arc always has its angular factor), or too many modes."""
-    modes = []
-    for part in parts:
-        piece = isinstance(part, SourcePiece)
-        if piece and part.factors is None:
-            return None
-        modes.append(_mode_count(series, r_max * (part.rect.r_hi if piece else 1.0)))
+    """Mode count per part, or None when any part must take the adaptive
+    path: a piece that declares no ``factors`` (a callable source's), or
+    one that needs too many modes."""
+    if any(part.factors is None for part in parts):
+        return None
+    modes = [_mode_count(series, r_max * part.r_hi) for part in parts]
     return None if None in modes else modes
 
 
@@ -290,9 +285,12 @@ def _angular_panels(lo, hi, n_modes, n, log_end):
 
 def _radial_rule(rect, n_modes, scale, weight):
     """``scale`` times the coarse rule on [r_lo, r_hi] of the radial
-    ``weight`` (see ``_map_nodes``), with the Jacobian rho.  rho^K on an interval of
-    half-width h and midpoint c needs about 3 sqrt(K h / c) nodes;
-    _RADIAL_NODES more are left for the source's own radial shape."""
+    ``weight`` (see ``_map_nodes``), with the Jacobian rho; without a
+    rectangle (an arc), the single node rho = 1 of weight 1.  rho^K on an
+    interval of half-width h and midpoint c needs about 3 sqrt(K h / c)
+    nodes; _RADIAL_NODES more are left for the source's own radial shape."""
+    if rect is None:
+        return np.ones(1), np.ones(1)
     spread = (rect.r_hi - rect.r_lo) / (rect.r_hi + rect.r_lo)
     n = _RADIAL_NODES + math.ceil(3.0 * math.sqrt(n_modes * spread))
     rho, w = _map_nodes(rect.r_lo, rect.r_hi, scale * n, weight)
@@ -400,24 +398,17 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
     radii = grid.radii
     tail = np.zeros(radii.size)
     for part, K in zip(parts, modes):
-        scales = (2, 1)  # main rule, then the coarse one
-        if isinstance(part, SourcePiece):
-            (radial, angular), rect = part.factors, part.rect
-            lo, hi, r_hi = rect.theta_lo, rect.theta_hi, rect.r_hi
-            rules = [_radial_rule(rect, K, scale, part.weight) for scale in scales]
-        else:  # a boundary arc: one radial node rho = 1 of weight 1
-            radial, angular, r_hi = RadialOne(), part.fn, 1.0
-            lo, hi = part.lo, part.hi
-            rules = [(np.ones(1), np.ones(1))] * len(scales)
-        got = [_trig_moments(radial, angular, rho, w_rho,
-                             _angular_panels(lo, hi, K, scale * _ANGULAR_NODES, part.log_end), K)
-               for (rho, w_rho), scale in zip(rules, scales)]
+        radial, angular = part.factors
+        got = [_trig_moments(radial, angular, *_radial_rule(part.rect, K, scale, part.weight),
+                             _angular_panels(part.lo, part.hi, K, scale * _ANGULAR_NODES,
+                                             part.log_end), K)
+               for scale in (2, 1)]  # the main rule, then the coarse one
         if None in got:
             return None
         (main, mass), (coarse, _) = got
         total[:, :K + 1] += part.coef * main
         diff[:, :K + 1] += part.coef * (main - coarse)
-        tail += abs(part.coef) * mass * series.tail(radii * r_hi, K)
+        tail += abs(part.coef) * mass * series.tail(radii * part.r_hi, K)
 
     k = np.arange(n_modes + 1)
     w = series.weights(radii[:, None], k)
@@ -468,7 +459,7 @@ def _q_field(source: SourceFunction, grid: EvaluationGrid, prefactor: float,
     pieces = source.pieces()
 
     def point(r, theta):
-        value, err, converged, panels = _q_pieces_point(pieces, r, theta, prefactor, spec)
+        value, err, converged, panels = _q_parts_point(pieces, r, theta, prefactor, spec)
         return value - offset, err, converged, panels
 
     meta = {**meta, "source": source.to_config(), "prefactor": prefactor,
@@ -488,7 +479,7 @@ def poisson_integral(
         "prefactor": 1.0 / TWO_PI,
         "quadrature": asdict(spec),
     }
-    return _grid_eval(lambda r, t: _poisson_arcs_point(arcs, r, t, spec),
+    return _grid_eval(lambda r, t: _poisson_parts_point(arcs, r, t, spec),
                       _POISSON_SERIES, arcs, grid, 1.0, 0.0, spec, meta)
 
 
@@ -576,7 +567,7 @@ def analytic_rep(
     """
     spec = spec or QuadratureSpec()
     check_alpha(alpha)
-    z = complex(getattr(z, "to_complex", lambda: z)())
+    z = complex(z)
     _check_radius(abs(z), allow_near_boundary)
     coeffs = np.asarray(taylor_coeffs, dtype=complex)
     if coeffs.ndim != 1 or coeffs.size == 0:

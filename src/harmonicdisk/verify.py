@@ -57,9 +57,8 @@ from .transforms import (
     _Q_SERIES,
     CallableSource,
     Field,
-    _integrate_arc,
+    _integrate_parts,
     _spectral_modes,
-    _sum_parts,
     poisson_integral,
     poisson_point,
     q_point,
@@ -205,7 +204,7 @@ def _circle_l2_report(f: BoundaryFunction, quad: QuadratureSpec) -> NormReport:
         ends = [arc.log_end for arc in holders if arc.log_end in (lo, hi)]
 
         def square(phi, holders=holders):
-            return sum(arc.coef * np.asarray(arc.fn(phi)) for arc in holders) ** 2
+            return sum(arc.coef * arc.fn(1.0, phi) for arc in holders) ** 2
 
         total += integrate_angular(square, lo, hi, quad,
                                    graded_end=ends[0] if ends else None).value
@@ -323,6 +322,8 @@ def laplacian_residual(
 
 def _field_laplacian(fld: Field, annulus) -> HarmonicityReport:
     radii = fld.grid.radii
+    if radii.size < 3 or fld.grid.n_theta < 2:
+        raise StencilOutOfRangeError(f"the stencil needs 3 radii and 2 angles, got {fld.grid}")
     dr = np.diff(radii)
     if np.ptp(dr) > 1e-12 * dr[0]:
         raise DomainError("field-based residuals require uniform radii")
@@ -582,8 +583,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     worst = 0.0
     for p_case in catalog_boundary_functions().values():
         v, _, _ = poisson_point(p_case.boundary, 0.0, 0.0, quad)
-        average = _sum_parts(p_case.boundary.arcs(),
-                             lambda arc: _integrate_arc(arc, arc.fn, quad))[0] / TWO_PI
+        average = _integrate_parts(p_case.boundary.arcs(), quad)[0] / TWO_PI
         worst = max(worst, abs(v - average))
     _record(records, "transforms.mean_value", worst, 1e-8)
 

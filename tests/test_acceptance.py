@@ -23,11 +23,10 @@ from harmonicdisk.sources import (
     AngularCos,
     AngularOne,
     AngularSin,
-    CharacteristicArc,
     CharacteristicDisk,
     CharacteristicRect,
-    Cosine,
     GaussianBump,
+    OnArc,
     RhoPower,
     SeparableOnRect,
     SourceSum,
@@ -130,11 +129,11 @@ def test_criterion_05_boundary_integral_identities():
     1/6 at the origin to 1e-9 and exceeds 0.9 at (0.99, 0)."""
     spec = QuadratureSpec(adaptive_tol=1e-12)
     grid = EvaluationGrid.regular(n_r=5, n_theta=16, r_max=0.9)
-    fld = poisson_integral(Cosine(1), grid, spec)
+    fld = poisson_integral(OnArc(AngularCos(1)), grid, spec)
     expected = grid.radii[:, None] * np.cos(grid.angles[None, :])
     cos_err = float(np.max(np.abs(fld.values - expected)))
 
-    arc = CharacteristicArc(-PI / 6, PI / 6)
+    arc = OnArc(AngularOne(), -PI / 6, PI / 6)
     at_origin, _, _ = poisson_point(arc, 0.0, 0.4, spec)
     origin_err = abs(at_origin - 1.0 / 6.0)
     near_boundary, _, _ = poisson_point(arc, 0.99, 0.0, spec, allow_near_boundary=True)

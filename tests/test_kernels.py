@@ -137,15 +137,6 @@ class TestAnalyticBergmanKernel:
         value = analytic_bergman_kernel(z, w, alpha)
         assert value == pytest.approx(oracle, abs=1e-12)
 
-    def test_accepts_complex_points(self):
-        from harmonicdisk.geometry import ComplexPoint
-
-        z = ComplexPoint.interior(0.3, 0.4)
-        w = ComplexPoint.interior(0.2, -0.1)
-        assert analytic_bergman_kernel(z, w, 1.0) == analytic_bergman_kernel(
-            0.3 + 0.4j, 0.2 - 0.1j, 1.0
-        )
-
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             analytic_bergman_kernel(1.0 + 0j, 0j, 0.0)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from harmonicdisk.errors import (
     SourceParseError,
@@ -12,27 +13,22 @@ from harmonicdisk.errors import (
 from harmonicdisk.geometry import PolarRectangle
 from harmonicdisk.quadrature import integrate_polar
 from harmonicdisk.sources import (
-    AbsLogAbsOnArc,
     AbsLogAbsPhi,
     AbsPhi,
-    AbsTheta,
-    BoundarySum,
     AngularCos,
     AngularOne,
     AngularSin,
-    CharacteristicArc,
+    BoundarySum,
     CharacteristicDisk,
     CharacteristicRect,
-    ConstantOne,
-    Cosine,
     GaussianBump,
+    OnArc,
+    PhiSquared,
     PowerOfOneMinusRho,
     RadialOne,
     RhoPower,
     SeparableOnRect,
-    SinOnArc,
     SourceSum,
-    ThetaSquaredOnArc,
     catalog_q_sources,
     figure_case,
     parse_source_config,
@@ -73,9 +69,9 @@ class TestValidation:
 
     def test_bad_arcs(self):
         with pytest.raises(SourceValidationError):
-            CharacteristicArc(0.5, 0.2)
+            OnArc(AngularOne(), 0.5, 0.2)
         with pytest.raises(SourceValidationError):
-            CharacteristicArc(-4.0, 0.0)
+            OnArc(AngularOne(), -4.0, 0.0)
 
     def test_empty_sum(self):
         with pytest.raises(SourceValidationError):
@@ -113,7 +109,7 @@ class TestFigureCatalog:
     def test_figure_8_payload(self):
         case = figure_case(8)
         assert case.source is None
-        assert case.boundary == CharacteristicArc(-PI / 6, PI / 6)
+        assert case.boundary == OnArc(AngularOne(), -PI / 6, PI / 6)
 
     def test_kernel_figures(self):
         for fig_id in (1, 2):
@@ -126,7 +122,7 @@ class TestFigureCatalog:
         both = {i for i in range(1, 16)
                 if figure_case(i).boundary is not None and figure_case(i).source is not None}
         assert both == {3, 9, 11, 12, 13, 14}
-        assert figure_case(11).boundary == figure_case(10).boundary == AbsTheta()
+        assert figure_case(11).boundary == figure_case(10).boundary == OnArc(AbsPhi())
 
     def test_figure_6_is_singular(self):
         pieces = figure_case(6).source.pieces()
@@ -197,10 +193,10 @@ class TestConfigParsing:
             parse_source_config(doc)
 
     def test_boundary_types(self):
-        assert parse_source_config({"type": "cos", "n": 2}) == Cosine(2)
+        assert parse_source_config({"type": "cos", "n": 2}) == OnArc(AngularCos(2))
         assert parse_source_config(
             {"type": "abs_log_abs_on_arc", "arc": [0.0, PI]}
-        ) == AbsLogAbsOnArc(0.0, PI)
+        ) == OnArc(AbsLogAbsPhi(), 0.0, PI)
 
     def test_round_trip_whole_catalog(self):
         for fig_id in range(1, 16):
@@ -213,13 +209,13 @@ class TestConfigParsing:
 # One instance of every config type and its canonical JSON text, so that a
 # changed to_config shows even where a round trip would still hold.
 CONFIG_TEXTS = [
-    (CharacteristicArc(-0.5, 0.5), '{"arc": [-0.5, 0.5], "type": "char_arc"}'),
-    (AbsTheta(), '{"type": "abs_theta"}'),
-    (ThetaSquaredOnArc(-0.5, 0.5), '{"arc": [-0.5, 0.5], "type": "theta_squared_on_arc"}'),
-    (SinOnArc(0.0, 1.5), '{"arc": [0.0, 1.5], "type": "sin_on_arc"}'),
-    (AbsLogAbsOnArc(0.0, 2.0), '{"arc": [0.0, 2.0], "type": "abs_log_abs_on_arc"}'),
-    (Cosine(3), '{"n": 3, "type": "cos"}'),
-    (ConstantOne(), '{"type": "one"}'),
+    (OnArc(AngularOne(), -0.5, 0.5), '{"arc": [-0.5, 0.5], "type": "char_arc"}'),
+    (OnArc(AbsPhi()), '{"type": "abs_theta"}'),
+    (OnArc(PhiSquared(), -0.5, 0.5), '{"arc": [-0.5, 0.5], "type": "theta_squared_on_arc"}'),
+    (OnArc(AngularSin(1), 0.0, 1.5), '{"arc": [0.0, 1.5], "type": "sin_on_arc"}'),
+    (OnArc(AbsLogAbsPhi(), 0.0, 2.0), '{"arc": [0.0, 2.0], "type": "abs_log_abs_on_arc"}'),
+    (OnArc(AngularCos(3)), '{"n": 3, "type": "cos"}'),
+    (OnArc(AngularOne()), '{"type": "one"}'),
     (CharacteristicDisk(0.25), '{"radius": 0.25, "type": "char_disk"}'),
     (CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, 1.0)),
      '{"r": [0.25, 0.5], "theta": [0.0, 1.0], "type": "char_rect"}'),
@@ -237,11 +233,63 @@ CONFIG_TEXTS = [
 ]
 
 
+# The seven boundary types keep as test ids the names of the classes that
+# built them before OnArc did.
+BOUNDARY_CLASS_NAMES = {
+    "char_arc": "CharacteristicArc", "abs_theta": "AbsTheta",
+    "theta_squared_on_arc": "ThetaSquaredOnArc", "sin_on_arc": "SinOnArc",
+    "abs_log_abs_on_arc": "AbsLogAbsOnArc", "cos": "Cosine", "one": "ConstantOne",
+}
+
+
 @pytest.mark.parametrize("obj, text", CONFIG_TEXTS,
-                         ids=[type(obj).__name__ for obj, _ in CONFIG_TEXTS])
+                         ids=[BOUNDARY_CLASS_NAMES.get(obj.to_config()["type"],
+                                                       type(obj).__name__)
+                              for obj, _ in CONFIG_TEXTS])
 def test_config_text_is_pinned(obj, text):
     assert serialize_config(obj) == text
     assert parse_source_config(text) == obj
+
+
+# an arc [a, b] with -pi <= a < b <= pi, as the documents of the arc types take it
+arcs = st.tuples(st.floats(-PI, PI), st.floats(-PI, PI)).filter(
+    lambda ab: ab[0] < ab[1]).map(list)
+boundary_docs = st.one_of(
+    st.just({"type": "one"}),
+    st.just({"type": "abs_theta"}),
+    st.builds(lambda n: {"type": "cos", "n": n}, st.integers(0, 50)),
+    *(st.builds(lambda arc, kind=kind: {"type": kind, "arc": arc}, arcs)
+      for kind in ("char_arc", "theta_squared_on_arc", "sin_on_arc", "abs_log_abs_on_arc")),
+)
+
+
+class TestOnArc:
+    """One boundary class, OnArc, for the seven boundary JSON types."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(boundary_docs)
+    def test_documents_round_trip(self, doc):
+        obj = parse_source_config(doc)
+        if doc == {"type": "char_arc", "arc": [-PI, PI]}:
+            doc = {"type": "one"}  # the indicator of the full circle is the constant one
+        assert serialize_config(obj) == json.dumps(doc, sort_keys=True)
+        assert parse_source_config(serialize_config(obj)) == obj
+
+    def test_full_circle_char_arc_is_one(self):
+        full = parse_source_config({"type": "char_arc", "arc": [-PI, PI]})
+        assert full == OnArc(AngularOne()) == parse_source_config({"type": "one"})
+        assert serialize_config(full) == '{"type": "one"}'
+        # a factor without a full-circle type keeps its arc type there
+        assert serialize_config(OnArc(PhiSquared())) == json.dumps(
+            {"arc": [-PI, PI], "type": "theta_squared_on_arc"}, sort_keys=True)
+
+    @pytest.mark.parametrize("angular, arc", [(AbsPhi(), (0.0, 1.0)),
+                                              (AngularCos(2), (-1.0, 1.0)),
+                                              (AngularSin(2), (-PI, PI))],
+                             ids=["abs_phi_on_an_arc", "cos_2_on_an_arc", "sin_2"])
+    def test_refuses_a_factor_without_a_type(self, angular, arc):
+        with pytest.raises(SourceValidationError):
+            OnArc(angular, *arc)
 
 
 class TestSquareIntegrability:
@@ -371,13 +419,14 @@ class TestDeclaredBreaks:
         assert [p.rect.theta_lo for p in pieces] == [-PI, 0.0, -PI, -1.0, 0.0, 1.0]
         assert [p.log_end for p in pieces] == [None, None, None, 0.0, 0.0, None]
         assert [p.coef for p in pieces] == [2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
-        arcs = BoundarySum(((2.0, AbsTheta()), (-0.5, AbsLogAbsOnArc(0.0, PI)))).arcs()
+        arcs = BoundarySum(((2.0, OnArc(AbsPhi())), (-0.5, OnArc(AbsLogAbsPhi(), 0.0, PI)))).arcs()
         assert [arc.log_end for arc in arcs] == [None, None, 0.0, None]
         assert [arc.coef for arc in arcs] == [2.0, 2.0, -0.5, -0.5]
-        assert [arc.fn for arc in arcs] == [AbsPhi(), AbsPhi(), AbsLogAbsPhi(), AbsLogAbsPhi()]
+        assert [arc.factors for arc in arcs] == [(RadialOne(), AbsPhi())] * 2 + [
+            (RadialOne(), AbsLogAbsPhi())] * 2
 
     def test_log_arc_splits_at_declared_breaks(self):
-        arcs = AbsLogAbsOnArc(-2.0, 2.0).arcs()
+        arcs = OnArc(AbsLogAbsPhi(), -2.0, 2.0).arcs()
         assert [(arc.lo, arc.hi) for arc in arcs] == [(-2.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]
         assert [arc.log_end for arc in arcs] == [None, 0.0, 0.0, None]
         assert AbsLogAbsPhi.breaks == (-1.0, 0.0, 1.0)

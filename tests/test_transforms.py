@@ -9,20 +9,18 @@ from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
 from harmonicdisk.quadrature import QuadratureSpec
 from harmonicdisk.sources import (
     AbsLogAbsPhi,
-    AbsTheta,
+    AbsPhi,
     AngularCos,
     AngularOne,
+    AngularSin,
     BoundarySum,
-    CharacteristicArc,
     CharacteristicDisk,
     CharacteristicRect,
-    ConstantOne,
-    Cosine,
+    OnArc,
     PowerOfOneMinusRho,
     RadialOne,
     RhoPower,
     SeparableOnRect,
-    SinOnArc,
     SourceSum,
     catalog_boundary_functions,
     catalog_q_sources,
@@ -37,8 +35,8 @@ from harmonicdisk.transforms import (
     _angular_panels,
     _fft_synthesis,
     _phases,
-    _poisson_arcs_point,
-    _q_pieces_point,
+    _poisson_parts_point,
+    _q_parts_point,
     _radial_moments,
     _radial_rule,
     _spectral_field,
@@ -73,26 +71,26 @@ def harmonic_measure_oracle(r, theta, a, b):
 
 class TestPoissonIntegral:
     def test_constant_boundary_gives_constant_one(self):
-        fld = poisson_integral(ConstantOne(), small_grid(), TIGHT)
+        fld = poisson_integral(OnArc(AngularOne()), small_grid(), TIGHT)
         assert np.max(np.abs(fld.values - 1.0)) < 1e-12
         assert fld.converged.all()
 
     def test_cosine_gives_r_cos_theta(self):
         grid = small_grid()
-        fld = poisson_integral(Cosine(1), grid, TIGHT)
+        fld = poisson_integral(OnArc(AngularCos(1)), grid, TIGHT)
         expected = grid.radii[:, None] * np.cos(grid.angles[None, :])
         assert np.max(np.abs(fld.values - expected)) < 1e-9
 
     def test_arc_mean_value(self):
-        v, _, _ = poisson_point(CharacteristicArc(-PI / 6, PI / 6), 0.0, 0.7, TIGHT)
+        v, _, _ = poisson_point(OnArc(AngularOne(), -PI / 6, PI / 6), 0.0, 0.7, TIGHT)
         assert v == pytest.approx(1.0 / 6.0, abs=1e-9)
 
     def test_abs_theta_mean_value(self):
-        v, _, _ = poisson_point(AbsTheta(), 0.0, -2.0, TIGHT)
+        v, _, _ = poisson_point(OnArc(AbsPhi()), 0.0, -2.0, TIGHT)
         assert v == pytest.approx(PI / 2.0, abs=1e-9)
 
     def test_harmonic_measure_closed_form(self):
-        arc = CharacteristicArc(-PI / 6, PI / 6)
+        arc = OnArc(AngularOne(), -PI / 6, PI / 6)
         for r, theta in ((0.3, 0.2), (0.7, -1.0), (0.9, 2.0), (0.5, 0.0)):
             v, _, _ = poisson_point(arc, r, theta, TIGHT)
             assert v == pytest.approx(
@@ -101,7 +99,7 @@ class TestPoissonIntegral:
 
     def test_near_boundary_value(self):
         v, _, _ = poisson_point(
-            CharacteristicArc(-PI / 6, PI / 6), 0.99, 0.0, TIGHT, allow_near_boundary=True
+            OnArc(AngularOne(), -PI / 6, PI / 6), 0.99, 0.0, TIGHT, allow_near_boundary=True
         )
         assert v == pytest.approx(
             harmonic_measure_oracle(0.99, 0.0, -PI / 6, PI / 6), abs=1e-9
@@ -110,7 +108,7 @@ class TestPoissonIntegral:
 
     def test_linearity(self):
         # the weights of a sum ride on its arcs, in both engines
-        a, b = CharacteristicArc(-PI / 6, PI / 6), AbsTheta()
+        a, b = OnArc(AngularOne(), -PI / 6, PI / 6), OnArc(AbsPhi())
         combo = BoundarySum(((0.7, a), (-1.3, b)))
         grids = [poisson_integral(f, small_grid(), TIGHT) for f in (combo, a, b)]
         assert [fld.meta["engine"] for fld in grids] == ["spectral"] * 3
@@ -403,7 +401,7 @@ class TestSpectralDispatch:
         r_max = float(grid.radii[-1])
         full = SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle.full_disk())
         assert _spectral_modes(_Q_SERIES, full.pieces(), r_max) is None
-        assert _spectral_modes(_POISSON_SERIES, Cosine(2).arcs(), r_max) is None
+        assert _spectral_modes(_POISSON_SERIES, OnArc(AngularCos(2)).arcs(), r_max) is None
         # the cap is on r_max * r_hi, so a small disk stays spectral
         small = _spectral_modes(_Q_SERIES, CharacteristicDisk(0.25).pieces(), r_max)
         assert small is not None and small[0] < 50
@@ -477,9 +475,9 @@ class TestGradedLogEnd:
         if kind == "q":
             case = _q_case(14)
             pieces = case.source.pieces()
-            return lambda r, t: _q_pieces_point(pieces, float(r), float(t), case.prefactor, spec)
+            return lambda r, t: _q_parts_point(pieces, float(r), float(t), case.prefactor, spec)
         arcs = _boundary(14).arcs()
-        return lambda r, t: _poisson_arcs_point(arcs, float(r), float(t), spec)
+        return lambda r, t: _poisson_parts_point(arcs, float(r), float(t), spec)
 
     @pytest.mark.parametrize("kind", ["q", "poisson"])
     def test_fig14_converges_in_few_panels(self, kind):
@@ -731,9 +729,9 @@ class TestSeparableMoments:
 
     def test_arc_angular_moments(self):
         lo, hi = 0.0, PI
-        (arc,) = SinOnArc(lo, hi).arcs()
+        (arc,) = OnArc(AngularSin(1), lo, hi).arcs()
         panels = _angular_panels(lo, hi, self.K, 64, arc.log_end)
-        (cos_k, sin_k), _ = _trig_moments(RadialOne(), arc.fn, np.ones(1), np.ones(1),
+        (cos_k, sin_k), _ = _trig_moments(*arc.factors, *_radial_rule(arc.rect, self.K, 1, None),
                                           panels, self.K)
         # sin(phi) cos(k phi) = (sin((1+k) phi) + sin((1-k) phi)) / 2, and so on
         minus = _trig_integrals(1.0 - self.k, lo, hi)

@@ -9,12 +9,13 @@ from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
 from harmonicdisk.kernels import q_kernel
 from harmonicdisk.quadrature import QuadratureSpec
 from harmonicdisk.sources import (
-    AbsLogAbsOnArc,
-    AbsTheta,
+    AbsLogAbsPhi,
+    AbsPhi,
+    AngularOne,
     BoundarySum,
-    CharacteristicArc,
     CharacteristicDisk,
     CharacteristicRect,
+    OnArc,
     SourceSum,
     figure_case,
 )
@@ -71,6 +72,16 @@ class TestLaplacianResidual:
         with pytest.raises(DomainError):
             laplacian_residual(fld, (0.1, 0.8), spacings=(0.01, 0.01))
 
+    @pytest.mark.parametrize("radii, n_theta", [([0.5], 16), ([0.2, 0.4, 0.6], 1)])
+    def test_field_too_small_for_the_stencil(self, radii, n_theta):
+        # one radius has no radial neighbours, one angle no angular one
+        grid = EvaluationGrid(radii, n_theta)
+        values = np.zeros(grid.shape)
+        fld = Field(grid=grid, values=values, converged=np.ones_like(values, bool),
+                    errors=values)
+        with pytest.raises(StencilOutOfRangeError):
+            laplacian_residual(fld, (0.1, 0.8))
+
     def test_transform_output_is_harmonic(self):
         # figure-5 source: the transform output must be harmonic inside
         case = figure_case(5)
@@ -99,29 +110,30 @@ class TestNorms:
         assert value == pytest.approx(math.sqrt(PI / 3.0), abs=2e-3)
 
     def test_circle_l2_arc(self):
-        value = norm(CharacteristicArc(-PI / 6, PI / 6), NormSpec("circle_l2"))
+        value = norm(OnArc(AngularOne(), -PI / 6, PI / 6), NormSpec("circle_l2"))
         assert value == pytest.approx(math.sqrt(PI / 3.0), abs=1e-10)
 
     def test_circle_l2_log_arc(self):
         # ln^2 phi over [0, pi] is pi (ln^2 pi - 2 ln pi + 2); the log end is graded
         log_pi = math.log(PI)
-        value = norm(AbsLogAbsOnArc(0.0, PI), NormSpec("circle_l2"))
+        value = norm(OnArc(AbsLogAbsPhi(), 0.0, PI), NormSpec("circle_l2"))
         assert value == pytest.approx(math.sqrt(PI * (log_pi**2 - 2.0 * log_pi + 2.0)),
                                       abs=1e-14)
 
     def test_circle_l2_of_a_sum_squares_overlapping_arcs_together(self):
-        arc = CharacteristicArc(-1.0, 1.0)
+        arc = OnArc(AngularOne(), -1.0, 1.0)
         assert norm(BoundarySum(((1.0, arc), (-1.0, arc))), NormSpec("circle_l2")) == 0.0
         value = norm(BoundarySum(((1.0, arc), (1.0, arc))), NormSpec("circle_l2"))
         assert value == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-14)
         # partial overlap: (1 + |theta|)^2 on [-1, 1], theta^2 on the rest
-        value = norm(BoundarySum(((1.0, arc), (1.0, AbsTheta()))), NormSpec("circle_l2"))
+        value = norm(BoundarySum(((1.0, arc), (1.0, OnArc(AbsPhi())))), NormSpec("circle_l2"))
         assert value == pytest.approx(math.sqrt((12.0 + 2.0 * PI**3) / 3.0), abs=1e-13)
 
     def test_circle_l2_of_a_sum_grades_the_shared_log_end(self):
         # (|ln theta| + 2)^2 on [0, 1/2], ln^2 theta on [1/2, pi]
         log_pi = math.log(PI)
-        f = BoundarySum(((1.0, AbsLogAbsOnArc(0.0, PI)), (2.0, CharacteristicArc(0.0, 0.5))))
+        f = BoundarySum(((1.0, OnArc(AbsLogAbsPhi(), 0.0, PI)),
+                         (2.0, OnArc(AngularOne(), 0.0, 0.5))))
         exact = (PI * (log_pi**2 - 2.0 * log_pi + 2.0)
                  + 4.0 * (0.5 + 0.5 * math.log(2.0)) + 2.0)
         assert norm(f, NormSpec("circle_l2")) == pytest.approx(math.sqrt(exact), abs=1e-13)
@@ -130,7 +142,7 @@ class TestNorms:
         with pytest.raises(IncompatibleKindError):
             norm(CharacteristicDisk(0.5), NormSpec("circle_l2"))
         with pytest.raises(IncompatibleKindError):
-            norm(CharacteristicArc(0.0, 1.0), NormSpec("harmonic_bergman_l2"))
+            norm(OnArc(AngularOne(), 0.0, 1.0), NormSpec("harmonic_bergman_l2"))
         with pytest.raises(IncompatibleKindError):
             NormSpec("no_such_kind")
 
@@ -183,7 +195,7 @@ class TestNorms:
 
 class TestHardy:
     def test_poisson_extension_bounded_and_monotone(self):
-        arc = CharacteristicArc(-PI / 6, PI / 6)
+        arc = OnArc(AngularOne(), -PI / 6, PI / 6)
         spec = QuadratureSpec(adaptive_tol=1e-10)
         radii = np.array([0.0, 0.25, 0.5, 0.75, 0.9, 0.95])
         extension = poisson_integral(arc, EvaluationGrid(radii, verify.HARDY_ANGLES), spec)
