@@ -21,9 +21,10 @@ stays.  An angular factor lists its ``breaks`` (angles where it is not
 smooth) and, among them, the ``log_points`` where it has an integrable
 logarithmic singularity.  Pieces and arcs are cut at every break of
 their angular factor; a log point becomes a part end, recorded in
-``log_end``, towards which the quadrature grades the angle.  A part's
-``fn`` is the product of its ``factors`` (radial, angular), unscaled by
-the ``coef`` of its term in a sum.  The grid transforms take one radial
+``log_end``, towards which the quadrature grades the angle.  A piece's
+``fn`` is the product of its ``factors`` (radial, angular), and an arc's
+integrand its angular factor, both unscaled by the ``coef`` of its term
+in a sum.  The grid transforms take one radial
 times one angular moment per mode, so only a callable source, whose
 piece has no factors, is left to adaptive quadrature alone.
 
@@ -229,7 +230,8 @@ class BoundaryArc:
     """One part of a boundary function: coef * angular(phi) on the arc
     [lo, hi] of the unit circle.  A piece (see SourcePiece) of the factors
     (RadialOne(), angular) at the single radius rho = 1 of weight 1, with
-    no rectangle and no radial weight."""
+    no rectangle and no radial weight; its integrand is the angular factor
+    alone."""
 
     coef: float
     lo: float
@@ -239,10 +241,6 @@ class BoundaryArc:
     rect = None
     weight = None
     r_hi = 1.0
-
-    def fn(self, rho, phi):
-        radial, angular = self.factors
-        return np.asarray(radial(rho)) * np.asarray(angular(phi))
 
 
 class BoundaryFunction:

@@ -140,16 +140,17 @@ def _integrate_parts(parts, spec, kernel=None):
     times the integral of fn(rho, phi) * kernel(rho, phi), or of fn alone
     without a kernel.  A piece is integrated over its rectangle under
     rho drho dphi, times its declared radial weight (if any); an arc at its
-    single radius rho = 1 under dphi.  Both are graded towards the declared
-    logarithmic angular end (if any)."""
+    single radius rho = 1 under dphi, where fn is its angular factor.  Both
+    are graded towards the declared logarithmic angular end (if any)."""
     total, err, converged, panels = 0.0, 0.0, True, 0
     for part in parts:
-        fn = part.fn
-        integrand = fn if kernel is None else lambda rho, phi: fn(rho, phi) * kernel(rho, phi)
         if part.rect is None:
-            res = integrate_angular(lambda phi: integrand(1.0, phi), part.lo, part.hi, spec,
-                                    graded_end=part.log_end)
+            fn = part.factors[1]
+            integrand = fn if kernel is None else lambda phi: fn(phi) * kernel(1.0, phi)
+            res = integrate_angular(integrand, part.lo, part.hi, spec, graded_end=part.log_end)
         else:
+            fn = part.fn
+            integrand = fn if kernel is None else lambda rho, phi: fn(rho, phi) * kernel(rho, phi)
             res = integrate_polar(integrand, part.rect, spec, graded_end=part.log_end,
                                   weight=part.weight)
         total += part.coef * res.value

@@ -204,7 +204,7 @@ def _circle_l2_report(f: BoundaryFunction, quad: QuadratureSpec) -> NormReport:
         ends = [arc.log_end for arc in holders if arc.log_end in (lo, hi)]
 
         def square(phi, holders=holders):
-            return sum(arc.coef * arc.fn(1.0, phi) for arc in holders) ** 2
+            return sum(arc.coef * arc.factors[1](phi) for arc in holders) ** 2
 
         total += integrate_angular(square, lo, hi, quad,
                                    graded_end=ends[0] if ends else None).value
