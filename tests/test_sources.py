@@ -233,8 +233,8 @@ CONFIG_TEXTS = [
 ]
 
 
-# The seven boundary types keep as test ids the names of the classes that
-# built them before OnArc did.
+# Test ids of the seven boundary documents: the ids the suite has always
+# reported for these cases, so that a run's results compare with earlier runs.
 BOUNDARY_CLASS_NAMES = {
     "char_arc": "CharacteristicArc", "abs_theta": "AbsTheta",
     "theta_squared_on_arc": "ThetaSquaredOnArc", "sin_on_arc": "SinOnArc",
