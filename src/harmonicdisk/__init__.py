@@ -27,7 +27,6 @@ from .errors import (
 )
 from .geometry import EvaluationGrid, PolarRectangle
 from .kernels import (
-    KernelId,
     analytic_bergman_kernel,
     poisson_kernel,
     q_kernel,
@@ -85,7 +84,6 @@ __all__ = [
     "IncompatibleKindError",
     "InvalidExponentError",
     "InvalidRegionError",
-    "KernelId",
     "NonConvergenceError",
     "NonFiniteError",
     "NormSpec",

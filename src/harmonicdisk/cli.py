@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DomainError,
     HarmonicDiskError,
+    IncompatibleKindError,
     InvalidExponentError,
     InvalidRegionError,
     NonConvergenceError,
@@ -236,8 +237,7 @@ def _figure_fields(case, grid, spec):
     Poisson integral of its boundary data, the area transform of its source
     and, when it has both, their pointwise ratio."""
     if case.kernel is not None:
-        return [("kernel", _profile_field(case.kernel.tag, case.kernel.alpha or 0.0,
-                                          list(case.radii), grid.n_theta))]
+        return [("kernel", _profile_field(case.kernel, 0.0, list(case.radii), grid.n_theta))]
     out = []
     if case.boundary is not None:
         out.append(("poisson", poisson_integral(case.boundary, grid, spec)))
@@ -382,7 +382,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SourceParseError, SourceValidationError, UnknownFigureError,
-            InvalidRegionError, InvalidExponentError, DomainError) as exc:
+            InvalidRegionError, InvalidExponentError, DomainError,
+            IncompatibleKindError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NonFiniteError, NonConvergenceError) as exc:

@@ -13,38 +13,16 @@ naive expression cancels catastrophically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-
-KERNEL_TAGS = ("poisson", "q", "analytic_bergman")
 
 
 def check_alpha(alpha):
     """Refuse a weight exponent alpha that is not a finite number above -1."""
     if not (math.isfinite(alpha) and alpha > -1.0):
         raise DomainError(f"alpha must be a finite number above -1, got {alpha}")
-
-
-@dataclass(frozen=True)
-class KernelId:
-    """Identifies one of the kernel families; alpha only applies to the
-    weighted analytic kernel (a finite alpha > -1)."""
-
-    tag: str
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.tag not in KERNEL_TAGS:
-            raise DomainError(f"unknown kernel tag {self.tag!r}, expected {KERNEL_TAGS}")
-        if self.tag == "analytic_bergman":
-            if self.alpha is None:
-                raise DomainError("analytic_bergman kernel needs alpha > -1")
-            check_alpha(self.alpha)
-        elif self.alpha is not None:
-            raise DomainError(f"kernel {self.tag!r} takes no alpha")
 
 
 def _check_unit_interval(x, name):

@@ -3,13 +3,15 @@ the catalog of the fifteen standard figure cases.
 
 A :class:`SourceFunction` describes an integrand over the unit disk, a
 :class:`BoundaryFunction` (``OnArc`` or a sum of such) data on the unit
-circle.  Both are weighted sums of parts, each the product of a radial
-and an angular factor, which the transforms consume through
-:meth:`pieces` and :meth:`arcs`.  A piece is supported on one polar
-rectangle; an arc is a piece at the single radius rho = 1 of weight 1,
-the limit of a layer of unit radial mass shrinking onto the rim.  So the
-boundary data |theta|, theta^2, sin theta, cos n theta, |ln|theta|| and
-1 are the very angular factors of area sources, on an arc.
+circle.  Both are weighted sums of parts, which the transforms consume
+through :meth:`pieces`: each a :class:`SourcePiece`, the product of a
+radial and an angular factor on the angles [lo, hi].  A piece of a
+source has the radii [r_lo, r_hi] and so a polar rectangle; a piece of
+boundary data has no radial extent and no rectangle: it lies at the
+single radius rho = 1 with weight 1, the limit of a layer of unit radial
+mass shrinking onto the rim.  So the boundary data |theta|, theta^2,
+sin theta, cos n theta, |ln|theta|| and 1 are the very angular factors
+of area sources, on an arc.
 
 Singular radii, kinks and singular angles are declared once, by the
 factors themselves.  A radial factor declares its ``weight``: None, or
@@ -19,14 +21,14 @@ end takes the weight, the Gauss-Jacobi weight of both engines' radial
 rule, and RadialOne as its factor; elsewhere the factor is smooth and
 stays.  An angular factor lists its ``breaks`` (angles where it is not
 smooth) and, among them, the ``log_points`` where it has an integrable
-logarithmic singularity.  Pieces and arcs are cut at every break of
-their angular factor; a log point becomes a part end, recorded in
+logarithmic singularity.  Pieces are cut at every break of their
+angular factor; a log point becomes a piece end, recorded in
 ``log_end``, towards which the quadrature grades the angle.  A piece's
-``fn`` is the product of its ``factors`` (radial, angular), and an arc's
-integrand its angular factor, both unscaled by the ``coef`` of its term
-in a sum.  The grid transforms take one radial
-times one angular moment per mode, so only a callable source, whose
-piece has no factors, is left to adaptive quadrature alone.
+``fn`` is the product of its ``factors`` (radial, angular), unscaled by
+the ``coef`` of its term in a sum; on an arc it is the angular factor.
+The grid transforms take one radial times one angular moment per mode,
+so only a callable source, whose piece has no factors, is left to
+adaptive quadrature alone.
 
 Everything is immutable after construction and serializes to a small
 JSON document (see :func:`parse_source_config`).
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .errors import (
     UnknownFigureError,
 )
 from .geometry import PolarRectangle
-from .kernels import KernelId
 
 _PI = math.pi
 
@@ -221,34 +222,85 @@ _INDICATOR = (RadialOne(), AngularOne())  # the factors of a disk or rectangle i
 
 
 # ---------------------------------------------------------------------------
-# Boundary functions on the circle
+# Pieces and weighted sums of them
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class BoundaryArc:
-    """One part of a boundary function: coef * angular(phi) on the arc
-    [lo, hi] of the unit circle.  A piece (see SourcePiece) of the factors
-    (RadialOne(), angular) at the single radius rho = 1 of weight 1, with
-    no rectangle and no radial weight; its integrand is the angular factor
-    alone."""
+class SourcePiece:
+    """One part of a source or a boundary function: value = coef *
+    fn(rho, phi) * |rho - end|^exponent on the angles [lo, hi], either at
+    the radii ``radii`` = (r_lo, r_hi), whose polar rectangle ``rect`` is
+    built (and so validated) from them, or, with ``radii`` and ``rect``
+    None, at the single radius rho = 1 of weight 1: an arc.
+
+    ``factors`` is the (radial, angular) pair of callables of one variable
+    whose product fn is, smooth on the piece but for a logarithmic
+    singularity of the angular one at ``log_end`` (lo, hi or None);
+    ``weight`` is (end, exponent), end r_lo or r_hi, or None.  Only a piece
+    without factors (a callable source's) gives its own ``fn``.
+    """
 
     coef: float
     lo: float
     hi: float
-    factors: tuple  # (RadialOne(), angular(phi))
+    factors: tuple | None  # (radial(rho), angular(phi)), or None: adaptive only
+    radii: tuple | None = None  # (r_lo, r_hi), or None: an arc
     log_end: float | None = None
-    rect = None
-    weight = None
-    r_hi = 1.0
+    weight: tuple | None = None
+    fn: object = None  # callable(rho, phi) -> array (broadcasting)
+    rect: PolarRectangle | None = field(init=False, default=None)
+
+    def __post_init__(self):
+        if self.radii is not None:
+            object.__setattr__(self, "rect", PolarRectangle(*self.radii, self.lo, self.hi))
+        if self.fn is None:
+            radial, angular = self.factors
+            object.__setattr__(self, "fn", lambda rho, phi: (np.asarray(radial(rho))
+                                                             * np.asarray(angular(phi))))
+
+
+def _split_at_breaks(angular, lo, hi):
+    """(lo, hi, log_end) of the intervals of [lo, hi] cut at the angular
+    factor's breaks; log_end is the end that is one of its log points."""
+    edges = [lo, *(b for b in angular.breaks if lo < b < hi), hi]
+    return [(a, b, a if a in angular.log_points else b if b in angular.log_points else None)
+            for a, b in zip(edges[:-1], edges[1:])]
+
+
+@dataclass(frozen=True)
+class _WeightedSum:
+    """The sum of coef * term over ``terms``: the pieces of every term, each
+    piece's coef times its term's.  Its two types, BoundarySum and
+    SourceSum, keep boundary data and disk sources apart."""
+
+    terms: tuple  # of (coef, term)
+
+    def __post_init__(self):
+        if not self.terms:
+            raise SourceValidationError("weighted sum needs at least one term")
+
+    def pieces(self):
+        return [replace(p, coef=coef * p.coef) for coef, term in self.terms for p in term.pieces()]
+
+    def to_config(self):
+        return {
+            "type": "weighted_sum",
+            "terms": [{"coef": c, "term": t.to_config()} for c, t in self.terms],
+        }
+
+
+# ---------------------------------------------------------------------------
+# Boundary functions on the circle
+# ---------------------------------------------------------------------------
 
 
 class BoundaryFunction:
     """Data on the unit circle: an angular factor on an arc, zero elsewhere
     (OnArc), or a weighted sum of such (BoundarySum).  Subclasses provide
-    arcs(), the arc cut at the factor's breaks, and to_config()."""
+    pieces(), the arcs cut at the factor's breaks, and to_config()."""
 
-    def arcs(self) -> list[BoundaryArc]:
+    def pieces(self) -> list[SourcePiece]:
         raise NotImplementedError
 
     def to_config(self) -> dict:
@@ -273,9 +325,9 @@ class OnArc(BoundaryFunction):
             raise SourceValidationError(
                 f"no boundary type takes {self.angular} on [{self.a}, {self.b}]")
 
-    def arcs(self):
+    def pieces(self):
         factors = (RadialOne(), self.angular)
-        return [BoundaryArc(1.0, lo, hi, factors, end)
+        return [SourcePiece(1.0, lo, hi, factors, log_end=end)
                 for lo, hi, end in _split_at_breaks(self.angular, self.a, self.b)]
 
     def to_config(self):
@@ -293,66 +345,13 @@ class OnArc(BoundaryFunction):
         return None
 
 
-@dataclass(frozen=True)
-class BoundarySum(BoundaryFunction):
-    terms: tuple  # of (coef, BoundaryFunction)
-
-    def __post_init__(self):
-        if not self.terms:
-            raise SourceValidationError("weighted sum needs at least one term")
-
-    def arcs(self):
-        return [replace(arc, coef=coef * arc.coef)
-                for coef, f in self.terms for arc in f.arcs()]
-
-    def to_config(self):
-        return {
-            "type": "weighted_sum",
-            "terms": [{"coef": c, "term": f.to_config()} for c, f in self.terms],
-        }
-
-
-def _split_at_breaks(angular, lo, hi):
-    """(lo, hi, log_end) of the intervals of [lo, hi] cut at the angular
-    factor's breaks; log_end is the end that is one of its log points."""
-    edges = [lo, *(b for b in angular.breaks if lo < b < hi), hi]
-    return [(a, b, a if a in angular.log_points else b if b in angular.log_points else None)
-            for a, b in zip(edges[:-1], edges[1:])]
+class BoundarySum(_WeightedSum, BoundaryFunction):
+    """A weighted sum of boundary functions."""
 
 
 # ---------------------------------------------------------------------------
 # Source functions on the disk
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SourcePiece:
-    """One rectangle of a source: value = coef * fn(rho, phi) * |rho - end|^exponent.
-
-    ``factors`` is the (radial, angular) pair of callables of one variable
-    whose product fn is, smooth on the rectangle but for a logarithmic
-    singularity of the angular one at ``log_end`` (theta_lo, theta_hi or
-    None); ``weight`` is (end, exponent), end r_lo or r_hi, or None.  Only
-    a piece without factors (a callable source's) gives its own ``fn``.
-    """
-
-    coef: float
-    rect: PolarRectangle
-    factors: tuple | None  # (radial(rho), angular(phi)), or None: adaptive only
-    log_end: float | None = None
-    weight: tuple | None = None
-    fn: object = None  # callable(rho, phi) -> array (broadcasting)
-
-    # the angular interval and outer radius of every part (see BoundaryArc)
-    lo = property(lambda self: self.rect.theta_lo)
-    hi = property(lambda self: self.rect.theta_hi)
-    r_hi = property(lambda self: self.rect.r_hi)
-
-    def __post_init__(self):
-        if self.fn is None:
-            radial, angular = self.factors
-            object.__setattr__(self, "fn", lambda rho, phi: (np.asarray(radial(rho))
-                                                             * np.asarray(angular(phi))))
 
 
 class SourceFunction:
@@ -383,8 +382,7 @@ class CharacteristicDisk(SourceFunction):
         return np.broadcast_to(inside, np.broadcast_shapes(np.shape(rho), np.shape(phi))).copy()
 
     def pieces(self):
-        rect = PolarRectangle(0.0, self.radius, -_PI, _PI)
-        return [SourcePiece(1.0, rect, _INDICATOR)]
+        return [SourcePiece(1.0, -_PI, _PI, _INDICATOR, (0.0, self.radius))]
 
     def to_config(self):
         return {"type": "char_disk", "radius": self.radius}
@@ -398,7 +396,9 @@ class CharacteristicRect(SourceFunction):
         return self.rect.contains(rho, phi).astype(float)
 
     def pieces(self):
-        return [SourcePiece(1.0, self.rect, _INDICATOR)]
+        rect = self.rect
+        return [SourcePiece(1.0, rect.theta_lo, rect.theta_hi, _INDICATOR,
+                            (rect.r_lo, rect.r_hi))]
 
     def to_config(self):
         return {
@@ -427,8 +427,7 @@ class SeparableOnRect(SourceFunction):
             radial = RadialOne()  # the factor is the weight of the radial rule
         else:
             weight = None
-        return [SourcePiece(1.0, PolarRectangle(rect.r_lo, rect.r_hi, a, b), (radial, angular),
-                            end, weight)
+        return [SourcePiece(1.0, a, b, (radial, angular), (rect.r_lo, rect.r_hi), end, weight)
                 for a, b, end in _split_at_breaks(angular, rect.theta_lo, rect.theta_hi)]
 
     def to_config(self):
@@ -443,25 +442,11 @@ class SeparableOnRect(SourceFunction):
         }
 
 
-@dataclass(frozen=True)
-class SourceSum(SourceFunction):
-    terms: tuple  # of (coef, SourceFunction)
-
-    def __post_init__(self):
-        if not self.terms:
-            raise SourceValidationError("weighted sum needs at least one term")
+class SourceSum(_WeightedSum, SourceFunction):
+    """A weighted sum of disk sources."""
 
     def values(self, rho, phi):
         return sum(c * s.values(rho, phi) for c, s in self.terms)
-
-    def pieces(self):
-        return [replace(p, coef=coef * p.coef) for coef, s in self.terms for p in s.pieces()]
-
-    def to_config(self):
-        return {
-            "type": "weighted_sum",
-            "terms": [{"coef": c, "term": s.to_config()} for c, s in self.terms],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +630,7 @@ class FigureCase:
     boundary: BoundaryFunction | None = None
     source: SourceFunction | None = None
     prefactor: float = 1.0
-    kernel: KernelId | None = None
+    kernel: str | None = None  # the tag of the kernel command: "poisson" or "q"
     radii: tuple = ()
 
 
@@ -674,11 +659,9 @@ def _build_catalog():
 
     cases = [
         FigureCase(1, "boundary kernel profiles at r = 0.5, 0.75, 0.85",
-                   kernel=KernelId("poisson"),
-                   radii=(0.5, 0.75, 0.85)),
+                   kernel="poisson", radii=(0.5, 0.75, 0.85)),
         FigureCase(2, "area kernel profiles at r = 0.5, 0.75",
-                   kernel=KernelId("q"),
-                   radii=(0.5, 0.75)),
+                   kernel="q", radii=(0.5, 0.75)),
         FigureCase(3, "matched reconstructions of r^2 cos(2 theta) from boundary and area data",
                    boundary=OnArc(AngularCos(2)),
                    source=SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle.full_disk()),

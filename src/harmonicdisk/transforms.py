@@ -4,26 +4,26 @@ projection onto square-integrable harmonic functions, and the weighted
 analytic representation.
 
 Two engines compute them, with no interpolation or smoothing in either.
-Both take the pieces of a source and the arcs of a boundary function
-alike, as parts: an arc is a piece at the single radius rho = 1 of
-weight 1 (see ``sources``).
+Both take the ``pieces()`` of a source and of a boundary function alike,
+each a ``SourcePiece``: a piece of boundary data is an arc, with no
+rectangle, at the single radius rho = 1 of weight 1 (see ``sources``).
 
 * The point evaluators (``q_point``, ``poisson_point``, ...) run adaptive
   Gauss quadrature of the kernel times the source at one point.  Each
-  part is integrated by ``_integrate_parts``, which weights the radius of
-  a piece by its declared ``weight`` |rho - end|^exponent and grades the
-  angle towards the declared ``log_end``.
+  piece is integrated by ``_integrate_parts``, which weights the radius of
+  a rectangle by its declared ``weight`` |rho - end|^exponent and grades
+  the angle towards the declared ``log_end``.
 * The grid operators (``q_transform``, ``harmonic_rep`` and
   ``bergman_project``, one evaluator ``_q_field`` differing only in the
   prefactor and the constant subtracted; and ``poisson_integral``) take
-  the spectral path when every part declares its ``factors``.
+  the spectral path when every piece declares its ``factors``.
   Both kernels have closed Fourier series, so the whole grid is a sum
   over modes k of w_k(r) [C_k cos k theta + S_k sin k theta], with the
-  trig moments C_k, S_k of each part taken once on fixed Gauss rules:
-  a part R(rho) A(phi) has C_k = (sum_i w_i R(rho_i) rho_i^k) *
+  trig moments C_k, S_k of each piece taken once on fixed Gauss rules:
+  a piece R(rho) A(phi) has C_k = (sum_i w_i R(rho_i) rho_i^k) *
   (sum_j w_j A(phi_j) cos k phi_j), and S_k likewise, on the radial rule
-  of a piece's ``weight`` (an arc's one node) and the angular panels, the
-  one that ends at a ``log_end`` graded towards it, as above.  The
+  of its rectangle and ``weight`` (an arc's one node) and the angular
+  panels, the one that ends at a ``log_end`` graded towards it, as above.  The
   phases e^{i k phi} and the powers rho^k come from a table of about
   sqrt(K) anchors times a short table of about sqrt(K) entries.  A grid's
   angles are always regular (see ``EvaluationGrid``), so each ring is
@@ -136,12 +136,12 @@ def _check_radius(r, allow_near_boundary):
 
 
 def _integrate_parts(parts, spec, kernel=None):
-    """(total, error, converged, panels) of the sum over the parts of coef
+    """(total, error, converged, panels) of the sum over the pieces of coef
     times the integral of fn(rho, phi) * kernel(rho, phi), or of fn alone
-    without a kernel.  A piece is integrated over its rectangle under
+    without a kernel.  A piece with a rectangle is integrated over it under
     rho drho dphi, times its declared radial weight (if any); an arc at its
-    single radius rho = 1 under dphi, where fn is its angular factor.  Both
-    are graded towards the declared logarithmic angular end (if any)."""
+    single radius rho = 1 under dphi, of its angular factor.  Both are
+    graded towards the declared logarithmic angular end (if any)."""
     total, err, converged, panels = 0.0, 0.0, True, 0
     for part in parts:
         if part.rect is None:
@@ -183,7 +183,7 @@ def poisson_point(
 ):
     """(1/2pi) integral of f(phi) * P_r(theta - phi) over the circle."""
     _check_radius(r, allow_near_boundary)
-    return _poisson_parts_point(f.arcs(), r, theta, spec or QuadratureSpec())[:3]
+    return _poisson_parts_point(f.pieces(), r, theta, spec or QuadratureSpec())[:3]
 
 
 def q_point(
@@ -199,8 +199,9 @@ def q_point(
     return _q_parts_point(f.pieces(), r, theta, prefactor, spec or QuadratureSpec())[:3]
 
 
-def source_mass(f: SourceFunction, spec: QuadratureSpec | None = None) -> float:
-    """integral of f over the disk under the measure rho drho dphi."""
+def source_mass(f: SourceFunction | BoundaryFunction, spec: QuadratureSpec | None = None) -> float:
+    """integral of a source f over the disk under the measure rho drho dphi,
+    or of boundary data f over the circle under dphi."""
     spec = spec or QuadratureSpec()
     return _integrate_parts(f.pieces(), spec)[0]
 
@@ -256,13 +257,18 @@ def _mode_count(series: _Series, q: float):
 
 
 def _spectral_modes(series: _Series, parts, r_max: float):
-    """Mode count per part, or None when any part must take the adaptive
-    path: a piece that declares no ``factors`` (a callable source's), or
-    one that needs too many modes."""
+    """Mode count per piece, or None when any piece must take the adaptive
+    path: one that declares no ``factors`` (a callable source's), or one
+    that needs too many modes."""
     if any(part.factors is None for part in parts):
         return None
-    modes = [_mode_count(series, r_max * part.r_hi) for part in parts]
+    modes = [_mode_count(series, r_max * _outer_radius(part)) for part in parts]
     return None if None in modes else modes
+
+
+def _outer_radius(part):
+    """The largest radius of a piece: r_hi of its rectangle, 1 for an arc."""
+    return 1.0 if part.rect is None else part.rect.r_hi
 
 
 def _angular_panels(lo, hi, n_modes, n, log_end):
@@ -409,7 +415,7 @@ def _spectral_field(series: _Series, parts, modes, grid: EvaluationGrid,
         (main, mass), (coarse, _) = got
         total[:, :K + 1] += part.coef * main
         diff[:, :K + 1] += part.coef * (main - coarse)
-        tail += abs(part.coef) * mass * series.tail(radii * part.r_hi, K)
+        tail += abs(part.coef) * mass * series.tail(radii * _outer_radius(part), K)
 
     k = np.arange(n_modes + 1)
     w = series.weights(radii[:, None], k)
@@ -473,15 +479,15 @@ def poisson_integral(
 ) -> Field:
     """Solve the boundary-value problem: harmonic extension of f."""
     spec = spec or QuadratureSpec()
-    arcs = f.arcs()
+    pieces = f.pieces()
     meta = {
         "operator": "poisson_integral",
         "source": f.to_config(),
         "prefactor": 1.0 / TWO_PI,
         "quadrature": asdict(spec),
     }
-    return _grid_eval(lambda r, t: _poisson_parts_point(arcs, r, t, spec),
-                      _POISSON_SERIES, arcs, grid, 1.0, 0.0, spec, meta)
+    return _grid_eval(lambda r, t: _poisson_parts_point(pieces, r, t, spec),
+                      _POISSON_SERIES, pieces, grid, 1.0, 0.0, spec, meta)
 
 
 def q_transform(
@@ -514,7 +520,7 @@ class CallableSource(SourceFunction):
         )
 
     def pieces(self):
-        return [SourcePiece(1.0, PolarRectangle.full_disk(), None, fn=self.values)]
+        return [SourcePiece(1.0, -math.pi, math.pi, None, (0.0, 1.0), fn=self.values)]
 
     def to_config(self):
         return {"type": "callable", "description": self._description}

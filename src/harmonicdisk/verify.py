@@ -57,7 +57,6 @@ from .transforms import (
     _Q_SERIES,
     CallableSource,
     Field,
-    _integrate_parts,
     _spectral_modes,
     poisson_integral,
     poisson_point,
@@ -118,33 +117,36 @@ class HarmonicityReport:
 # ---------------------------------------------------------------------------
 
 
+def _cells(parts, edges):
+    """(lo, hi, holders, graded_end) of each interval between consecutive
+    angular ``edges`` that some of the parts hold (lo < its middle < hi):
+    ``holders`` are those parts, and ``graded_end`` the declared
+    ``log_end`` of a holder when it is lo or hi, else None."""
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        holders = [p for p in parts if p.lo < mid < p.hi]
+        if holders:
+            ends = [p.log_end for p in holders if p.log_end in (lo, hi)]
+            yield lo, hi, holders, ends[0] if ends else None
+
+
 def _partition_cells(source: SourceFunction, r_cap: float):
     """(cell, graded_end) of the cells on which the source is smooth,
-    clipped to rho <= r_cap.
+    clipped to rho <= r_cap: the disk cut at every edge of a piece, each
+    ring between two radial edges cut like the circle (see ``_cells``).
 
     Edges come from the pieces themselves, so rectangles with angle
     windows outside [-pi, pi] are covered too; cells intersecting no
-    piece are dropped.  ``graded_end`` is the declared ``log_end`` of a
-    piece holding the cell when it is an end of the cell, else None.
+    piece are dropped.
     """
-    pieces = source.pieces()
-    r_edges = set()
-    t_edges = set()
-    for p in pieces:
-        if p.rect.r_lo >= r_cap:
-            continue
-        r_edges.update((p.rect.r_lo, min(p.rect.r_hi, r_cap)))
-        t_edges.update((p.rect.theta_lo, p.rect.theta_hi))
-    r_edges = sorted(r_edges)
-    t_edges = sorted(t_edges)
+    pieces = [p for p in source.pieces() if p.rect.r_lo < r_cap]
+    r_edges = sorted({r for p in pieces for r in (p.rect.r_lo, min(p.rect.r_hi, r_cap))})
+    t_edges = sorted({t for p in pieces for t in (p.lo, p.hi)})
     cells = []
     for r_lo, r_hi in zip(r_edges[:-1], r_edges[1:]):
-        for t_lo, t_hi in zip(t_edges[:-1], t_edges[1:]):
-            mid_r, mid_t = 0.5 * (r_lo + r_hi), 0.5 * (t_lo + t_hi)
-            holders = [p for p in pieces if p.rect.contains(mid_r, mid_t)]
-            if holders:
-                ends = [p.log_end for p in holders if p.log_end in (t_lo, t_hi)]
-                cells.append((PolarRectangle(r_lo, r_hi, t_lo, t_hi), ends[0] if ends else None))
+        ring = [p for p in pieces if p.rect.r_lo < 0.5 * (r_lo + r_hi) < p.rect.r_hi]
+        cells += [(PolarRectangle(r_lo, r_hi, lo, hi), end)
+                  for lo, hi, _, end in _cells(ring, t_edges)]
     return cells
 
 
@@ -162,8 +164,8 @@ def _source_norm_report(source, spec: NormSpec, quad: QuadratureSpec) -> NormRep
         total += res.value
     # crude tail bound: sampled sup on the tail annulus times tail area
     tail = 0.0
-    t_lo = min(p.rect.theta_lo for p in source.pieces())
-    t_hi = max(p.rect.theta_hi for p in source.pieces())
+    t_lo = min(p.lo for p in source.pieces())
+    t_hi = max(p.hi for p in source.pieces())
     rho_s = np.linspace(r_cap, 1.0, 33)[:-1][:, None]
     phi_s = np.linspace(t_lo, t_hi, 65)[None, :]
     with np.errstate(divide="ignore", over="ignore"):
@@ -190,24 +192,17 @@ def _field_norm_report(fld: Field, spec: NormSpec) -> NormReport:
 
 
 def _circle_l2_report(f: BoundaryFunction, quad: QuadratureSpec) -> NormReport:
-    """The circle is cut at every arc end, as ``_partition_cells`` cuts the
-    disk, so arcs that overlap are summed before they are squared; a cell
-    is graded towards a declared log end of an arc holding it when that is
-    a cell end."""
-    arcs = f.arcs()
-    edges = sorted({x for arc in arcs for x in (arc.lo, arc.hi)})
+    """The circle is cut at every arc end, as ``_partition_cells`` cuts each
+    ring of the disk, so arcs that overlap are summed before they are
+    squared."""
+    arcs = f.pieces()
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        holders = [arc for arc in arcs if arc.lo < 0.5 * (lo + hi) < arc.hi]
-        if not holders:
-            continue
-        ends = [arc.log_end for arc in holders if arc.log_end in (lo, hi)]
+    for lo, hi, holders, end in _cells(arcs, sorted({x for a in arcs for x in (a.lo, a.hi)})):
 
         def square(phi, holders=holders):
             return sum(arc.coef * arc.factors[1](phi) for arc in holders) ** 2
 
-        total += integrate_angular(square, lo, hi, quad,
-                                   graded_end=ends[0] if ends else None).value
+        total += integrate_angular(square, lo, hi, quad, graded_end=end).value
     return NormReport(math.sqrt(total), 0.0, 1.0)
 
 
@@ -583,7 +578,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     worst = 0.0
     for p_case in catalog_boundary_functions().values():
         v, _, _ = poisson_point(p_case.boundary, 0.0, 0.0, quad)
-        average = _integrate_parts(p_case.boundary.arcs(), quad)[0] / TWO_PI
+        average = source_mass(p_case.boundary, quad) / TWO_PI
         worst = max(worst, abs(v - average))
     _record(records, "transforms.mean_value", worst, 1e-8)
 
@@ -714,7 +709,7 @@ def _engine_disagreement(case, r_max: float, quad: QuadratureSpec) -> float:
     every m-th is compared."""
     source, prefactor, boundary = case.source, case.prefactor, case.boundary
     modes = [_spectral_modes(series, parts, r_max) or [0] for series, parts in
-             ((_Q_SERIES, source.pieces()), (_POISSON_SERIES, boundary.arcs()))]
+             ((_Q_SERIES, source.pieces()), (_POISSON_SERIES, boundary.pieces()))]
     step = max(1, math.ceil(max(map(max, modes)) ** 2 / _MODES_SQ_PER_POINT / 24))
     grid = EvaluationGrid.regular(n_r=3, n_theta=8 * step, r_max=r_max)
     pairs = (

@@ -146,6 +146,16 @@ class TestCLI:
         assert main(["norms", "--source-file", str(src), "--kind", "circle_l2"]) == 0
         assert json.loads(capsys.readouterr().out)["value"] == 0.0
 
+    def test_norm_kind_that_does_not_apply_exits_2(self, tmp_path, capsys):
+        one = tmp_path / "one.json"
+        one.write_text(json.dumps({"type": "one"}))
+        disk = tmp_path / "disk.json"
+        disk.write_text(json.dumps({"type": "char_disk", "radius": 0.25}))
+        for argv in (["--source-file", str(one)],  # a disk norm, by default
+                     ["--source-file", str(disk), "--kind", "circle_l2"]):
+            assert main(["norms", *argv]) == 2
+            assert "applies to" in capsys.readouterr().err
+
     def test_usage_errors_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

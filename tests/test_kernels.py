@@ -5,7 +5,6 @@ import pytest
 
 from harmonicdisk.errors import DomainError
 from harmonicdisk.kernels import (
-    KernelId,
     analytic_bergman_kernel,
     poisson_kernel,
     poisson_kernel_series,
@@ -146,20 +145,3 @@ class TestAnalyticBergmanKernel:
             with pytest.raises(DomainError):
                 analytic_bergman_kernel(0j, 0j, alpha)
 
-
-class TestKernelId:
-    def test_valid(self):
-        KernelId("poisson")
-        KernelId("q")
-        KernelId("analytic_bergman", alpha=0.5)
-
-    def test_invalid(self):
-        with pytest.raises(DomainError):
-            KernelId("unknown")
-        with pytest.raises(DomainError):
-            KernelId("analytic_bergman")
-        for alpha in (-1.0, math.inf, math.nan):
-            with pytest.raises(DomainError):
-                KernelId("analytic_bergman", alpha=alpha)
-        with pytest.raises(DomainError):
-            KernelId("poisson", alpha=1.0)

@@ -115,8 +115,8 @@ class TestFigureCatalog:
         for fig_id in (1, 2):
             case = figure_case(fig_id)
             assert (case.boundary, case.source) == (None, None)
-        assert (figure_case(1).kernel.tag, figure_case(1).radii) == ("poisson", (0.5, 0.75, 0.85))
-        assert (figure_case(2).kernel.tag, figure_case(2).radii) == ("q", (0.5, 0.75))
+        assert (figure_case(1).kernel, figure_case(1).radii) == ("poisson", (0.5, 0.75, 0.85))
+        assert (figure_case(2).kernel, figure_case(2).radii) == ("q", (0.5, 0.75))
 
     def test_paired_figures(self):
         both = {i for i in range(1, 16)
@@ -233,19 +233,11 @@ CONFIG_TEXTS = [
 ]
 
 
-# Test ids of the seven boundary documents: the ids the suite has always
-# reported for these cases, so that a run's results compare with earlier runs.
-BOUNDARY_CLASS_NAMES = {
-    "char_arc": "CharacteristicArc", "abs_theta": "AbsTheta",
-    "theta_squared_on_arc": "ThetaSquaredOnArc", "sin_on_arc": "SinOnArc",
-    "abs_log_abs_on_arc": "AbsLogAbsOnArc", "cos": "Cosine", "one": "ConstantOne",
-}
-
-
+# a case's id is its class, but the seven boundary documents share one,
+# OnArc, and are told apart by their JSON type
 @pytest.mark.parametrize("obj, text", CONFIG_TEXTS,
-                         ids=[BOUNDARY_CLASS_NAMES.get(obj.to_config()["type"],
-                                                       type(obj).__name__)
-                              for obj, _ in CONFIG_TEXTS])
+                         ids=[obj.to_config()["type"] if isinstance(obj, OnArc)
+                              else type(obj).__name__ for obj, _ in CONFIG_TEXTS])
 def test_config_text_is_pinned(obj, text):
     assert serialize_config(obj) == text
     assert parse_source_config(text) == obj
@@ -419,14 +411,14 @@ class TestDeclaredBreaks:
         assert [p.rect.theta_lo for p in pieces] == [-PI, 0.0, -PI, -1.0, 0.0, 1.0]
         assert [p.log_end for p in pieces] == [None, None, None, 0.0, 0.0, None]
         assert [p.coef for p in pieces] == [2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
-        arcs = BoundarySum(((2.0, OnArc(AbsPhi())), (-0.5, OnArc(AbsLogAbsPhi(), 0.0, PI)))).arcs()
+        arcs = BoundarySum(((2.0, OnArc(AbsPhi())), (-0.5, OnArc(AbsLogAbsPhi(), 0.0, PI)))).pieces()
         assert [arc.log_end for arc in arcs] == [None, None, 0.0, None]
         assert [arc.coef for arc in arcs] == [2.0, 2.0, -0.5, -0.5]
         assert [arc.factors for arc in arcs] == [(RadialOne(), AbsPhi())] * 2 + [
             (RadialOne(), AbsLogAbsPhi())] * 2
 
     def test_log_arc_splits_at_declared_breaks(self):
-        arcs = OnArc(AbsLogAbsPhi(), -2.0, 2.0).arcs()
+        arcs = OnArc(AbsLogAbsPhi(), -2.0, 2.0).pieces()
         assert [(arc.lo, arc.hi) for arc in arcs] == [(-2.0, -1.0), (-1.0, 0.0), (0.0, 1.0), (1.0, 2.0)]
         assert [arc.log_end for arc in arcs] == [None, 0.0, 0.0, None]
         assert AbsLogAbsPhi.breaks == (-1.0, 0.0, 1.0)

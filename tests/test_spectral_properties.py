@@ -1,10 +1,11 @@
 """Property tests of the spectral grid path on random catalog-shaped
-regular sources: the area transform is linear in the source and
-equivariant under rotation by a grid step.  Also of the closed-form
-transform of a rectangle indicator, the exact reference of ``verify``."""
+regular sources and boundary data: the area transform and the Poisson
+integral are linear in their data and equivariant under rotation by a grid
+step.  Also of the closed-form transform of a rectangle indicator, the
+exact reference of ``verify``."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
@@ -12,23 +13,24 @@ from hypothesis import given, settings, strategies as st
 
 from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
 from harmonicdisk.sources import (
+    AbsLogAbsPhi,
     AbsPhi,
     AngularCos,
     AngularOne,
     AngularSin,
+    BoundarySum,
     CharacteristicRect,
     GaussianBump,
+    OnArc,
     PhiSquared,
     RadialOne,
     RhoPower,
     SeparableOnRect,
-    SourceFunction,
-    SourcePiece,
     SourceSum,
 )
 from harmonicdisk import verify
 from harmonicdisk.quadrature import QuadratureSpec
-from harmonicdisk.transforms import q_point, q_transform
+from harmonicdisk.transforms import poisson_integral, q_point, q_transform
 
 PI = math.pi
 GRID = EvaluationGrid.regular(n_r=4, n_theta=16, r_max=0.9)
@@ -59,6 +61,28 @@ atoms = st.one_of(
     st.builds(CharacteristicRect, rects()),
     st.builds(SeparableOnRect, radials, angulars, rects()),
 )
+
+# arc ends on multiples of pi/96, so that an end of |ln|phi|| is its log
+# point 0 or at least pi/96 from it: nearer, the singularity just beyond the
+# end is no declared log end, and the grid rightly takes the adaptive engine
+ends = st.integers(-96, 96).map(lambda j: PI * j / 96)
+arcs = st.tuples(ends, ends).filter(lambda ab: ab[0] < ab[1])
+
+
+def on_arcs(arc_factors):
+    """Every (angular factor, arc) pair that a boundary type names, with
+    the factor on a partial arc one of ``arc_factors``."""
+    return st.one_of(
+        st.builds(OnArc, st.sampled_from([AngularOne(), AbsPhi()])),
+        st.builds(OnArc, st.builds(AngularCos, st.integers(0, 3))),
+        st.builds(lambda angular, ab: OnArc(angular, *ab), st.sampled_from(arc_factors), arcs),
+    )
+
+
+boundary_atoms = on_arcs([AngularOne(), PhiSquared(), AngularSin(1), AbsLogAbsPhi()])
+# Rotated evaluates a factor at phi - delta, which rounds the graded nodes
+# next to a log point onto it (|ln 0| = inf), so no log factor is turned
+turnable_boundary_atoms = on_arcs([AngularOne(), PhiSquared(), AngularSin(1)])
 coefs = st.floats(-2.0, 2.0)
 
 
@@ -68,51 +92,67 @@ def _rotated_factors(factors, d):
 
 
 @dataclass(frozen=True)
-class Rotated(SourceFunction):
-    """source(rho, phi - delta): every piece, its rectangle and its angular
-    factor turned by delta."""
+class Rotated:
+    """f(rho, phi - delta) of a source or boundary function f: every piece,
+    its angles, its log end and its angular factor turned by delta."""
 
-    source: SourceFunction
+    f: object
     delta: float
 
     def pieces(self):
         d = self.delta
-        return [
-            SourcePiece(
-                p.coef,
-                PolarRectangle(p.rect.r_lo, p.rect.r_hi, p.rect.theta_lo + d, p.rect.theta_hi + d),
-                _rotated_factors(p.factors, d),
-                weight=p.weight,
-            )
-            for p in self.source.pieces()
-        ]
+        return [replace(p, lo=p.lo + d, hi=p.hi + d, factors=_rotated_factors(p.factors, d),
+                        log_end=None if p.log_end is None else p.log_end + d, fn=None)
+                for p in self.f.pieces()]
 
     def to_config(self):
-        return {"type": "rotated", "delta": self.delta, "term": self.source.to_config()}
+        return {"type": "rotated", "delta": self.delta, "term": self.f.to_config()}
 
 
-def spectral(source):
-    fld = q_transform(source, GRID)
+def spectral(f, transform=q_transform):
+    fld = transform(f, GRID)
     assert fld.meta["engine"] == "spectral"
     return fld.values
+
+
+def assert_linear(f, g, a, b, weighted_sum, transform):
+    combined = spectral(weighted_sum(((a, f), (b, g))), transform)
+    separate = a * spectral(f, transform) + b * spectral(g, transform)
+    scale = max(1.0, float(np.max(np.abs(combined))), float(np.max(np.abs(separate))))
+    assert np.max(np.abs(combined - separate)) <= 1e-12 * scale
+
+
+def assert_equivariant(f, transform):
+    base = spectral(f, transform)
+    turned = spectral(Rotated(f, STEP), transform)
+    scale = max(1.0, float(np.max(np.abs(base))))
+    assert np.max(np.abs(turned - np.roll(base, 1, axis=1))) <= 1e-12 * scale
 
 
 @PROPERTY
 @given(atoms, atoms, coefs, coefs)
 def test_linear_in_the_source(f, g, a, b):
-    combined = spectral(SourceSum(((a, f), (b, g))))
-    separate = a * spectral(f) + b * spectral(g)
-    scale = max(1.0, float(np.max(np.abs(combined))), float(np.max(np.abs(separate))))
-    assert np.max(np.abs(combined - separate)) <= 1e-12 * scale
+    assert_linear(f, g, a, b, SourceSum, q_transform)
 
 
 @PROPERTY
 @given(atoms)
 def test_equivariant_under_rotation_by_a_grid_step(f):
-    base = spectral(f)
-    turned = spectral(Rotated(f, STEP))
-    scale = max(1.0, float(np.max(np.abs(base))))
-    assert np.max(np.abs(turned - np.roll(base, 1, axis=1))) <= 1e-12 * scale
+    assert_equivariant(f, q_transform)
+
+
+@PROPERTY
+@given(boundary_atoms, boundary_atoms, coefs, coefs)
+def test_poisson_integral_linear_in_the_data(f, g, a, b):
+    assert_linear(f, g, a, b, BoundarySum, poisson_integral)
+
+
+@PROPERTY
+@given(st.one_of(turnable_boundary_atoms,
+                 st.builds(lambda f, g, a, b: BoundarySum(((a, f), (b, g))),
+                           turnable_boundary_atoms, turnable_boundary_atoms, coefs, coefs)))
+def test_poisson_integral_equivariant_under_rotation_by_a_grid_step(f):
+    assert_equivariant(f, poisson_integral)
 
 
 radii = st.floats(0.0, 0.95)

@@ -401,7 +401,7 @@ class TestSpectralDispatch:
         r_max = float(grid.radii[-1])
         full = SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle.full_disk())
         assert _spectral_modes(_Q_SERIES, full.pieces(), r_max) is None
-        assert _spectral_modes(_POISSON_SERIES, OnArc(AngularCos(2)).arcs(), r_max) is None
+        assert _spectral_modes(_POISSON_SERIES, OnArc(AngularCos(2)).pieces(), r_max) is None
         # the cap is on r_max * r_hi, so a small disk stays spectral
         small = _spectral_modes(_Q_SERIES, CharacteristicDisk(0.25).pieces(), r_max)
         assert small is not None and small[0] < 50
@@ -461,7 +461,7 @@ class TestGradedLogEnd:
 
     def test_declared_log_end_takes_spectral_path(self):
         pieces = _q_case(14).source.pieces()
-        arcs = _boundary(14).arcs()
+        arcs = _boundary(14).pieces()
         assert [p.log_end for p in pieces] == [0.0, None]
         assert [a.log_end for a in arcs] == [0.0, None]
         assert all(p.factors is not None for p in pieces)
@@ -476,7 +476,7 @@ class TestGradedLogEnd:
             case = _q_case(14)
             pieces = case.source.pieces()
             return lambda r, t: _q_parts_point(pieces, float(r), float(t), case.prefactor, spec)
-        arcs = _boundary(14).arcs()
+        arcs = _boundary(14).pieces()
         return lambda r, t: _poisson_parts_point(arcs, float(r), float(t), spec)
 
     @pytest.mark.parametrize("kind", ["q", "poisson"])
@@ -729,7 +729,7 @@ class TestSeparableMoments:
 
     def test_arc_angular_moments(self):
         lo, hi = 0.0, PI
-        (arc,) = OnArc(AngularSin(1), lo, hi).arcs()
+        (arc,) = OnArc(AngularSin(1), lo, hi).pieces()
         panels = _angular_panels(lo, hi, self.K, 64, arc.log_end)
         (cos_k, sin_k), _ = _trig_moments(*arc.factors, *_radial_rule(arc.rect, self.K, 1, None),
                                           panels, self.K)
