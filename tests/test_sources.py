@@ -411,7 +411,8 @@ class TestDeclaredBreaks:
         assert [p.rect.theta_lo for p in pieces] == [-PI, 0.0, -PI, -1.0, 0.0, 1.0]
         assert [p.log_end for p in pieces] == [None, None, None, 0.0, 0.0, None]
         assert [p.coef for p in pieces] == [2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
-        arcs = BoundarySum(((2.0, OnArc(AbsPhi())), (-0.5, OnArc(AbsLogAbsPhi(), 0.0, PI)))).pieces()
+        arcs = BoundarySum(((2.0, OnArc(AbsPhi())),
+                            (-0.5, OnArc(AbsLogAbsPhi(), 0.0, PI)))).pieces()
         assert [arc.log_end for arc in arcs] == [None, None, 0.0, None]
         assert [arc.coef for arc in arcs] == [2.0, 2.0, -0.5, -0.5]
         assert [arc.factors for arc in arcs] == [(RadialOne(), AbsPhi())] * 2 + [

@@ -82,12 +82,15 @@ class TestPoissonIntegral:
         assert np.max(np.abs(fld.values - expected)) < 1e-9
 
     def test_arc_mean_value(self):
-        v, _, _ = poisson_point(OnArc(AngularOne(), -PI / 6, PI / 6), 0.0, 0.7, TIGHT)
+        arc = OnArc(AngularOne(), -PI / 6, PI / 6)
+        v, _, _ = poisson_point(arc, 0.0, 0.7, TIGHT)
         assert v == pytest.approx(1.0 / 6.0, abs=1e-9)
+        assert source_mass(arc, TIGHT) == pytest.approx(PI / 3.0, abs=1e-12)
 
     def test_abs_theta_mean_value(self):
         v, _, _ = poisson_point(OnArc(AbsPhi()), 0.0, -2.0, TIGHT)
         assert v == pytest.approx(PI / 2.0, abs=1e-9)
+        assert source_mass(OnArc(AbsPhi()), TIGHT) == pytest.approx(PI**2, abs=1e-12)
 
     def test_harmonic_measure_closed_form(self):
         arc = OnArc(AngularOne(), -PI / 6, PI / 6)
