@@ -10,7 +10,7 @@ class DomainError(HarmonicDiskError):
 
 
 class NonFiniteError(HarmonicDiskError):
-    """An integrand or field value came back NaN or infinite."""
+    """An integrand's rule sum or a field value came back NaN or infinite."""
 
 
 class InvalidRegionError(HarmonicDiskError):

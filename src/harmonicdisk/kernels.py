@@ -8,6 +8,8 @@ All three evaluators are pure functions, accept scalars or numpy arrays
 
 which stays accurate as s -> 1, psi -> 0 where the kernels peak and the
 naive expression cancels catastrophically.
+
+A radius s (r, or r*rho) outside 0 <= s < 1, NaN included, raises DomainError.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ def check_alpha(alpha):
 
 def _check_unit_interval(x, name):
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr >= 1.0):
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):
         raise DomainError(f"{name} must satisfy 0 <= {name} < 1")
     return arr
 
@@ -81,11 +83,8 @@ def poisson_kernel_series(r, theta, n_terms: int = 400):
     r_arr = _check_unit_interval(r, "r")
     theta_arr = np.asarray(theta, dtype=float)
     k = np.arange(1, n_terms + 1)
-    shape = np.broadcast_shapes(r_arr.shape, theta_arr.shape)
-    terms = (
-        np.broadcast_to(r_arr, shape)[..., None] ** k
-        * np.cos(np.broadcast_to(theta_arr, shape)[..., None] * k)
-    )
+    # powers on r's shape and cosines on theta's; only the product broadcasts
+    terms = r_arr[..., None] ** k * np.cos(theta_arr[..., None] * k)
     value = 1.0 + 2.0 * terms.sum(axis=-1)
     if np.isscalar(r) and np.isscalar(theta):
         return float(value)

@@ -10,6 +10,9 @@ radius first), and the same adaptive loop refines both.
 * Integrands must accept numpy arrays and broadcast: 2-D integrands are
   called with a column of radii and a row of angles and must return the
   (n_r, n_phi) tensor of values.
+* Finiteness is checked on each rule's weighted sum: a NaN or inf value at
+  any node makes it non-finite (the weights and rho are positive), and so
+  do finite values whose sum overflows; either raises ``NonFiniteError``.
 * Per-panel error = |G_n - G_2n| (same rule at doubled node counts).  A
   panel is accepted when that difference drops below the absolute
   per-panel tolerance or at ``max_depth``; otherwise it is bisected.  A
@@ -142,24 +145,28 @@ def _angular_rule(lo: float, hi: float, n: int, end: float | None):
     return end + offsets, weights
 
 
-def _finite_values(raw, shape, panel):
-    values = np.broadcast_to(np.asarray(raw, dtype=float), shape)
-    if not np.all(np.isfinite(values)):
+def _values(raw, shape):
+    """The integrand's values as floats, broadcast only if it returned fewer."""
+    values = np.asarray(raw, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
+def _panel_rule(integrand, panel, radial, angular):
+    """One Gauss rule over a panel of one interval (an angle) or two (a polar
+    rectangle, with the Jacobian rho) from the panel's angular node map and,
+    for a rectangle, its radial one; the rule's weighted sum must be finite."""
+    phi, w_p = angular
+    if radial is None:
+        values = _values(integrand(phi), phi.shape)
+    else:
+        x, w = radial
+        values = _values(integrand(x[:, None], phi[None, :]), (x.size, phi.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum raises below
+        total = float(w_p @ values if radial is None else w @ (values * x[:, None]) @ w_p)
+    if not math.isfinite(total):
         bounds = "x".join(f"[{lo},{hi}]" for lo, hi in panel)
         raise NonFiniteError(f"integrand returned NaN/inf on panel {bounds}")
-    return values
-
-
-def _panel_rule(integrand, panel, counts, weight, end):
-    """One Gauss rule over a panel of one interval (an angle) or two (a polar
-    rectangle, with the Jacobian rho and the radial ``weight``),
-    the angle graded towards ``end`` on a panel that ends there."""
-    phi, w_p = _angular_rule(*panel[-1], counts[-1], end)
-    if len(panel) == 1:
-        return float(w_p @ _finite_values(integrand(phi), phi.shape, panel))
-    x, w = _map_nodes(*panel[0], counts[0], weight)
-    values = _finite_values(integrand(x[:, None], phi[None, :]), (x.size, phi.size), panel)
-    return float(w @ (values * x[:, None]) @ w_p)
+    return total
 
 
 def _adaptive(integrand, panel, spec, weight=None, end=None):
@@ -172,16 +179,18 @@ def _adaptive(integrand, panel, spec, weight=None, end=None):
     lo, hi = panel[-1]
     if end is not None and end not in (lo, hi):
         raise InvalidRegionError(f"graded end {end} is not an end of [{lo}, {hi}]")
-    counts = (spec.nodes_radial, spec.nodes_angular)[-len(panel):]
-    fine_counts = tuple(2 * n for n in counts)
+    n_r, n_p = spec.nodes_radial, spec.nodes_angular
     stack = [(panel, 0)]
     values = []
     errors = []
     all_converged = True
     while stack:
         panel, depth = stack.pop()
-        coarse = _panel_rule(integrand, panel, counts, weight, end)
-        fine = _panel_rule(integrand, panel, fine_counts, weight, end)
+        phi, phi2 = (_angular_rule(*panel[-1], n, end) for n in (n_p, 2 * n_p))
+        x, x2 = (None, None) if len(panel) == 1 else (
+            _map_nodes(*panel[0], n, weight) for n in (n_r, 2 * n_r))
+        coarse = _panel_rule(integrand, panel, x, phi)
+        fine = _panel_rule(integrand, panel, x2, phi2)
         err = abs(fine - coarse)
         if err <= spec.adaptive_tol or depth >= spec.max_depth:
             values.append(fine)
@@ -195,9 +204,8 @@ def _adaptive(integrand, panel, spec, weight=None, end=None):
         # as r*rho -> 1.
         axis = len(panel) - 1
         if axis == 1:
-            n_r, n_p = counts
-            move_r = abs(_panel_rule(integrand, panel, (2 * n_r, n_p), weight, end) - coarse)
-            move_p = abs(_panel_rule(integrand, panel, (n_r, 2 * n_p), weight, end) - coarse)
+            move_r = abs(_panel_rule(integrand, panel, x2, phi) - coarse)
+            move_p = abs(_panel_rule(integrand, panel, x, phi2) - coarse)
             if move_p < move_r:
                 axis = 0
         lo, hi = panel[axis]
@@ -230,7 +238,8 @@ def integrate_polar(
     ``end``; at a = -1 + 2.2e-16 a moment of 2 comes out as 1.92.  The
     rule's tests cover a in [-0.999, 0.999].  Sources keep beta < 1/2 in
     (1 - rho)^(-beta), so their exponents, -beta and -2 beta for |f|^2,
-    stay well above -1."""
+    stay well above -1.  A rule's weighted sum that is not finite, from a
+    NaN or inf value or from finite values that overflow, raises NonFiniteError."""
     spec = spec or QuadratureSpec()
     if weight is not None and not weight[1] > -1.0:
         raise InvalidExponentError(f"weight exponent must exceed -1, got {weight[1]}")
@@ -249,7 +258,8 @@ def integrate_angular(
 ):
     """1-D adaptive Gauss-Legendre over an angular interval (no Jacobian),
     used for circle integrals; ``spec.nodes_angular`` sets the node count.
-    ``graded_end`` (lo or hi) grades the angle towards that end."""
+    ``graded_end`` (lo or hi) grades the angle towards that end.  A rule's
+    weighted sum must be finite, as in ``integrate_polar``."""
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise InvalidRegionError(f"need lo < hi, got [{lo}, {hi}]")

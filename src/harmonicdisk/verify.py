@@ -470,7 +470,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
             note="min over psi must be negative for every s >= 0.8")
 
     rs9 = np.linspace(0.0, 0.9, 19)[:, None]
-    series = _kernels.poisson_kernel_series(np.broadcast_to(rs9, (19, 41)), thetas, n_terms=400)
+    series = _kernels.poisson_kernel_series(rs9, thetas, n_terms=400)
     _record(records, "kernels.poisson.series",
             np.max(np.abs(series - _kernels.poisson_kernel(rs9, thetas))), 1e-10)
 
@@ -531,13 +531,14 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
 
     worst = 0.0
     q_cases = catalog_q_sources()
+    points = ((0.6, 0.5), (0.85, -0.2), (0.0, 0.0), (0.3, 2.8), (0.95, 0.5),
+              (0.95, 2.8), (0.99, 0.0), (0.999, 0.3), (0.999, 2.9))
     for fig_id in (4, 5, 9):
         q_case = q_cases[fig_id]
-        for r, theta in ((0.6, 0.5), (0.85, -0.2), (0.0, 0.0), (0.3, 2.8), (0.95, 0.5),
-                         (0.95, 2.8), (0.99, 0.0), (0.999, 0.3), (0.999, 2.9)):
+        exacts = q_case.prefactor * _indicator_q(q_case.source, *np.transpose(points))
+        for (r, theta), exact in zip(points, exacts.tolist()):
             value, err, _ = q_point(q_case.source, r, theta, q_case.prefactor, quad,
                                     allow_near_boundary=True)
-            exact = q_case.prefactor * float(_indicator_q(q_case.source, r, theta))
             worst = max(worst, abs(value - exact) / (err + 1e-12 * max(1.0, abs(exact))))
     _record(records, "quadrature.oracle_agreement", worst, 1.0,
             note="adaptive vs the closed-form transform of the indicators of figs 4, 5 "

@@ -117,6 +117,17 @@ class TestQKernel:
         assert q_kernel(s, 0.0) == pytest.approx(1.0 / (1.0 - s) ** 2, rel=1e-10)
 
 
+@pytest.mark.parametrize("kernel", [poisson_kernel, q_kernel, poisson_kernel_series])
+class TestUnitIntervalCheck:
+    @pytest.mark.parametrize("s", [math.nan, np.array([0.2, np.nan]), np.array([[0.5], [np.nan]])])
+    def test_nan_is_refused(self, kernel, s):
+        with pytest.raises(DomainError):
+            kernel(s, 0.3)
+
+    def test_empty_radii_pass(self, kernel):
+        assert kernel(np.empty(0), 0.3).shape == (0,)
+
+
 class TestAnalyticBergmanKernel:
     def test_center_value(self):
         assert analytic_bergman_kernel(0j, 0j, 0.0) == pytest.approx(1.0 / PI, abs=1e-15)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,36 @@ class TestIntegratePolar:
 
         with pytest.raises(NonFiniteError):
             integrate_polar(bad, DISK)
+
+    def test_inf_at_one_node_raises(self):
+        def bad(rho, phi):
+            values = np.ones((rho.size, phi.size))
+            values[2, 5] = np.inf
+            return values
+
+        with pytest.raises(NonFiniteError):
+            integrate_polar(bad, DISK)
+
+    def test_opposite_infinities_raise(self):
+        # +inf and -inf at two nodes sum to NaN
+        def bad(rho, phi):
+            values = np.ones((rho.size, phi.size))
+            values[1, 1], values[2, 2] = np.inf, -np.inf
+            return values
+
+        with pytest.raises(NonFiniteError):
+            integrate_polar(bad, DISK)
+
+    def test_error_names_the_panel(self):
+        with pytest.raises(NonFiniteError, match=re.escape("panel [0.25,0.75]x[-1.0,0.5]")):
+            integrate_polar(lambda rho, phi: np.where(phi > 0.0, np.nan, rho + phi),
+                            PolarRectangle(0.25, 0.75, -1.0, 0.5))
+
+    def test_overflowing_sum_raises(self):
+        # finite values whose weighted sum overflows: the sum is what is checked
+        big = lambda rho, phi: np.full(np.broadcast_shapes(rho.shape, phi.shape), 1e308)
+        with pytest.raises(NonFiniteError):
+            integrate_polar(big, PolarRectangle(0.0, 1.0, -3.0, 3.0))
 
     def test_unconverged_flagged(self):
         spec = QuadratureSpec(nodes_radial=2, nodes_angular=2, adaptive_tol=1e-14, max_depth=1)
@@ -263,6 +294,19 @@ class TestIntegrateAngular:
         with pytest.raises(InvalidRegionError):
             integrate_angular(lambda t: t, 1.0, 1.0)
 
+    def test_nan_at_one_node_raises(self):
+        def bad(phi):
+            values = np.ones_like(phi)
+            values[3] = np.nan
+            return values
+
+        with pytest.raises(NonFiniteError, match=re.escape("panel [-1.0,1.0]")):
+            integrate_angular(bad, -1.0, 1.0)
+
+    def test_overflowing_sum_raises(self):
+        with pytest.raises(NonFiniteError):
+            integrate_angular(lambda t: np.full_like(t, 1e308), -3.0, 3.0)
+
 
 def abs_log(phi):
     return np.abs(np.log(np.abs(phi)))
@@ -332,6 +376,33 @@ class TestGradedEnd:
             integrate_angular(abs_log, 0.0, 1.0, graded_end=0.5)
         with pytest.raises(InvalidRegionError):
             integrate_polar(ones, PolarRectangle(0.0, 1.0, 0.0, 1.0), graded_end=-1.0)
+
+
+class TestPanelTree:
+    """The panel count, convergence and value of three integrands whose
+    trees split: a coarse rule, fine rule or split probe that took the wrong
+    node map would change the tree.  Values are pinned to 4 ulp, not bits,
+    as numpy's and the CPU's rounding may differ."""
+
+    @pytest.mark.parametrize("integral, panels, value", [
+        # splits on both axes
+        (lambda: integrate_polar(lambda rho, phi: q_kernel(0.95 * rho, 0.4 - phi), DISK,
+                                 QuadratureSpec(nodes_radial=8, nodes_angular=16)),
+         17, 3.1415926535897944),
+        # a graded log end and a kink at 0.3
+        (lambda: integrate_angular(lambda t: abs_log(t) * np.abs(t - 0.3), 0.0, 1.0,
+                                   graded_end=0.0),
+         9, 0.19335755235595897),
+        # Gauss-Jacobi panels at rho = 1, split on both axes
+        (lambda: integrate_polar(lambda rho, phi: q_kernel(0.99 * rho, 0.2 - phi),
+                                 PolarRectangle(0.5, 1.0, 0.0, 1.0), weight=(1.0, -0.3)),
+         7, 4.634636710830343),
+    ])
+    def test_tree_is_pinned(self, integral, panels, value):
+        res = integral()
+        assert res.panels_used == panels
+        assert res.converged
+        assert abs(res.value - value) <= 4 * math.ulp(value)
 
 
 class TestSpecValidation:
