@@ -81,20 +81,13 @@ class TestIntegratePolar:
         with pytest.raises(NonFiniteError):
             integrate_polar(bad, DISK)
 
-    def test_inf_at_one_node_raises(self):
+    # +inf at one node, and a +inf/-inf pair whose sum is NaN
+    @pytest.mark.parametrize("bad_nodes", [{(2, 5): np.inf}, {(1, 1): np.inf, (2, 2): -np.inf}])
+    def test_infinite_nodes_raise(self, bad_nodes):
         def bad(rho, phi):
             values = np.ones((rho.size, phi.size))
-            values[2, 5] = np.inf
-            return values
-
-        with pytest.raises(NonFiniteError):
-            integrate_polar(bad, DISK)
-
-    def test_opposite_infinities_raise(self):
-        # +inf and -inf at two nodes sum to NaN
-        def bad(rho, phi):
-            values = np.ones((rho.size, phi.size))
-            values[1, 1], values[2, 2] = np.inf, -np.inf
+            for node, value in bad_nodes.items():
+                values[node] = value
             return values
 
         with pytest.raises(NonFiniteError):
