@@ -165,7 +165,8 @@ def _panel_rule(integrand, panel, radial, angular):
         total = float(w_p @ values if radial is None else w @ (values * x[:, None]) @ w_p)
     if not math.isfinite(total):
         bounds = "x".join(f"[{lo},{hi}]" for lo, hi in panel)
-        raise NonFiniteError(f"integrand returned NaN/inf on panel {bounds}")
+        raise NonFiniteError(f"rule sum not finite on panel {bounds}: the integrand "
+                             "returned NaN/inf, or its weighted sum overflowed")
     return total
 
 

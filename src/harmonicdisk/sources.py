@@ -30,19 +30,28 @@ The grid transforms take one radial times one angular moment per mode,
 so only a callable source, whose piece has no factors, is left to
 adaptive quadrature alone.
 
-Everything is immutable after construction and serializes to a small
-JSON document (see :func:`parse_source_config`).
+A disk source is a :class:`SeparableOnRect`, radial(rho) * angular(phi) on
+a polar rectangle, or a weighted sum of such (SourceSum); the indicator of
+a disk or a rectangle is the one with the factors ``_INDICATOR`` (one,
+one).  Everything is immutable after construction and serializes to a
+small JSON document (see :func:`parse_source_config`).  The JSON types
+``char_disk``, ``char_rect`` and ``separable`` all parse to SeparableOnRect,
+which writes ``char_disk`` for the indicator of [0, r] x [-pi, pi],
+``char_rect`` for any other indicator and ``separable`` otherwise.  The
+JSON names of the factors are one table per family, ``_RADIAL_FACTORS``
+and ``_ANGULAR_FACTORS``, and a factor's document follows from its fields.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .errors import (
+    InvalidRegionError,
     SourceParseError,
     SourceValidationError,
     UnknownFigureError,
@@ -76,17 +85,14 @@ class PowerOfOneMinusRho:
     def __call__(self, rho):
         return (1.0 - np.asarray(rho, dtype=float)) ** (-self.beta)
 
-    def to_config(self):
-        return {"pow_one_minus_rho": self.beta}
-
 
 @dataclass(frozen=True)
 class RhoPower:
     k: float
 
     def __post_init__(self):
-        if self.k < 0:
-            raise SourceValidationError(f"rho power must be >= 0, got {self.k}")
+        if not 0.0 <= self.k < math.inf:
+            raise SourceValidationError(f"rho power must be finite and >= 0, got {self.k}")
 
     @property
     def weight(self):
@@ -95,9 +101,6 @@ class RhoPower:
 
     def __call__(self, rho):
         return np.asarray(rho, dtype=float) ** self.k
-
-    def to_config(self):
-        return {"rho_power": self.k}
 
 
 @dataclass(frozen=True)
@@ -110,15 +113,14 @@ class GaussianBump:
     weight = None
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise SourceValidationError(f"bump width must be positive, got {self.width}")
+        if not (0.0 < self.width < math.inf and math.isfinite(self.amp)
+                and math.isfinite(self.center)):
+            raise SourceValidationError(
+                f"bump needs a finite amp and center and a finite width > 0, got {self}")
 
     def __call__(self, rho):
         d = np.asarray(rho, dtype=float) - self.center
         return self.amp * np.exp(-self.width * d * d)
-
-    def to_config(self):
-        return {"gaussian_bump": {"amp": self.amp, "center": self.center, "width": self.width}}
 
 
 @dataclass(frozen=True)
@@ -128,9 +130,6 @@ class RadialOne:
     def __call__(self, rho):
         return np.ones(np.shape(rho))
 
-    def to_config(self):
-        return "one"
-
 
 @dataclass(frozen=True)
 class AngularCos:
@@ -139,14 +138,11 @@ class AngularCos:
     log_points = ()
 
     def __post_init__(self):
-        if self.n < 0:
+        if not self.n >= 0:
             raise SourceValidationError(f"cosine order must be >= 0, got {self.n}")
 
     def __call__(self, phi):
         return np.cos(self.n * np.asarray(phi, dtype=float))
-
-    def to_config(self):
-        return {"cos": self.n}
 
 
 @dataclass(frozen=True)
@@ -156,14 +152,11 @@ class AngularSin:
     log_points = ()
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.n >= 1:
             raise SourceValidationError(f"sine order must be >= 1, got {self.n}")
 
     def __call__(self, phi):
         return np.sin(self.n * np.asarray(phi, dtype=float))
-
-    def to_config(self):
-        return {"sin": self.n}
 
 
 @dataclass(frozen=True)
@@ -174,9 +167,6 @@ class AbsPhi:
     def __call__(self, phi):
         return np.abs(np.asarray(phi, dtype=float))
 
-    def to_config(self):
-        return "abs_phi"
-
 
 @dataclass(frozen=True)
 class PhiSquared:
@@ -185,9 +175,6 @@ class PhiSquared:
 
     def __call__(self, phi):
         return np.asarray(phi, dtype=float) ** 2
-
-    def to_config(self):
-        return "phi_squared"
 
 
 @dataclass(frozen=True)
@@ -202,9 +189,6 @@ class AbsLogAbsPhi:
         with np.errstate(divide="ignore"):
             return np.abs(np.log(a))
 
-    def to_config(self):
-        return "abs_log_abs_phi"
-
 
 @dataclass(frozen=True)
 class AngularOne:
@@ -213,9 +197,6 @@ class AngularOne:
 
     def __call__(self, phi):
         return np.ones(np.shape(phi))
-
-    def to_config(self):
-        return "one"
 
 
 _INDICATOR = (RadialOne(), AngularOne())  # the factors of a disk or rectangle indicator
@@ -279,6 +260,9 @@ class _WeightedSum:
     def __post_init__(self):
         if not self.terms:
             raise SourceValidationError("weighted sum needs at least one term")
+        if not all(math.isfinite(coef) for coef, _ in self.terms):
+            raise SourceValidationError(f"weighted sum coefficients must be finite, got "
+                                        f"{[coef for coef, _ in self.terms]}")
 
     def pieces(self):
         return [replace(p, coef=coef * p.coef) for coef, term in self.terms for p in term.pieces()]
@@ -369,47 +353,10 @@ class SourceFunction:
 
 
 @dataclass(frozen=True)
-class CharacteristicDisk(SourceFunction):
-    radius: float
-
-    def __post_init__(self):
-        if not 0.0 < self.radius <= 1.0:
-            raise SourceValidationError(f"disk radius must lie in (0, 1], got {self.radius}")
-
-    def values(self, rho, phi):
-        r = np.asarray(rho, dtype=float)
-        inside = (r <= self.radius).astype(float)
-        return np.broadcast_to(inside, np.broadcast_shapes(np.shape(rho), np.shape(phi))).copy()
-
-    def pieces(self):
-        return [SourcePiece(1.0, -_PI, _PI, _INDICATOR, (0.0, self.radius))]
-
-    def to_config(self):
-        return {"type": "char_disk", "radius": self.radius}
-
-
-@dataclass(frozen=True)
-class CharacteristicRect(SourceFunction):
-    rect: PolarRectangle
-
-    def values(self, rho, phi):
-        return self.rect.contains(rho, phi).astype(float)
-
-    def pieces(self):
-        rect = self.rect
-        return [SourcePiece(1.0, rect.theta_lo, rect.theta_hi, _INDICATOR,
-                            (rect.r_lo, rect.r_hi))]
-
-    def to_config(self):
-        return {
-            "type": "char_rect",
-            "r": [self.rect.r_lo, self.rect.r_hi],
-            "theta": [self.rect.theta_lo, self.rect.theta_hi],
-        }
-
-
-@dataclass(frozen=True)
 class SeparableOnRect(SourceFunction):
+    """radial(rho) * angular(phi) on the polar rectangle ``rect``, zero
+    elsewhere; with the factors ``_INDICATOR`` the indicator of ``rect``."""
+
     radial: object
     angular: object
     rect: PolarRectangle
@@ -431,15 +378,21 @@ class SeparableOnRect(SourceFunction):
                 for a, b, end in _split_at_breaks(angular, rect.theta_lo, rect.theta_hi)]
 
     def to_config(self):
-        return {
-            "type": "separable",
-            "radial": self.radial.to_config(),
-            "angular": self.angular.to_config(),
-            "rect": {
-                "r": [self.rect.r_lo, self.rect.r_hi],
-                "theta": [self.rect.theta_lo, self.rect.theta_hi],
-            },
-        }
+        """``char_disk`` for the indicator of [0, r] x [-pi, pi], ``char_rect``
+        for any other indicator, ``separable`` otherwise."""
+        r, theta = [self.rect.r_lo, self.rect.r_hi], [self.rect.theta_lo, self.rect.theta_hi]
+        if (self.radial, self.angular) != _INDICATOR:
+            return {"type": "separable", "radial": _factor_doc(self.radial, _RADIAL_FACTORS),
+                    "angular": _factor_doc(self.angular, _ANGULAR_FACTORS),
+                    "rect": {"r": r, "theta": theta}}
+        if r[0] == 0.0 and theta == [-_PI, _PI]:
+            return {"type": "char_disk", "radius": r[1]}
+        return {"type": "char_rect", "r": r, "theta": theta}
+
+
+def _indicator(rect):
+    """The indicator of the polar rectangle ``rect``."""
+    return SeparableOnRect(*_INDICATOR, rect)
 
 
 class SourceSum(_WeightedSum, SourceFunction):
@@ -466,11 +419,28 @@ _BOUNDARY_TYPES = {
     "sin_on_arc": (AngularSin(1), True),
     "abs_log_abs_on_arc": (AbsLogAbsPhi(), True),
 }
-_ANGULAR_NAMES = {"abs_phi": AbsPhi, "phi_squared": PhiSquared,
-                  "abs_log_abs_phi": AbsLogAbsPhi, "one": AngularOne}
+# The JSON names of the factors of separable sources, one table per family:
+# name -> class.  A factor's document follows from its dataclass fields: its
+# bare name without fields, {name: value} with one, {name: {field: value}}
+# with more.  Both _parse_factor and _factor_doc read these tables.
+_RADIAL_FACTORS = {"one": RadialOne, "rho_power": RhoPower,
+                   "pow_one_minus_rho": PowerOfOneMinusRho, "gaussian_bump": GaussianBump}
+_ANGULAR_FACTORS = {"one": AngularOne, "cos": AngularCos, "sin": AngularSin,
+                    "abs_phi": AbsPhi, "phi_squared": PhiSquared,
+                    "abs_log_abs_phi": AbsLogAbsPhi}
+
+
+def _factor_doc(factor, table):
+    name = next(key for key, cls in table.items() if type(factor) is cls)
+    values = asdict(factor)
+    if not values:
+        return name
+    return {name: values if len(values) > 1 else next(iter(values.values()))}
 
 
 def _require_keys(doc, keys, context):
+    if not isinstance(doc, dict):
+        raise SourceParseError(f"{context}: expected an object with the fields {list(keys)}")
     extra = set(doc) - set(keys)
     missing = {k for k in keys if k not in doc}
     if extra:
@@ -479,78 +449,77 @@ def _require_keys(doc, keys, context):
         raise SourceParseError(f"{context}: missing field(s) {sorted(missing)}")
 
 
+def _number(value, context, integer=False):
+    """A numeric field as a float, or as an int where ``integer``; anything
+    else, and an order that is not an integer, is a SourceParseError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise SourceParseError(f"{context}: expected a number, got {value!r}") from exc
+    if integer and not x.is_integer():
+        raise SourceParseError(f"{context}: expected an integer, got {value!r}")
+    return int(x) if integer else x
+
+
 def _parse_pair(value, context):
     if (not isinstance(value, (list, tuple))) or len(value) != 2:
         raise SourceParseError(f"{context}: expected a pair [lo, hi], got {value!r}")
-    try:
-        return float(value[0]), float(value[1])
-    except (TypeError, ValueError) as exc:
-        raise SourceParseError(f"{context}: non-numeric bounds {value!r}") from exc
+    return _number(value[0], context), _number(value[1], context)
 
 
 def _parse_rect(doc, context):
-    if not isinstance(doc, dict):
-        raise SourceParseError(f"{context}: rect must be an object with 'r' and 'theta'")
     _require_keys(doc, ("r", "theta"), context)
     r_lo, r_hi = _parse_pair(doc["r"], f"{context}.r")
     t_lo, t_hi = _parse_pair(doc["theta"], f"{context}.theta")
     try:
         return PolarRectangle(r_lo, r_hi, t_lo, t_hi)
-    except Exception as exc:
+    except InvalidRegionError as exc:
         raise SourceValidationError(f"{context}: {exc}") from exc
 
 
-def _parse_radial(doc, context):
-    if doc == "one":
-        return RadialOne()
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise SourceParseError(f"{context}: radial factor must be 'one' or a single-key object")
-    key, val = next(iter(doc.items()))
-    if key == "pow_one_minus_rho":
-        return PowerOfOneMinusRho(float(val))
-    if key == "rho_power":
-        return RhoPower(float(val))
-    if key == "gaussian_bump":
-        _require_keys(val, ("amp", "center", "width"), f"{context}.gaussian_bump")
-        return GaussianBump(float(val["amp"]), float(val["center"]), float(val["width"]))
-    raise SourceParseError(f"{context}: unknown radial factor {key!r}")
-
-
-def _parse_angular(doc, context):
-    if isinstance(doc, str):
-        if doc in _ANGULAR_NAMES:
-            return _ANGULAR_NAMES[doc]()
-        raise SourceParseError(f"{context}: unknown angular factor {doc!r}")
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise SourceParseError(f"{context}: angular factor must be a name or single-key object")
-    key, val = next(iter(doc.items()))
-    if key == "cos":
-        return AngularCos(int(val))
-    if key == "sin":
-        return AngularSin(int(val))
-    raise SourceParseError(f"{context}: unknown angular factor {key!r}")
+def _parse_factor(doc, table, context):
+    """The factor of ``table`` that a document names (see _factor_doc)."""
+    if isinstance(doc, dict) and len(doc) == 1:
+        [(name, value)] = doc.items()
+    elif isinstance(doc, str):
+        name, value = doc, None
+    else:
+        raise SourceParseError(f"{context}: expected a factor name or a single-key object")
+    if name not in table:
+        raise SourceParseError(f"{context}: unknown factor {name!r}")
+    fs = fields(table[name])
+    if isinstance(doc, str) != (not fs):
+        raise SourceParseError(
+            f"{context}: factor {name!r} takes the fields {[f.name for f in fs]}")
+    if len(fs) > 1:
+        _require_keys(value, [f.name for f in fs], f"{context}.{name}")
+        value = [value[f.name] for f in fs]
+    else:
+        value = [value]  # the one field's value; zip drops it for a factor without fields
+    # the annotations are strings (postponed evaluation): an "int" field is an order
+    return table[name](*(_number(v, f"{context}.{name}", f.type == "int")
+                         for f, v in zip(fs, value)))
 
 
 def _parse_doc(doc, context="source"):
     if not isinstance(doc, dict):
         raise SourceParseError(f"{context}: expected an object, got {type(doc).__name__}")
-    if "type" not in doc:
-        raise SourceParseError(f"{context}: missing 'type' field")
-    kind = doc["type"]
+    kind = doc.get("type")
+    if not isinstance(kind, str):
+        raise SourceParseError(f"{context}: expected a 'type' name, got {kind!r}")
 
     if kind == "char_disk":
         _require_keys(doc, ("type", "radius"), context)
-        return CharacteristicDisk(float(doc["radius"]))
+        radius = _number(doc["radius"], f"{context}.radius")
+        return _indicator(_parse_rect({"r": [0.0, radius], "theta": [-_PI, _PI]}, context))
     if kind == "char_rect":
         _require_keys(doc, ("type", "r", "theta"), context)
-        return CharacteristicRect(
-            _parse_rect({"r": doc["r"], "theta": doc["theta"]}, context)
-        )
+        return _indicator(_parse_rect({"r": doc["r"], "theta": doc["theta"]}, context))
     if kind == "separable":
         _require_keys(doc, ("type", "radial", "angular", "rect"), context)
         return SeparableOnRect(
-            _parse_radial(doc["radial"], f"{context}.radial"),
-            _parse_angular(doc["angular"], f"{context}.angular"),
+            _parse_factor(doc["radial"], _RADIAL_FACTORS, f"{context}.radial"),
+            _parse_factor(doc["angular"], _ANGULAR_FACTORS, f"{context}.angular"),
             _parse_rect(doc["rect"], f"{context}.rect"),
         )
     if kind in _BOUNDARY_TYPES:
@@ -560,7 +529,7 @@ def _parse_doc(doc, context="source"):
             return OnArc(factor, *_parse_pair(doc["arc"], f"{context}.arc"))
         if factor is AngularCos:
             _require_keys(doc, ("type", "n"), context)
-            return OnArc(AngularCos(int(doc["n"])))
+            return OnArc(AngularCos(_number(doc["n"], f"{context}.n", integer=True)))
         _require_keys(doc, ("type",), context)
         return OnArc(factor)
     if kind == "weighted_sum":
@@ -569,12 +538,9 @@ def _parse_doc(doc, context="source"):
             raise SourceParseError(f"{context}.terms: expected a non-empty list")
         parsed = []
         for i, item in enumerate(doc["terms"]):
-            if not isinstance(item, dict):
-                raise SourceParseError(f"{context}.terms[{i}]: expected an object")
             _require_keys(item, ("coef", "term"), f"{context}.terms[{i}]")
-            parsed.append(
-                (float(item["coef"]), _parse_doc(item["term"], f"{context}.terms[{i}].term"))
-            )
+            parsed.append((_number(item["coef"], f"{context}.terms[{i}].coef"),
+                           _parse_doc(item["term"], f"{context}.terms[{i}].term")))
         kinds = {isinstance(t, SourceFunction) for _, t in parsed}
         if len(kinds) != 1:
             raise SourceValidationError(
@@ -590,9 +556,10 @@ def parse_source_config(text):
     """Parse a JSON config document into a SourceFunction or BoundaryFunction.
 
     Accepts a JSON string or an already-decoded dict.  Raises
-    SourceParseError for malformed documents and SourceValidationError
-    for documents that violate invariants (inverted bounds, beta >= 1/2,
-    bad arcs).
+    SourceParseError for malformed documents (a field that is not a
+    number, an order that is not an integer) and SourceValidationError for
+    documents that violate invariants (inverted bounds, beta >= 1/2, bad
+    arcs, non-finite coefficients).
     """
     if isinstance(text, (str, bytes)):
         try:
@@ -650,8 +617,8 @@ def _build_catalog():
     fig7_second = SeparableOnRect(
         PowerOfOneMinusRho(0.375), AngularCos(1), PolarRectangle(0.875, 1.0, 5 * _PI / 6, _PI)
     )
-    rect_a = CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, _PI / 4))
-    rect_b = CharacteristicRect(PolarRectangle(0.6, 0.8, 5 * _PI / 6, _PI))
+    rect_a = _indicator(PolarRectangle(0.25, 0.5, 0.0, _PI / 4))
+    rect_b = _indicator(PolarRectangle(0.6, 0.8, 5 * _PI / 6, _PI))
     # figures 9 and 11 compare their boundary-layer sources with the boundary
     # data of figures 8 and 10
     fig8_boundary = OnArc(AngularOne(), -_PI / 6, _PI / 6)
@@ -667,7 +634,7 @@ def _build_catalog():
                    source=SeparableOnRect(RhoPower(2), AngularCos(2), PolarRectangle.full_disk()),
                    prefactor=TWO_OVER_PI),
         FigureCase(4, "area transform of the characteristic function of the disk r <= 1/4",
-                   source=CharacteristicDisk(0.25)),
+                   source=_indicator(PolarRectangle(0.0, 0.25, -_PI, _PI))),
         FigureCase(5, "area transform of the sum of two polar-rectangle indicators",
                    source=SourceSum(((1.0, rect_a), (1.0, rect_b)))),
         FigureCase(6, "area transform of cos(phi)/(1-rho)^(1/4) on [3/4,1]x[-pi/6,pi/6]",
@@ -680,7 +647,7 @@ def _build_catalog():
         FigureCase(9, "area transform of the indicator of the boundary layer "
                    "[0.9,1]x[-pi/6,pi/6], scaled by 2/pi",
                    boundary=fig8_boundary,
-                   source=CharacteristicRect(_annulus_rect(-_PI / 6, _PI / 6)),
+                   source=_indicator(_annulus_rect(-_PI / 6, _PI / 6)),
                    prefactor=TWO_OVER_PI),
         FigureCase(10, "boundary integral of |theta|",
                    boundary=fig10_boundary),

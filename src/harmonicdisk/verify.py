@@ -41,10 +41,9 @@ from .quadrature import QuadratureSpec, integrate_angular, integrate_polar
 from .sources import (
     _INDICATOR,
     BoundaryFunction,
-    CharacteristicDisk,
-    CharacteristicRect,
     SourceFunction,
     SourceSum,
+    _indicator,
     catalog_boundary_functions,
     catalog_q_sources,
     figure_case,
@@ -583,8 +582,8 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
         worst = max(worst, abs(v - average))
     _record(records, "transforms.mean_value", worst, 1e-8)
 
-    rect_a = CharacteristicRect(PolarRectangle(0.3, 0.6, -0.4, 0.9))
-    rect_b = CharacteristicRect(PolarRectangle(0.1, 0.8, 1.2, 2.0))
+    rect_a = _indicator(PolarRectangle(0.3, 0.6, -0.4, 0.9))
+    rect_b = _indicator(PolarRectangle(0.1, 0.8, 1.2, 2.0))
     combo = SourceSum(((0.7, rect_a), (-1.3, rect_b)))
     worst = 0.0
     for r, theta in ((0.5, 0.3), (0.8, -2.2)):
@@ -595,7 +594,7 @@ def run_invariant_suite(config: SuiteConfig | None = None) -> SuiteReport:
     _record(records, "transforms.linearity", worst, 1e-10)
 
     delta = 0.35
-    rect_r = CharacteristicRect(PolarRectangle(0.3, 0.6, -0.4 + delta, 0.9 + delta))
+    rect_r = _indicator(PolarRectangle(0.3, 0.6, -0.4 + delta, 0.9 + delta))
     worst = 0.0
     for r, theta in ((0.5, 0.3), (0.75, 1.0)):
         v_rot, _, _ = q_point(rect_r, r, theta + delta, 1.0, quad)
@@ -667,7 +666,7 @@ def _heat_max_error(problem, exact_fn) -> float:
 
 def _heat_suite_records(records):
     """Steady-state solver invariants against the radial closed forms."""
-    unit = CharacteristicDisk(1.0)
+    unit = _indicator(PolarRectangle.full_disk())
     dirichlet = BoundaryCondition("dirichlet_zero")
 
     errs = {n: _heat_max_error(HeatProblem(unit, 1.0, dirichlet, n, 2 * n),
@@ -683,7 +682,7 @@ def _heat_suite_records(records):
             _heat_max_error(HeatProblem(unit, 1.0, robin, 128, 256),
                             lambda r: radial_robin_exact(r, 1.0)), 1e-3)
 
-    bump = CharacteristicDisk(0.25)
+    bump = _indicator(PolarRectangle(0.0, 0.25, -math.pi, math.pi))
     fld = heatlab.solve_steady_state(HeatProblem(bump, 1.0, dirichlet, 64, 128))
     _record(records, "heat.max_principle", float(np.min(fld.values)), -1e-10,
             comparator=">=", note="non-negative source gives non-negative field")

@@ -23,13 +23,12 @@ from harmonicdisk.sources import (
     AngularCos,
     AngularOne,
     AngularSin,
-    CharacteristicDisk,
-    CharacteristicRect,
     GaussianBump,
     OnArc,
     RhoPower,
     SeparableOnRect,
     SourceSum,
+    _indicator,
     catalog_q_sources,
     figure_case,
 )
@@ -99,7 +98,7 @@ def test_criterion_03_plateau_of_disk_indicator():
     """Transform of the r <= 1/4 disk indicator: constant field pi/16
     (0.19635) within 1e-3.  The derived value governs."""
     grid = EvaluationGrid.regular(n_r=20, n_theta=64, r_max=0.9)
-    fld = q_transform(CharacteristicDisk(0.25), grid, 1.0, QuadratureSpec())
+    fld = q_transform(_indicator(PolarRectangle(0.0, 0.25, -PI, PI)), grid, 1.0, QuadratureSpec())
     spread = float(np.max(fld.values) - np.min(fld.values))
     offset = float(np.max(np.abs(fld.values - PI / 16.0)))
     ok = spread <= 1e-3 and offset <= 1e-3
@@ -113,7 +112,7 @@ def test_criterion_04_two_rectangle_peaks():
     grid = EvaluationGrid.regular()  # default 40 x 128, r_max 0.9
     spec = QuadratureSpec()
     rect_only = q_transform(
-        CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, PI / 4)), grid, 1.0, spec
+        _indicator(PolarRectangle(0.25, 0.5, 0.0, PI / 4)), grid, 1.0, spec
     )
     case5 = figure_case(5)
     summed = q_transform(case5.source, grid, case5.prefactor, spec)
@@ -227,7 +226,7 @@ def _random_catalog_shaped_source(rng):
 
     def atom():
         if rng.integers(0, 2) == 0:
-            return CharacteristicRect(rand_rect())
+            return _indicator(rand_rect())
         radial = (
             RhoPower(int(rng.integers(0, 4)))
             if rng.integers(0, 2) == 0
@@ -328,7 +327,7 @@ def test_criterion_10_heat_solver_and_conjecture_reports():
     with observed second-order convergence; the comparison harness yields
     complete reports for the figure-4 and figure-15 sources under both
     boundary conditions.  The physical claim itself is not judged."""
-    unit = CharacteristicDisk(1.0)
+    unit = _indicator(PolarRectangle.full_disk())
     dirichlet = BoundaryCondition("dirichlet_zero")
     errs = {}
     for n in (64, 128):

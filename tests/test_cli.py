@@ -191,6 +191,20 @@ class TestCLI:
             assert exit_info.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("doc", [
+        {"type": "char_disk", "radius": "abc"},
+        {"type": "separable", "radial": "one", "angular": {"cos": 1.5},
+         "rect": {"r": [0.25, 0.5], "theta": [0.0, 1.0]}},
+        {"type": "weighted_sum", "terms": [{"coef": math.nan, "term": {"type": "one"}}]},
+    ], ids=["radius_text", "cos_fractional", "coef_nan"])
+    def test_malformed_numbers_in_a_source_file_exit_2(self, tmp_path, capsys, doc):
+        src = tmp_path / "src.json"
+        src.write_text(json.dumps(doc))
+        command = "poisson" if doc["type"] == "weighted_sum" else "transform"
+        assert main([command, "--source-file", str(src), "--out", str(tmp_path / "x.csv")]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_main_runs_repeatedly_in_one_process(self, tmp_path, capsys):
         """One parser serves every call; each call's options, defaults and
         outputs are its own, also after a usage error."""

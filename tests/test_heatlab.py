@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from harmonicdisk.errors import DomainError, NonFiniteError
-from harmonicdisk.geometry import EvaluationGrid
+from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
 from harmonicdisk.heatlab import (
     BoundaryCondition,
     HeatProblem,
@@ -13,10 +13,11 @@ from harmonicdisk.heatlab import (
     radial_robin_exact,
     solve_steady_state,
 )
-from harmonicdisk.sources import CharacteristicDisk, SourceSum, figure_case
+from harmonicdisk.sources import SourceSum, _indicator, figure_case
 
 PI = math.pi
-UNIT = CharacteristicDisk(1.0)
+UNIT = _indicator(PolarRectangle.full_disk())
+QUARTER = _indicator(PolarRectangle(0.0, 0.25, -PI, PI))  # the disk r <= 1/4
 DIRICHLET = BoundaryCondition("dirichlet_zero")
 ROBIN = BoundaryCondition("robin", 1.0)
 
@@ -115,21 +116,21 @@ class TestSolver:
         assert np.max(np.abs(double.values - base.values / 2.0)) < 1e-10
 
     def test_maximum_principle(self):
-        fld = solve_steady_state(HeatProblem(CharacteristicDisk(0.25), 1.0, DIRICHLET, 64, 128))
+        fld = solve_steady_state(HeatProblem(QUARTER, 1.0, DIRICHLET, 64, 128))
         assert np.min(fld.values) >= -1e-10
 
     def test_linearity(self):
-        bump = CharacteristicDisk(0.25)
-        a = solve_steady_state(HeatProblem(bump, 1.0, DIRICHLET, 32, 64))
+        a = solve_steady_state(HeatProblem(QUARTER, 1.0, DIRICHLET, 32, 64))
         b = solve_steady_state(HeatProblem(UNIT, 1.0, DIRICHLET, 32, 64))
         ab = solve_steady_state(
-            HeatProblem(SourceSum(((1.0, bump), (2.0, UNIT))), 1.0, DIRICHLET, 32, 64)
+            HeatProblem(SourceSum(((1.0, QUARTER), (2.0, UNIT))), 1.0, DIRICHLET, 32, 64)
         )
         assert np.max(np.abs(ab.values - a.values - 2.0 * b.values)) < 1e-8
 
     def test_deterministic(self):
-        a = solve_steady_state(HeatProblem(CharacteristicDisk(0.4), 1.0, DIRICHLET, 32, 64))
-        b = solve_steady_state(HeatProblem(CharacteristicDisk(0.4), 1.0, DIRICHLET, 32, 64))
+        disk = _indicator(PolarRectangle(0.0, 0.4, -PI, PI))
+        a = solve_steady_state(HeatProblem(disk, 1.0, DIRICHLET, 32, 64))
+        b = solve_steady_state(HeatProblem(disk, 1.0, DIRICHLET, 32, 64))
         assert np.array_equal(a.values, b.values)
 
     def test_validation(self):
@@ -166,7 +167,7 @@ class TestConjectureHarness:
         # transform of the small disk indicator is constant; the solver
         # field is not, so this is a low-correlation case by construction
         report, u_fd, u_q = conjecture_run(
-            CharacteristicDisk(0.25), DIRICHLET, mesh=(64, 128), comparison_grid=(8, 16)
+            QUARTER, DIRICHLET, mesh=(64, 128), comparison_grid=(8, 16)
         )
         assert report.n_points == 8 * 16
         assert not report.degenerate
@@ -196,16 +197,15 @@ class TestConjectureHarness:
         assert math.isnan(report.correlation)
 
     def test_report_determinism(self):
-        src = CharacteristicDisk(0.25)
-        a = conjecture_run(src, DIRICHLET, mesh=(32, 64), comparison_grid=(4, 8))[0]
-        b = conjecture_run(src, DIRICHLET, mesh=(32, 64), comparison_grid=(4, 8))[0]
+        a = conjecture_run(QUARTER, DIRICHLET, mesh=(32, 64), comparison_grid=(4, 8))[0]
+        b = conjecture_run(QUARTER, DIRICHLET, mesh=(32, 64), comparison_grid=(4, 8))[0]
         assert a == b
 
     def test_report_serialization(self):
         import json
 
         report = conjecture_run(
-            CharacteristicDisk(0.25), DIRICHLET, mesh=(32, 64), comparison_grid=(4, 8)
+            QUARTER, DIRICHLET, mesh=(32, 64), comparison_grid=(4, 8)
         )[0]
         doc = json.loads(report.to_json())
         assert set(doc) == {

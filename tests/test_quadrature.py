@@ -297,7 +297,10 @@ class TestIntegrateAngular:
             integrate_angular(bad, -1.0, 1.0)
 
     def test_overflowing_sum_raises(self):
-        with pytest.raises(NonFiniteError):
+        # every value is finite: the message names the overflow too
+        with pytest.raises(NonFiniteError, match=re.escape(
+                "panel [-3.0,3.0]: the integrand returned NaN/inf, or its weighted sum "
+                "overflowed")):
             integrate_angular(lambda t: np.full_like(t, 1e308), -3.0, 3.0)
 
 

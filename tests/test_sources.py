@@ -19,8 +19,6 @@ from harmonicdisk.sources import (
     AngularOne,
     AngularSin,
     BoundarySum,
-    CharacteristicDisk,
-    CharacteristicRect,
     GaussianBump,
     OnArc,
     PhiSquared,
@@ -29,6 +27,7 @@ from harmonicdisk.sources import (
     RhoPower,
     SeparableOnRect,
     SourceSum,
+    _indicator,
     catalog_q_sources,
     figure_case,
     parse_source_config,
@@ -40,7 +39,7 @@ PI = math.pi
 
 class TestEvaluateSource:
     def test_characteristic_disk(self):
-        disk = CharacteristicDisk(0.25)
+        disk = _indicator(PolarRectangle(0.0, 0.25, -PI, PI))
         assert disk.values(0.1, 2.0) == 1.0
         assert disk.values(0.3, 2.0) == 0.0
 
@@ -53,7 +52,7 @@ class TestEvaluateSource:
         assert figure_case(6).source.values(1.0, 0.0) == math.inf
 
     def test_characteristic_rect_membership(self):
-        rect = CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, PI / 4))
+        rect = _indicator(PolarRectangle(0.25, 0.5, 0.0, PI / 4))
         assert rect.values(0.3, 0.3) == 1.0
         assert rect.values(0.3, -0.1) == 0.0
         assert rect.values(0.6, 0.3) == 0.0
@@ -81,6 +80,21 @@ class TestValidation:
         with pytest.raises(SourceValidationError):
             GaussianBump(1.0, 0.5, 0.0)
 
+    @pytest.mark.parametrize("factor, args", [
+        (RhoPower, (math.nan,)), (RhoPower, (math.inf,)),
+        (GaussianBump, (1.0, 0.5, math.nan)), (GaussianBump, (1.0, 0.5, math.inf)),
+        (GaussianBump, (math.inf, 0.5, 1.0)), (GaussianBump, (1.0, math.nan, 1.0))])
+    def test_non_finite_radial_factors(self, factor, args):
+        with pytest.raises(SourceValidationError):
+            factor(*args)
+
+    @pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficients(self, coef):
+        with pytest.raises(SourceValidationError):
+            SourceSum(((1.0, figure_case(4).source), (coef, figure_case(4).source)))
+        with pytest.raises(SourceValidationError):
+            BoundarySum(((coef, OnArc(AngularOne())),))
+
 
 class TestFigureCatalog:
     def test_ids_complete(self):
@@ -97,12 +111,12 @@ class TestFigureCatalog:
     def test_figure_4_payload(self):
         case = figure_case(4)
         assert (case.boundary, case.kernel) == (None, None)
-        assert case.source == CharacteristicDisk(0.25)
+        assert case.source == _indicator(PolarRectangle(0.0, 0.25, -PI, PI))
         assert case.prefactor == 1.0
 
     def test_figure_9_payload(self):
         case = figure_case(9)
-        assert case.source == CharacteristicRect(PolarRectangle(0.9, 1.0, -PI / 6, PI / 6))
+        assert case.source == _indicator(PolarRectangle(0.9, 1.0, -PI / 6, PI / 6))
         assert case.prefactor == pytest.approx(2.0 / PI)
         assert case.boundary == figure_case(8).boundary
 
@@ -139,11 +153,16 @@ class TestFigureCatalog:
             assert figure_case(fig_id).source.radial == RhoPower(1)
 
 
+def separable(radial, angular):
+    return {"type": "separable", "radial": radial, "angular": angular,
+            "rect": {"r": [0.25, 0.5], "theta": [0.0, 1.0]}}
+
+
 class TestConfigParsing:
     def test_char_rect_example(self):
         doc = {"type": "char_rect", "r": [0.25, 0.5], "theta": [0, 0.7853981633974483]}
         src = parse_source_config(json.dumps(doc))
-        assert src == CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, 0.7853981633974483))
+        assert src == _indicator(PolarRectangle(0.25, 0.5, 0.0, 0.7853981633974483))
 
     def test_separable_example_matches_catalog(self):
         doc = {
@@ -192,6 +211,42 @@ class TestConfigParsing:
         with pytest.raises(SourceValidationError):
             parse_source_config(doc)
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"type": "char_disk", "radius": "abc"}, SourceParseError),
+        ({"type": "char_disk", "radius": None}, SourceParseError),
+        ({"type": "char_disk", "radius": 10**400}, SourceParseError),
+        ({"type": "char_disk", "radius": 1.5}, SourceValidationError),
+        ({"type": "char_disk", "radius": math.nan}, SourceValidationError),
+        ({"type": "char_rect", "r": [0.1, "x"], "theta": [0.0, 1.0]}, SourceParseError),
+        (separable({"rho_power": "x"}, "one"), SourceParseError),
+        (separable({"rho_power": math.nan}, "one"), SourceValidationError),
+        (separable({"gaussian_bump": {"amp": 1.0, "center": 0.5, "width": None}}, "one"),
+         SourceParseError),
+        (separable({"gaussian_bump": 1.0}, "one"), SourceParseError),
+        (separable("one", {"cos": 1.5}), SourceParseError),
+        (separable("one", {"sin": 1.9}), SourceParseError),
+        (separable("one", "cos"), SourceParseError),
+        (separable("one", {"abs_phi": 1}), SourceParseError),
+        ({"type": "cos", "n": 2.7}, SourceParseError),
+        ({"type": "weighted_sum", "terms": [{"coef": "x", "term": {"type": "one"}}]},
+         SourceParseError),
+        ({"type": "weighted_sum", "terms": [{"coef": math.nan, "term": {"type": "one"}}]},
+         SourceValidationError),
+        ({"type": ["char_disk"], "radius": 0.5}, SourceParseError),
+    ], ids=["radius_text", "radius_null", "radius_overflows", "radius_too_large", "radius_nan", "rect_text",
+            "rho_power_text", "rho_power_nan", "bump_width_null", "bump_not_an_object",
+            "cos_fractional", "sin_fractional", "cos_without_order", "abs_phi_with_a_value",
+            "boundary_cos_fractional", "coef_text", "coef_nan", "type_not_a_name"])
+    def test_bad_numeric_fields(self, doc, error):
+        with pytest.raises(error):
+            parse_source_config(doc)
+
+    def test_integral_orders_are_integers(self):
+        src = parse_source_config(separable("one", {"cos": 2.0}))
+        assert src.angular == AngularCos(2)
+        assert serialize_config(src).startswith('{"angular": {"cos": 2}')
+        assert parse_source_config({"type": "cos", "n": 3.0}) == OnArc(AngularCos(3))
+
     def test_boundary_types(self):
         assert parse_source_config({"type": "cos", "n": 2}) == OnArc(AngularCos(2))
         assert parse_source_config(
@@ -208,6 +263,8 @@ class TestConfigParsing:
 
 # One instance of every config type and its canonical JSON text, so that a
 # changed to_config shows even where a round trip would still hold.
+SEPARABLE_ONES = '{"type": "separable", "radial": "one", "angular": "one", ' \
+    '"rect": {"r": %s, "theta": %s}}'
 CONFIG_TEXTS = [
     (OnArc(AngularOne(), -0.5, 0.5), '{"arc": [-0.5, 0.5], "type": "char_arc"}'),
     (OnArc(AbsPhi()), '{"type": "abs_theta"}'),
@@ -216,14 +273,19 @@ CONFIG_TEXTS = [
     (OnArc(AbsLogAbsPhi(), 0.0, 2.0), '{"arc": [0.0, 2.0], "type": "abs_log_abs_on_arc"}'),
     (OnArc(AngularCos(3)), '{"n": 3, "type": "cos"}'),
     (OnArc(AngularOne()), '{"type": "one"}'),
-    (CharacteristicDisk(0.25), '{"radius": 0.25, "type": "char_disk"}'),
-    (CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, 1.0)),
+    (_indicator(PolarRectangle(0.0, 0.25, -PI, PI)), '{"radius": 0.25, "type": "char_disk"}'),
+    (_indicator(PolarRectangle(0.25, 0.5, 0.0, 1.0)),
      '{"r": [0.25, 0.5], "theta": [0.0, 1.0], "type": "char_rect"}'),
+    # a separable document of the factors "one" is written as an indicator
+    (parse_source_config(SEPARABLE_ONES % ([0.0, 0.5], [-PI, PI])),
+     '{"radius": 0.5, "type": "char_disk"}'),
+    (parse_source_config(SEPARABLE_ONES % ([0.0, 0.5], [-PI, 0.0])),
+     f'{{"r": [0.0, 0.5], "theta": [{-PI!r}, 0.0], "type": "char_rect"}}'),
     (SeparableOnRect(GaussianBump(10.0, 0.5, 10.0), AngularSin(2),
                      PolarRectangle(0.3, 0.7, -1.0, 1.0)),
      '{"angular": {"sin": 2}, "radial": {"gaussian_bump": {"amp": 10.0, "center": 0.5, '
      '"width": 10.0}}, "rect": {"r": [0.3, 0.7], "theta": [-1.0, 1.0]}, "type": "separable"}'),
-    (SourceSum(((2.0, CharacteristicDisk(0.5)),
+    (SourceSum(((2.0, _indicator(PolarRectangle(0.0, 0.5, -PI, PI))),
                 (-1.0, SeparableOnRect(PowerOfOneMinusRho(0.25), AbsLogAbsPhi(),
                                        PolarRectangle(0.75, 1.0, 0.0, 3.0))))),
      '{"terms": [{"coef": 2.0, "term": {"radius": 0.5, "type": "char_disk"}}, '
@@ -234,10 +296,15 @@ CONFIG_TEXTS = [
 
 
 # a case's id is its class, but the seven boundary documents share one,
-# OnArc, and are told apart by their JSON type
-@pytest.mark.parametrize("obj, text", CONFIG_TEXTS,
-                         ids=[obj.to_config()["type"] if isinstance(obj, OnArc)
-                              else type(obj).__name__ for obj, _ in CONFIG_TEXTS])
+# OnArc, and the indicators the other, SeparableOnRect: these are told apart
+# by their JSON type, and the two separable documents of ones by their shape
+CONFIG_IDS = ["char_arc", "abs_theta", "theta_squared_on_arc", "sin_on_arc",
+              "abs_log_abs_on_arc", "cos", "one", "char_disk", "char_rect",
+              "separable_ones_on_a_disk", "separable_ones_on_a_rect", "SeparableOnRect",
+              "SourceSum"]
+
+
+@pytest.mark.parametrize("obj, text", CONFIG_TEXTS, ids=CONFIG_IDS)
 def test_config_text_is_pinned(obj, text):
     assert serialize_config(obj) == text
     assert parse_source_config(text) == obj
@@ -323,8 +390,8 @@ class TestSquareIntegrability:
 
 class TestVectorizedValues:
     def test_weighted_sum_linearity(self):
-        a = CharacteristicDisk(0.5)
-        b = CharacteristicRect(PolarRectangle(0.2, 0.8, -1.0, 1.0))
+        a = _indicator(PolarRectangle(0.0, 0.5, -PI, PI))
+        b = _indicator(PolarRectangle(0.2, 0.8, -1.0, 1.0))
         combo = SourceSum(((2.0, a), (-0.5, b)))
         rho = np.linspace(0.05, 0.95, 7)[:, None]
         phi = np.linspace(-PI, PI, 9)[None, :]
@@ -350,8 +417,8 @@ class TestDeclaredBreaks:
     ANNULUS = PolarRectangle(0.9, 1.0, -PI, PI)
 
     def test_smooth_pieces_declare_no_breaks(self):
-        assert CharacteristicDisk(0.5).pieces()[0].factors == (RadialOne(), AngularOne())
-        assert CharacteristicRect(self.ANNULUS).pieces()[0].factors == (RadialOne(), AngularOne())
+        for rect in (PolarRectangle(0.0, 0.5, -PI, PI), self.ANNULUS):
+            assert _indicator(rect).pieces()[0].factors == (RadialOne(), AngularOne())
         bump, cos2 = GaussianBump(1.0, 0.5, 10.0), AngularCos(2)
         (piece,) = SeparableOnRect(bump, cos2, self.ANNULUS).pieces()
         assert (piece.rect, piece.factors) == (self.ANNULUS, (bump, cos2))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from harmonicdisk.geometry import EvaluationGrid, PolarRectangle
 from harmonicdisk.sources import (
@@ -19,7 +19,6 @@ from harmonicdisk.sources import (
     AngularOne,
     AngularSin,
     BoundarySum,
-    CharacteristicRect,
     GaussianBump,
     OnArc,
     PhiSquared,
@@ -27,6 +26,9 @@ from harmonicdisk.sources import (
     RhoPower,
     SeparableOnRect,
     SourceSum,
+    _indicator,
+    parse_source_config,
+    serialize_config,
 )
 from harmonicdisk import verify
 from harmonicdisk.quadrature import QuadratureSpec
@@ -58,7 +60,7 @@ angulars = st.one_of(
     st.sampled_from([AbsPhi(), PhiSquared(), AngularOne()]),
 )
 atoms = st.one_of(
-    st.builds(CharacteristicRect, rects()),
+    st.builds(_indicator, rects()),
     st.builds(SeparableOnRect, radials, angulars, rects()),
 )
 
@@ -155,6 +157,21 @@ def test_poisson_integral_equivariant_under_rotation_by_a_grid_step(f):
     assert_equivariant(f, poisson_integral)
 
 
+def sums(terms, weighted_sum):
+    return st.builds(weighted_sum, st.lists(st.tuples(coefs, terms), min_size=1, max_size=3)
+                     .map(tuple))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(atoms, sums(atoms, SourceSum), boundary_atoms,
+                 sums(boundary_atoms, BoundarySum)))
+@example(_indicator(PolarRectangle(0.0, 0.5, -PI, PI)))  # rects() rarely draw a disk
+def test_documents_round_trip(f):
+    # an indicator on [0, r] x [-pi, pi] is written as char_disk, and any
+    # separable source of ones as an indicator: each parses back to f
+    assert parse_source_config(serialize_config(f)) == f
+
+
 radii = st.floats(0.0, 0.95)
 angles = st.floats(-PI, PI)
 
@@ -162,7 +179,7 @@ angles = st.floats(-PI, PI)
 @PROPERTY
 @given(rects(), radii, angles)
 def test_closed_form_matches_adaptive_quadrature(rect, r, theta):
-    source = CharacteristicRect(rect)
+    source = _indicator(rect)
     value, err, converged = q_point(source, r, theta, 1.0, QuadratureSpec(adaptive_tol=1e-12))
     exact = verify._indicator_q(source, r, theta)
     assert converged
@@ -172,14 +189,14 @@ def test_closed_form_matches_adaptive_quadrature(rect, r, theta):
 @PROPERTY
 @given(rects(), st.floats(0.1, 0.9), radii, angles)
 def test_closed_form_is_additive_across_a_split(rect, t, r, theta):
-    whole = verify._indicator_q(CharacteristicRect(rect), r, theta)
+    whole = verify._indicator_q(_indicator(rect), r, theta)
     rho = rect.r_lo + t * (rect.r_hi - rect.r_lo)
     phi = rect.theta_lo + t * (rect.theta_hi - rect.theta_lo)
     for halves in (((rect.r_lo, rho, rect.theta_lo, rect.theta_hi),
                     (rho, rect.r_hi, rect.theta_lo, rect.theta_hi)),
                    ((rect.r_lo, rect.r_hi, rect.theta_lo, phi),
                     (rect.r_lo, rect.r_hi, phi, rect.theta_hi))):
-        parts = SourceSum(tuple((1.0, CharacteristicRect(PolarRectangle(*h))) for h in halves))
+        parts = SourceSum(tuple((1.0, _indicator(PolarRectangle(*h))) for h in halves))
         assert abs(verify._indicator_q(parts, r, theta) - whole) <= 1e-14 * max(1.0, abs(whole))
 
 
@@ -198,5 +215,5 @@ def test_closed_form_branches_agree_at_the_switch(rect, modulus, arg):
 @PROPERTY
 @given(rects(), angles)
 def test_closed_form_at_the_centre_is_the_area(rect, theta):
-    assert abs(verify._indicator_q(CharacteristicRect(rect), 0.0, theta) - rect.area) \
+    assert abs(verify._indicator_q(_indicator(rect), 0.0, theta) - rect.area) \
         <= 1e-15 * rect.area

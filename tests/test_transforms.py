@@ -14,14 +14,13 @@ from harmonicdisk.sources import (
     AngularOne,
     AngularSin,
     BoundarySum,
-    CharacteristicDisk,
-    CharacteristicRect,
     OnArc,
     PowerOfOneMinusRho,
     RadialOne,
     RhoPower,
     SeparableOnRect,
     SourceSum,
+    _indicator,
     catalog_boundary_functions,
     catalog_q_sources,
     figure_case,
@@ -54,6 +53,7 @@ from harmonicdisk.transforms import (
 
 PI = math.pi
 TIGHT = QuadratureSpec(adaptive_tol=1e-12)
+QUARTER = _indicator(PolarRectangle(0.0, 0.25, -PI, PI))  # the disk r <= 1/4
 
 
 def small_grid(r_max=0.8, n_r=4, n_theta=8):
@@ -125,7 +125,7 @@ class TestPoissonIntegral:
 class TestQTransform:
     def test_characteristic_disk_plateau(self):
         grid = small_grid(r_max=0.9)
-        fld = q_transform(CharacteristicDisk(0.25), grid, 1.0, TIGHT)
+        fld = q_transform(QUARTER, grid, 1.0, TIGHT)
         assert np.max(np.abs(fld.values - PI / 16.0)) < 1e-10
 
     def test_rho_cos_phi_identity(self):
@@ -136,7 +136,7 @@ class TestQTransform:
         assert np.max(np.abs(fld.values - expected)) < 1e-9
 
     def test_center_reduces_to_mass(self):
-        rect = CharacteristicRect(PolarRectangle(0.25, 0.5, 0.0, PI / 4))
+        rect = _indicator(PolarRectangle(0.25, 0.5, 0.0, PI / 4))
         v, _, _ = q_point(rect, 0.0, 1.234, 1.0, TIGHT)
         assert v == pytest.approx(3.0 * PI / 128.0, abs=1e-10)
 
@@ -156,8 +156,8 @@ class TestQTransform:
         assert source_mass(src, TIGHT) == pytest.approx(expected, abs=1e-10)
 
     def test_linearity(self):
-        a = CharacteristicRect(PolarRectangle(0.3, 0.6, -0.4, 0.9))
-        b = CharacteristicRect(PolarRectangle(0.1, 0.8, 1.2, 2.0))
+        a = _indicator(PolarRectangle(0.3, 0.6, -0.4, 0.9))
+        b = _indicator(PolarRectangle(0.1, 0.8, 1.2, 2.0))
         combo = SourceSum(((0.7, a), (-1.3, b)))
         for r, theta in ((0.5, 0.3), (0.85, -2.2)):
             v_sum, _, _ = q_point(combo, r, theta, 1.0, TIGHT)
@@ -167,8 +167,8 @@ class TestQTransform:
 
     def test_rotation_equivariance(self):
         delta = 0.4
-        base = CharacteristicRect(PolarRectangle(0.3, 0.6, -0.4, 0.9))
-        rotated = CharacteristicRect(PolarRectangle(0.3, 0.6, -0.4 + delta, 0.9 + delta))
+        base = _indicator(PolarRectangle(0.3, 0.6, -0.4, 0.9))
+        rotated = _indicator(PolarRectangle(0.3, 0.6, -0.4 + delta, 0.9 + delta))
         for r, theta in ((0.55, 0.1), (0.8, 2.0)):
             v_rot, _, _ = q_point(rotated, r, theta + delta, 1.0, TIGHT)
             v, _, _ = q_point(base, r, theta, 1.0, TIGHT)
@@ -176,13 +176,13 @@ class TestQTransform:
 
     def test_radius_cap(self):
         with pytest.raises(DomainError):
-            q_point(CharacteristicDisk(0.25), 0.995, 0.0)
-        v, _, _ = q_point(CharacteristicDisk(0.25), 0.995, 0.0, allow_near_boundary=True)
+            q_point(QUARTER, 0.995, 0.0)
+        v, _, _ = q_point(QUARTER, 0.995, 0.0, allow_near_boundary=True)
         assert v == pytest.approx(PI / 16.0, abs=1e-8)
 
     def test_meta_records_reproduction_inputs(self):
         grid = small_grid()
-        fld = q_transform(CharacteristicDisk(0.25), grid, 1.0)
+        fld = q_transform(QUARTER, grid, 1.0)
         assert fld.meta["operator"] == "q_transform"
         assert fld.meta["prefactor"] == 1.0
         assert fld.meta["source"] == {"type": "char_disk", "radius": 0.25}
@@ -190,8 +190,8 @@ class TestQTransform:
 
     def test_deterministic(self):
         grid = small_grid()
-        f1 = q_transform(CharacteristicDisk(0.25), grid, 1.0)
-        f2 = q_transform(CharacteristicDisk(0.25), grid, 1.0)
+        f1 = q_transform(QUARTER, grid, 1.0)
+        f2 = q_transform(QUARTER, grid, 1.0)
         assert np.array_equal(f1.values, f2.values)
 
 
@@ -215,13 +215,13 @@ class TestHarmonicRep:
 
 class TestBergmanProject:
     def test_reproduces_constant_with_offset(self):
-        fld = bergman_project(CharacteristicDisk(1.0), small_grid(), TIGHT)
+        fld = bergman_project(_indicator(PolarRectangle.full_disk()), small_grid(), TIGHT)
         assert np.max(np.abs(fld.values - 1.0)) < 1e-10
 
     def test_characteristic_disk_constant(self):
         # projection of a radial indicator is the constant mass/pi
         grid = small_grid(r_max=0.9)
-        fld = bergman_project(CharacteristicDisk(0.25), grid, TIGHT)
+        fld = bergman_project(QUARTER, grid, TIGHT)
         assert np.max(np.abs(fld.values - 1.0 / 16.0)) < 1e-3
         assert np.max(np.abs(fld.values - 1.0 / 16.0)) < 1e-9  # actual accuracy
 
@@ -406,7 +406,7 @@ class TestSpectralDispatch:
         assert _spectral_modes(_Q_SERIES, full.pieces(), r_max) is None
         assert _spectral_modes(_POISSON_SERIES, OnArc(AngularCos(2)).pieces(), r_max) is None
         # the cap is on r_max * r_hi, so a small disk stays spectral
-        small = _spectral_modes(_Q_SERIES, CharacteristicDisk(0.25).pieces(), r_max)
+        small = _spectral_modes(_Q_SERIES, QUARTER.pieces(), r_max)
         assert small is not None and small[0] < 50
         below = _spectral_modes(_Q_SERIES, full.pieces(), 0.99)
         assert below is not None and below[0] < 5000

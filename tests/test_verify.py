@@ -13,10 +13,9 @@ from harmonicdisk.sources import (
     AbsPhi,
     AngularOne,
     BoundarySum,
-    CharacteristicDisk,
-    CharacteristicRect,
     OnArc,
     SourceSum,
+    _indicator,
     figure_case,
 )
 from harmonicdisk.transforms import Field, poisson_integral, poisson_point, q_point
@@ -32,6 +31,7 @@ from harmonicdisk.verify import (
 )
 
 PI = math.pi
+UNIT = _indicator(PolarRectangle.full_disk())  # the constant one on the disk
 
 
 class TestLaplacianResidual:
@@ -101,12 +101,12 @@ class TestLaplacianResidual:
 
 class TestNorms:
     def test_constant_harmonic_l2(self):
-        value = norm(CharacteristicDisk(1.0),
+        value = norm(UNIT,
                      NormSpec("harmonic_bergman_l2", truncation_radius=0.999))
         assert value == pytest.approx(math.sqrt(PI), abs=2e-3)
 
     def test_weighted_constant(self):
-        value = norm(CharacteristicDisk(1.0), NormSpec("bergman_weighted", p=2.0, alpha=1.0))
+        value = norm(UNIT, NormSpec("bergman_weighted", p=2.0, alpha=1.0))
         assert value == pytest.approx(math.sqrt(PI / 3.0), abs=2e-3)
 
     def test_circle_l2_arc(self):
@@ -140,7 +140,7 @@ class TestNorms:
 
     def test_incompatible_kinds(self):
         with pytest.raises(IncompatibleKindError):
-            norm(CharacteristicDisk(0.5), NormSpec("circle_l2"))
+            norm(_indicator(PolarRectangle(0.0, 0.5, -PI, PI)), NormSpec("circle_l2"))
         with pytest.raises(IncompatibleKindError):
             norm(OnArc(AngularOne(), 0.0, 1.0), NormSpec("harmonic_bergman_l2"))
         with pytest.raises(IncompatibleKindError):
@@ -171,7 +171,7 @@ class TestNorms:
         assert val == pytest.approx(math.sqrt(PI) * 0.9, rel=1e-3)
 
     def test_tail_bound_reported(self):
-        report = norm_report(CharacteristicDisk(1.0), NormSpec("harmonic_bergman_l2"))
+        report = norm_report(UNIT, NormSpec("harmonic_bergman_l2"))
         assert report.tail_bound > 0.0
         assert report.truncation_radius == 0.999
 
@@ -187,7 +187,7 @@ class TestNorms:
     def test_rect_outside_canonical_angle_window(self):
         # PolarRectangle allows angle windows beyond [-pi, pi]; the norm
         # partition must still cover them
-        rect = CharacteristicRect(PolarRectangle(0.2, 0.6, 3.0, 3.5))
+        rect = _indicator(PolarRectangle(0.2, 0.6, 3.0, 3.5))
         value = norm(rect, NormSpec("harmonic_bergman_l2"))
         exact = math.sqrt(0.5 * (0.36 - 0.04) * 0.5)
         assert value == pytest.approx(exact, abs=1e-10)
@@ -232,7 +232,7 @@ class TestIndicatorClosedForm:
     def test_q_normalization(self):
         # four rectangles tile the disk, so (1/pi) iint Q = 1 at every point,
         # although each edge's term depends on the point
-        quarters = SourceSum(tuple((1.0, CharacteristicRect(PolarRectangle(*rect))) for rect in (
+        quarters = SourceSum(tuple((1.0, _indicator(PolarRectangle(*rect))) for rect in (
             (0.0, 0.5, -PI, 0.0), (0.0, 0.5, 0.0, PI), (0.5, 1.0, -PI, 1.0), (0.5, 1.0, 1.0, PI))))
         for r, theta in ((0.0, 0.0), (0.2, 3.0), (0.7, 1.2), (0.99, -0.4), (0.999, 1.0)):
             assert verify._indicator_q(quarters, r, theta) == pytest.approx(PI, abs=1e-13)
