@@ -296,10 +296,11 @@ CONFIG_TEXTS = [
 
 
 # a case's id is its class, but the seven boundary documents share one,
-# OnArc, and the indicators the other, SeparableOnRect: these are told apart
-# by their JSON type, and the two separable documents of ones by their shape
+# OnArc, and are told apart by their JSON type; the char_disk and char_rect
+# documents keep the ids of the classes that held them before SeparableOnRect
+# took them in, and the two separable documents of ones are told apart by shape
 CONFIG_IDS = ["char_arc", "abs_theta", "theta_squared_on_arc", "sin_on_arc",
-              "abs_log_abs_on_arc", "cos", "one", "char_disk", "char_rect",
+              "abs_log_abs_on_arc", "cos", "one", "CharacteristicDisk", "CharacteristicRect",
               "separable_ones_on_a_disk", "separable_ones_on_a_rect", "SeparableOnRect",
               "SourceSum"]
 
